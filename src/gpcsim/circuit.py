@@ -4,6 +4,13 @@ The assembled system is dq(x, xi)/dt + f(x, xi) = B u(t) in modified nodal
 form.  State ordering is node voltages in order of first appearance, then
 inductor currents, then voltage-source currents.  B is deterministic; all
 randomness enters through device parameters bound to germ components.
+
+Assembly records one DeviceSpec per device and nothing more.  The batched
+DeviceKernel is compiled from those specs on the first evaluation and
+cached in a holder that copies share, so the swept twins a DC sweep makes
+with `with_source_dc` reuse it.  `eval_qf` is the only device-evaluation
+path: every method calls it once per Newton iteration with all of its
+points, and a single (x, xi) point is the M = 1 case.
 """
 
 from __future__ import annotations
@@ -14,17 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import RandomParameter
-from .devices import (
-    T_NOMINAL,
-    BjtStamp,
-    Bound,
-    CapacitorStamp,
-    DiodeStamp,
-    InductorStamp,
-    MosfetStamp,
-    ResistorStamp,
-    VoltageSourceStamp,
-)
+from .devices import T_NOMINAL, DeviceKernel, DeviceSpec
 from .netlist import Netlist, parse_netlist
 
 GROUND = "0"
@@ -44,7 +41,11 @@ class AssemblyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PointEval:
-    """One evaluation of the DAE right-hand side pieces at (x, xi)."""
+    """The DAE right-hand side pieces at (x, xi).
+
+    One point gives q, f of shape (n,) and dq, df of shape (n, n); a batch
+    of M points gives (M, n) and (M, n, n).
+    """
 
     q: np.ndarray
     f: np.ndarray
@@ -60,10 +61,12 @@ class StochasticCircuit:
     params: tuple             # distinct RandomParameter, first-use order
     b_matrix: np.ndarray      # (n, m), deterministic
     source_names: list        # V/I device names, column order of b_matrix
-    stamps: list = field(repr=False, default_factory=list)
+    devices: list = field(repr=False, default_factory=list)   # DeviceSpec
     _sources: list = field(repr=False, default_factory=list)
     analyses: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    # compiled kernel, built on first evaluation; copies share the holder
+    _compiled: dict = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -73,20 +76,36 @@ class StochasticCircuit:
     def l(self) -> int:
         return len(self.params)
 
+    def kernel(self) -> DeviceKernel:
+        if "kernel" not in self._compiled:
+            self._compiled["kernel"] = DeviceKernel(self.devices, self.n, self.l)
+        return self._compiled["kernel"]
+
     def eval_qf(self, x, xi) -> PointEval:
-        n = self.n
-        q = np.zeros(n)
-        f = np.zeros(n)
-        dq = np.zeros((n, n))
-        df = np.zeros((n, n))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for stamp in self.stamps:
-                stamp(x, xi, q, f, dq, df)
-        if not (np.isfinite(f).all() and np.isfinite(df).all()
-                and np.isfinite(q).all() and np.isfinite(dq).all()):
+        """Device evaluation at one point, or at M points in one pass.
+
+        x is (n,) or (M, n) and xi is (l,) or (M, l); a 1-D argument is
+        shared by every point of a batch.  Any non-finite entry anywhere in
+        the batch raises EvalOverflowError.
+        """
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        single = x.ndim == 1 and xi.ndim == 1
+        m = 1 if single else (len(x) if x.ndim == 2 else len(xi))
+        if x.shape != (m, self.n):
+            x = np.broadcast_to(x, (m, self.n))
+        if xi.shape != (m, self.l):
+            xi = np.broadcast_to(xi, (m, self.l))
+        kernel = self.kernel()
+        out = kernel(x, xi)
+        if not np.isfinite(out).all():
             raise EvalOverflowError(
                 f"non-finite device evaluation in circuit {self.name!r}")
-        return PointEval(q, f, dq, df)
+        n = self.n
+        q, f, dq, df = kernel.split(out)
+        if single:
+            return PointEval(q[0], f[0], dq[0].reshape(n, n), df[0].reshape(n, n))
+        return PointEval(q, f, dq.reshape(m, n, n), df.reshape(m, n, n))
 
     def source_vector(self, t: float) -> np.ndarray:
         return np.array([dev.dc_value() if dev.waveform is None
@@ -123,21 +142,27 @@ def _require(cond, msg):
         raise CircuitError(msg)
 
 
-def _as_bound(value, germ_of, owner, key):
+def _as_param(value, germ_of, owner, key):
+    """(base, scale, germ): value = base + scale * xi[germ], germ -1 if fixed."""
     if isinstance(value, RandomParameter):
-        return Bound(value.shift, value.scale, germ_of(value))
+        return (value.shift, value.scale, germ_of(value))
     if value is None:
         raise CircuitError(f"{owner}: missing value for {key}")
-    return Bound(float(value))
+    return (float(value), 0.0, -1)
 
 
-def _param_bound(dev, key, default, germ_of):
-    value = dev.params.get(key, default)
-    if value is None:
-        raise CircuitError(f"{dev.name}: parameter {key!r} is required")
-    return _as_bound(value, germ_of, dev.name, key)
+def _model_params(dev, defaults, germ_of):
+    """One (base, scale, germ) triple per key of `defaults`, in that order."""
+    out = []
+    for key, default in defaults.items():
+        value = dev.params.get(key, default)
+        if value is None:
+            raise CircuitError(f"{dev.name}: parameter {key!r} is required")
+        out.append(_as_param(value, germ_of, dev.name, key))
+    return tuple(out)
 
 
+# model parameter keys and defaults, in the order the device models take them
 _MOS_DEFAULTS = {
     "vt0": 0.5, "kp": 2e-5, "w": 10e-6, "l": 1e-6,
     "lambda": 0.0, "temp": T_NOMINAL, "tnom": T_NOMINAL,
@@ -147,7 +172,7 @@ _BJT_DEFAULTS = {"is": 1e-16, "bf": 100.0, "br": 1.0, "temp": T_NOMINAL}
 
 
 def assemble(netlist: Netlist) -> StochasticCircuit:
-    """Compile parsed cards into a stamped stochastic DAE."""
+    """Compile parsed cards into a stochastic DAE with device specs."""
     _require(netlist.devices, "cannot assemble an empty netlist")
 
     node_index: dict[str, int] = {}
@@ -189,7 +214,7 @@ def assemble(netlist: Netlist) -> StochasticCircuit:
         germs.append(par)
         return len(germs) - 1
 
-    stamps = []
+    specs = []
     sources = vsources + isources
     b = np.zeros((n, len(sources)))
     for col, dev in enumerate(vsources):
@@ -203,57 +228,31 @@ def assemble(netlist: Netlist) -> StochasticCircuit:
             b[c, col] = 1.0
 
     for dev in netlist.devices:
-        pins = [node(nm) for nm in dev.nodes]
-        if dev.kind == "R":
-            stamps.append(ResistorStamp(pins[0], pins[1],
-                                        _as_bound(dev.value, germ_of, dev.name, "value")))
-        elif dev.kind == "C":
-            stamps.append(CapacitorStamp(pins[0], pins[1],
-                                         _as_bound(dev.value, germ_of, dev.name, "value")))
+        pins = tuple(node(nm) for nm in dev.nodes)
+        if dev.kind in ("R", "C"):
+            specs.append(DeviceSpec(dev.kind, pins, (
+                _as_param(dev.value, germ_of, dev.name, "value"),)))
         elif dev.kind == "L":
-            stamps.append(InductorStamp(pins[0], pins[1], branch_of[dev.name],
-                                        _as_bound(dev.value, germ_of, dev.name, "value")))
+            specs.append(DeviceSpec("L", pins + (branch_of[dev.name],), (
+                _as_param(dev.value, germ_of, dev.name, "value"),)))
         elif dev.kind == "V":
-            stamps.append(VoltageSourceStamp(pins[0], pins[1], branch_of[dev.name]))
+            specs.append(DeviceSpec("V", pins + (branch_of[dev.name],)))
         elif dev.kind == "I":
             pass  # enters only through B u
         elif dev.kind == "D":
-            d = dict(_DIODE_DEFAULTS)
-            stamps.append(DiodeStamp(
-                pins[0], pins[1],
-                i_sat=_param_bound(dev, "is", d["is"], germ_of),
-                emission=_param_bound(dev, "n", d["n"], germ_of),
-                temp=_param_bound(dev, "temp", d["temp"], germ_of),
-            ))
+            specs.append(DeviceSpec("D", pins, _model_params(dev, _DIODE_DEFAULTS, germ_of)))
         elif dev.kind == "M":
             mtype = dev.params.get("type", "nmos")
             _require(mtype in ("nmos", "pmos"),
                      f"{dev.name}: type must be nmos or pmos, got {mtype!r}")
-            d = _MOS_DEFAULTS
-            stamps.append(MosfetStamp(
-                pins[0], pins[1], pins[2],
-                polarity=1.0 if mtype == "nmos" else -1.0,
-                vt0=_param_bound(dev, "vt0", d["vt0"], germ_of),
-                kp=_param_bound(dev, "kp", d["kp"], germ_of),
-                width=_param_bound(dev, "w", d["w"], germ_of),
-                length=_param_bound(dev, "l", d["l"], germ_of),
-                lam=_param_bound(dev, "lambda", d["lambda"], germ_of),
-                temp=_param_bound(dev, "temp", d["temp"], germ_of),
-                tnom=_param_bound(dev, "tnom", d["tnom"], germ_of),
-            ))
+            specs.append(DeviceSpec("M", pins, _model_params(dev, _MOS_DEFAULTS, germ_of),
+                                    1.0 if mtype == "nmos" else -1.0))
         elif dev.kind == "Q":
             qtype = dev.params.get("type", "npn")
             _require(qtype in ("npn", "pnp"),
                      f"{dev.name}: type must be npn or pnp, got {qtype!r}")
-            d = _BJT_DEFAULTS
-            stamps.append(BjtStamp(
-                pins[0], pins[1], pins[2],
-                polarity=1.0 if qtype == "npn" else -1.0,
-                i_sat=_param_bound(dev, "is", d["is"], germ_of),
-                beta_f=_param_bound(dev, "bf", d["bf"], germ_of),
-                beta_r=_param_bound(dev, "br", d["br"], germ_of),
-                temp=_param_bound(dev, "temp", d["temp"], germ_of),
-            ))
+            specs.append(DeviceSpec("Q", pins, _model_params(dev, _BJT_DEFAULTS, germ_of),
+                                    1.0 if qtype == "npn" else -1.0))
         else:  # pragma: no cover - parser restricts kinds
             raise CircuitError(f"unsupported device kind {dev.kind!r}")
 
@@ -268,7 +267,7 @@ def assemble(netlist: Netlist) -> StochasticCircuit:
         params=tuple(germs),
         b_matrix=b,
         source_names=[d.name for d in sources],
-        stamps=stamps,
+        devices=specs,
         _sources=sources,
         analyses=list(netlist.analyses),
         warnings=structural,

@@ -77,7 +77,6 @@ class RunConfig:
     ltetol: float | None = None
     out: str = "."
     format: str = "both"
-    jobs: int | None = None
 
     def validate(self):
         if self.samples is not None:
@@ -89,8 +88,6 @@ class RunConfig:
             raise ConfigError("ac analysis runs with --method st only")
         if self.order < 0:
             raise ConfigError("--order must be nonnegative")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError("--jobs must be positive")
         if self.fixed_step is not None and self.fixed_step <= 0:
             raise ConfigError("--fixed-step must be positive")
 
@@ -303,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--ltetol", type=float, default=None)
     run_flags.add_argument("--out", default=".", help="output directory")
     run_flags.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    run_flags.add_argument("--jobs", type=int, default=None,
-                           help="parallel workers for sc/mc sample loops")
 
     ap = argparse.ArgumentParser(
         prog="simulate",
@@ -326,7 +321,7 @@ def _config_from_args(args) -> RunConfig:
         order=args.order, beta=args.beta, seed=args.seed, samples=args.samples,
         fixed_step=args.fixed_step, scheme=args.scheme, abstol=args.abstol,
         reltol=args.reltol, ltetol=args.ltetol, out=args.out,
-        format=args.format, jobs=args.jobs)
+        format=args.format)
 
 
 def run(config: RunConfig) -> int:
@@ -346,7 +341,7 @@ def run(config: RunConfig) -> int:
         circuit, config.method, config.order, analysis, beta=config.beta,
         seed=config.seed, n_samples=config.samples or 1000,
         newton=config.newton(), control=config.control(),
-        scheme=config.scheme, fixed_h=config.fixed_step, jobs=config.jobs,
+        scheme=config.scheme, fixed_h=config.fixed_step,
         mean_point=(config.method == "mc" and config.samples == 1))
     wall = time.perf_counter() - start
 

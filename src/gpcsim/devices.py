@@ -1,4 +1,4 @@
-"""Device models and their MNA stamps.
+"""Device models, compiled into one batched kernel per device class.
 
 The zoo is deliberately small: linear R/C/L, independent V/I sources, the
 Shockley diode, a square-law MOSFET with channel-length modulation, and the
@@ -6,10 +6,16 @@ Ebers-Moll bipolar.  Every junction exponential goes through `limexp`, which
 continues linearly past a fixed argument so Newton never sees an overflow
 from a wild intermediate iterate.
 
-A stamp writes its charge/current contributions and their analytic
-derivatives into preallocated arrays; ground (index -1) rows and columns
-are skipped.  Stamps read parameter values through `Bound` accessors so the
-same compiled circuit serves every germ realization.
+Assembly records each device as a `DeviceSpec`: its state columns and its
+parameters as affine functions base + scale * xi[germ] of the germ.
+`DeviceKernel` groups the specs by class into index arrays (terminals and
+germ columns, one row per device) and precomputes scatter matrices that
+carry every per-device value into its rows of f and q and its entries of
+df and dq.  One call evaluates M (state, germ) points in one numpy pass:
+the model equations run elementwise on (M, devices) arrays, the scatter is
+one matrix product per output, and ground (index -1) reads as a zero
+column and receives nothing.  Voltage-source and inductor incidences are
+constant and enter through one fixed matrix.
 
 Every nonlinear branch carries a GMIN shunt.  A square-law device in cutoff
 has identically zero current *and* conductance, so a node attached only to
@@ -19,8 +25,9 @@ during operating-point ramping.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
@@ -30,154 +37,61 @@ VT_TEMP_COEFF = 1e-3  # linear threshold-voltage drift per kelvin
 GMIN = 1e-12  # shunt conductance across every nonlinear branch
 
 
-def thermal_voltage(temp: float) -> float:
+def thermal_voltage(temp):
     return BOLTZMANN * temp / ELEMENTARY_CHARGE
 
 
-def limexp(x: float):
-    """exp(x) with a C1 linear continuation above LIMEXP_ARG; returns (value, slope)."""
-    if x > LIMEXP_ARG:
-        e = math.exp(LIMEXP_ARG)
-        return e * (1.0 + (x - LIMEXP_ARG)), e
-    e = math.exp(x)
-    return e, e
+def limexp(x):
+    """exp(x) with a C1 linear continuation above LIMEXP_ARG; returns (value, slope).
+
+    The argument is clamped before the exponential, so the linear branch
+    never computes an overflow that np.where would then discard.
+    """
+    e = np.exp(np.minimum(x, LIMEXP_ARG))
+    return np.where(x > LIMEXP_ARG, e * (1.0 + (x - LIMEXP_ARG)), e), e
 
 
-@dataclass(frozen=True)
-class Bound:
-    """Affine accessor value = base + scale * xi[germ]; germ < 0 means constant."""
+class DeviceSpec(NamedTuple):
+    """One assembled device.
 
-    base: float
-    scale: float = 0.0
-    germ: int = -1
+    pins are state columns, -1 for ground; L and V append their branch
+    current column.  params holds one (base, scale, germ) triple per model
+    parameter in the class's order, germ -1 for a constant.
+    """
 
-    def __call__(self, xi):
-        if self.germ < 0:
-            return self.base
-        return self.base + self.scale * xi[self.germ]
-
-
-@dataclass(frozen=True)
-class ResistorStamp:
-    a: int
-    b: int
-    value: Bound
-
-    def __call__(self, x, xi, q, f, dq, df):
-        g = 1.0 / self.value(xi)
-        va = x[self.a] if self.a >= 0 else 0.0
-        vb = x[self.b] if self.b >= 0 else 0.0
-        i = g * (va - vb)
-        if self.a >= 0:
-            f[self.a] += i
-            df[self.a, self.a] += g
-            if self.b >= 0:
-                df[self.a, self.b] -= g
-        if self.b >= 0:
-            f[self.b] -= i
-            df[self.b, self.b] += g
-            if self.a >= 0:
-                df[self.b, self.a] -= g
+    kind: str
+    pins: tuple
+    params: tuple = ()
+    polarity: float = 1.0   # -1 for pmos and pnp
 
 
-@dataclass(frozen=True)
-class CapacitorStamp:
-    a: int
-    b: int
-    value: Bound
+# --------------------------------------------------------------------------
+# model equations on (M, D) arrays: v[k] is the k-th terminal's state, p[r]
+# the r-th parameter; each returns {output: [value arrays]} in the order of
+# the class's scatter templates
+# --------------------------------------------------------------------------
 
-    def __call__(self, x, xi, q, f, dq, df):
-        c = self.value(xi)
-        va = x[self.a] if self.a >= 0 else 0.0
-        vb = x[self.b] if self.b >= 0 else 0.0
-        charge = c * (va - vb)
-        if self.a >= 0:
-            q[self.a] += charge
-            dq[self.a, self.a] += c
-            if self.b >= 0:
-                dq[self.a, self.b] -= c
-        if self.b >= 0:
-            q[self.b] -= charge
-            dq[self.b, self.b] += c
-            if self.a >= 0:
-                dq[self.b, self.a] -= c
+def _resistor(v, p, sgn):
+    g = 1.0 / p[0]
+    return {"f": [g * (v[0] - v[1])], "df": [g]}
 
 
-@dataclass(frozen=True)
-class InductorStamp:
-    a: int
-    b: int
-    branch: int
-    value: Bound
-
-    def __call__(self, x, xi, q, f, dq, df):
-        ell = self.value(xi)
-        ib = x[self.branch]
-        if self.a >= 0:
-            f[self.a] += ib
-            df[self.a, self.branch] += 1.0
-        if self.b >= 0:
-            f[self.b] -= ib
-            df[self.b, self.branch] -= 1.0
-        # branch equation: L di/dt - (va - vb) = 0
-        q[self.branch] += ell * ib
-        dq[self.branch, self.branch] += ell
-        if self.a >= 0:
-            f[self.branch] -= x[self.a]
-            df[self.branch, self.a] -= 1.0
-        if self.b >= 0:
-            f[self.branch] += x[self.b]
-            df[self.branch, self.b] += 1.0
+def _capacitor(v, p, sgn):
+    c = p[0]
+    return {"q": [c * (v[0] - v[1])], "dq": [c]}
 
 
-@dataclass(frozen=True)
-class VoltageSourceStamp:
-    """Branch equation va - vb = u; the source level itself enters through B u."""
-
-    a: int
-    b: int
-    branch: int
-
-    def __call__(self, x, xi, q, f, dq, df):
-        ib = x[self.branch]
-        if self.a >= 0:
-            f[self.a] += ib
-            df[self.a, self.branch] += 1.0
-            f[self.branch] += x[self.a]
-            df[self.branch, self.a] += 1.0
-        if self.b >= 0:
-            f[self.b] -= ib
-            df[self.b, self.branch] -= 1.0
-            f[self.branch] -= x[self.b]
-            df[self.branch, self.b] -= 1.0
+def _inductor(v, p, sgn):
+    ell = p[0]
+    return {"q": [ell * v[2]], "dq": [ell]}
 
 
-@dataclass(frozen=True)
-class DiodeStamp:
-    anode: int
-    cathode: int
-    i_sat: Bound
-    emission: Bound
-    temp: Bound
-
-    def __call__(self, x, xi, q, f, dq, df):
-        va = x[self.anode] if self.anode >= 0 else 0.0
-        vc = x[self.cathode] if self.cathode >= 0 else 0.0
-        i_s = self.i_sat(xi)
-        vt = self.emission(xi) * thermal_voltage(self.temp(xi))
-        e, de = limexp((va - vc) / vt)
-        i = i_s * (e - 1.0) + GMIN * (va - vc)
-        g = i_s * de / vt + GMIN
-        if self.anode >= 0:
-            f[self.anode] += i
-            df[self.anode, self.anode] += g
-            if self.cathode >= 0:
-                df[self.anode, self.cathode] -= g
-        if self.cathode >= 0:
-            f[self.cathode] -= i
-            df[self.cathode, self.cathode] += g
-            if self.anode >= 0:
-                df[self.cathode, self.anode] -= g
+def _diode(v, p, sgn):
+    i_s, emission, temp = p
+    vt = emission * thermal_voltage(temp)
+    vd = v[0] - v[1]
+    e, de = limexp(vd / vt)
+    return {"f": [i_s * (e - 1.0) + GMIN * vd], "df": [i_s * de / vt + GMIN]}
 
 
 def _square_law(vds, vgs, beta, vth, lam):
@@ -185,115 +99,190 @@ def _square_law(vds, vgs, beta, vth, lam):
 
     C1 across the cutoff and triode/saturation boundaries: current,
     output conductance, and transconductance all match at vds = vgs - vth.
+    Clamping the overdrive at zero and vds at the overdrive lets the triode
+    formulas cover all three regions.
     """
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
+    vov = np.maximum(vgs - vth, 0.0)
+    vde = np.minimum(vds, vov)
     clm = 1.0 + lam * vds
-    if vds >= vov:
-        i = 0.5 * beta * vov * vov * clm
-        return i, 0.5 * beta * vov * vov * lam, beta * vov * clm
-    core = vov * vds - 0.5 * vds * vds
-    i = beta * core * clm
-    gds = beta * ((vov - vds) * clm + core * lam)
-    gm = beta * vds * clm
-    return i, gds, gm
+    core = (vov - 0.5 * vde) * vde
+    return (beta * core * clm,
+            beta * ((vov - vde) * clm + core * lam),
+            beta * vde * clm)
 
 
-@dataclass(frozen=True)
-class MosfetStamp:
+def _mosfet(v, p, sgn):
     """Square-law MOSFET with channel-length modulation.
 
     PMOS runs the same equations on negated terminal voltages, and vds < 0
-    is handled by swapping drain and source roles internally.  Rotating
-    voltages and currents together by the polarity leaves the Jacobian
-    pattern unchanged, so derivative entries carry no extra sign.
+    swaps the drain and source roles.  Rotating voltages and currents
+    together by the polarity leaves the Jacobian pattern unchanged, so
+    derivative entries carry no extra sign.  The values are the current
+    into the drain row and that row's partials by (d, g, s); the source row
+    is their negation.  Swapped, the drain row is the source row of the
+    swapped device: (gds + gm, -gm, -gds) instead of (gds, gm, -(gds + gm)).
+    """
+    vt0, kp, width, length, lam, temp, tnom = p
+    vd, vg, vs = sgn * v[0], sgn * v[1], sgn * v[2]
+    vth = np.abs(vt0) - VT_TEMP_COEFF * (temp - tnom)
+    beta = kp * width / length
+    fwd = vd >= vs
+    vds = np.abs(vd - vs)
+    ids, gds, gm = _square_law(vds, vg - np.minimum(vd, vs), beta, vth, lam)
+    gds = gds + GMIN
+    direction = np.where(fwd, 1.0, -1.0)
+    return {"f": [direction * sgn * (ids + GMIN * vds)],
+            "df": [gds + ~fwd * gm, direction * gm, -(gds + fwd * gm)]}
+
+
+def _bjt(v, p, sgn):
+    """Ebers-Moll bipolar in transport form; pnp by voltage/current rotation."""
+    i_s, bf, br, temp = p
+    vc, vb, ve = sgn * v[0], sgn * v[1], sgn * v[2]
+    vt = thermal_voltage(temp)
+    ef, def_ = limexp((vb - ve) / vt)
+    er, der = limexp((vb - vc) / vt)
+    gf = i_s * def_ / vt
+    gr = i_s * der / vt
+    icc = i_s * (ef - er)          # transport current, collector to emitter
+    ibe = i_s * (ef - 1.0) / bf + GMIN * (vb - ve)
+    ibc = i_s * (er - 1.0) / br + GMIN * (vb - vc)
+    ic = icc - ibc                 # into the collector
+    ib = ibe + ibc                 # into the base
+    gbe = gf / bf + GMIN
+    gbc = gr / br + GMIN
+    # rows c, b, e: current leaving each node and its partials by (c, b, e)
+    return {"f": [sgn * ic, sgn * ib, sgn * -(ic + ib)],
+            "df": [gr + gbc, gf - gr - gbc, -gf,
+                   -gbc, gbe + gbc, -gbe,
+                   -gr, -gf - gbe + gr, gf + gbe]}
+
+
+# scatter templates: for each value a model returns, the (terminal, sign)
+# targets in f/q or the (row terminal, column terminal, sign) targets in
+# df/dq
+_BRANCH_ROWS = [[(0, 1.0), (1, -1.0)]]
+_BRANCH_JAC = [[(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)]]
+_THREE_BY_THREE = [[(r, c, 1.0)] for r in range(3) for c in range(3)]
+
+_MODELS = {
+    "R": (_resistor, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
+    "C": (_capacitor, {"q": _BRANCH_ROWS, "dq": _BRANCH_JAC}),
+    "L": (_inductor, {"q": [[(2, 1.0)]], "dq": [[(2, 2, 1.0)]]}),
+    "D": (_diode, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
+    "M": (_mosfet, {"f": [[(0, 1.0), (2, -1.0)]],
+                    "df": [[(0, c, 1.0), (2, c, -1.0)] for c in range(3)]}),
+    "Q": (_bjt, {"f": [[(r, 1.0)] for r in range(3)], "df": _THREE_BY_THREE}),
+}
+
+# constant incidence of the branch equations, (row, col, sign) on pins
+# (a, b, branch): V: f[a] += i, f[b] -= i, f[br] += va - vb;
+# L: same node rows, branch equation L di/dt - (va - vb) = 0
+_LINEAR = {
+    "V": [(0, 2, 1.0), (1, 2, -1.0), (2, 0, 1.0), (2, 1, -1.0)],
+    "L": [(0, 2, 1.0), (1, 2, -1.0), (2, 0, -1.0), (2, 1, 1.0)],
+}
+
+_OUTPUTS = ("q", "f", "dq", "df")
+
+
+class _Group:
+    """Devices of one class: terminal and germ index arrays."""
+
+    __slots__ = ("model", "pins", "base", "scale", "germ", "sgn")
+
+    def __init__(self, model, specs, n, l):
+        self.model = model
+        pins = np.array([s.pins for s in specs], dtype=int).T       # (P, D)
+        self.pins = np.where(pins < 0, n, pins)                     # ground -> zero column
+        params = np.array([s.params for s in specs], dtype=float)   # (D, R, 3)
+        self.base = params[:, :, 0].T                               # (R, D)
+        self.scale = params[:, :, 1].T
+        germ = params[:, :, 2].T.astype(int)
+        self.germ = np.where(germ < 0, l, germ)                     # constant -> zero column
+        self.sgn = np.array([s.polarity for s in specs])
+
+    def values(self, xe, xie):
+        v = xe[:, self.pins]                                        # (M, P, D)
+        p = self.base + self.scale * xie[:, self.germ]              # (M, R, D)
+        return self.model(v.transpose(1, 0, 2), p.transpose(1, 0, 2), self.sgn)
+
+
+class DeviceKernel:
+    """The compiled device layer of one circuit: (x, xi) -> q, f, dq, df.
+
+    Values are ordered group by group, value by value, device by device;
+    the scatter matrix of each output has one row per value in that order
+    and one column per entry of the output (n for f/q, n*n for df/dq).
     """
 
-    d: int
-    g: int
-    s: int
-    polarity: float  # +1 NMOS, -1 PMOS
-    vt0: Bound
-    kp: Bound
-    width: Bound
-    length: Bound
-    lam: Bound
-    temp: Bound
-    tnom: Bound
-
-    def __call__(self, x, xi, q, f, dq, df):
-        sgn = self.polarity
-        vd = sgn * (x[self.d] if self.d >= 0 else 0.0)
-        vg = sgn * (x[self.g] if self.g >= 0 else 0.0)
-        vs = sgn * (x[self.s] if self.s >= 0 else 0.0)
-        vth = abs(self.vt0(xi)) - VT_TEMP_COEFF * (self.temp(xi) - self.tnom(xi))
-        beta = self.kp(xi) * self.width(xi) / self.length(xi)
-        lam = self.lam(xi)
-        if vd >= vs:
-            nd, ns = self.d, self.s
-            ids, gds, gm = _square_law(vd - vs, vg - vs, beta, vth, lam)
-        else:
-            nd, ns = self.s, self.d
-            ids, gds, gm = _square_law(vs - vd, vg - vd, beta, vth, lam)
-        ids += GMIN * abs(vd - vs)  # abs(vd - vs) is vds in the swapped frame
-        gds += GMIN
-        partials = ((nd, gds), (self.g, gm), (ns, -(gds + gm)))
-        if nd >= 0:
-            f[nd] += sgn * ids
-            for col, part in partials:
-                if col >= 0:
-                    df[nd, col] += part
-        if ns >= 0:
-            f[ns] -= sgn * ids
-            for col, part in partials:
-                if col >= 0:
-                    df[ns, col] -= part
-
-
-@dataclass(frozen=True)
-class BjtStamp:
-    """Ebers-Moll bipolar in transport form; pnp by voltage/current rotation."""
-
-    c: int
-    b: int
-    e: int
-    polarity: float  # +1 npn, -1 pnp
-    i_sat: Bound
-    beta_f: Bound
-    beta_r: Bound
-    temp: Bound
-
-    def __call__(self, x, xi, q, f, dq, df):
-        sgn = self.polarity
-        vc = sgn * (x[self.c] if self.c >= 0 else 0.0)
-        vb = sgn * (x[self.b] if self.b >= 0 else 0.0)
-        ve = sgn * (x[self.e] if self.e >= 0 else 0.0)
-        i_s = self.i_sat(xi)
-        bf = self.beta_f(xi)
-        br = self.beta_r(xi)
-        vt = thermal_voltage(self.temp(xi))
-        ef, def_ = limexp((vb - ve) / vt)
-        er, der = limexp((vb - vc) / vt)
-        gf = i_s * def_ / vt
-        gr = i_s * der / vt
-        icc = i_s * (ef - er)          # transport current, collector to emitter
-        ibe = i_s * (ef - 1.0) / bf + GMIN * (vb - ve)
-        ibc = i_s * (er - 1.0) / br + GMIN * (vb - vc)
-        ic = icc - ibc                 # into the collector
-        ib = ibe + ibc                 # into the base
-        gbe = gf / bf + GMIN
-        gbc = gr / br + GMIN
-        # rows: current leaving each node; partials w.r.t. rotated voltages
-        rows = (
-            (self.c, ic, ((self.c, gr + gbc), (self.b, gf - gr - gbc), (self.e, -gf))),
-            (self.b, ib, ((self.c, -gbc), (self.b, gbe + gbc), (self.e, -gbe))),
-            (self.e, -(ic + ib), ((self.c, -gr), (self.b, -gf - gbe + gr), (self.e, gf + gbe))),
-        )
-        for row, cur, parts in rows:
-            if row < 0:
+    def __init__(self, specs, n, l):
+        self.n = n
+        self.groups = []
+        entries = {out: [] for out in _OUTPUTS}   # (value indices, targets, sign)
+        width = {out: 0 for out in _OUTPUTS}        # values so far per output
+        self.linear = np.zeros((n, n))
+        by_kind = {}
+        for spec in specs:
+            by_kind.setdefault(spec.kind, []).append(spec)
+        for kind, members in by_kind.items():
+            for r, c, sign in _LINEAR.get(kind, ()):
+                for spec in members:
+                    a, b = spec.pins[r], spec.pins[c]
+                    if a >= 0 and b >= 0:
+                        self.linear[a, b] += sign
+            if kind not in _MODELS:
                 continue
-            f[row] += sgn * cur
-            for col, part in parts:
-                if col >= 0:
-                    df[row, col] += part
+            model, templates = _MODELS[kind]
+            group = _Group(model, members, n, l)
+            self.groups.append(group)
+            pins = np.array([s.pins for s in members], dtype=int).T
+            count = len(members)
+            for out, template in templates.items():
+                for targets in template:
+                    for target in targets:
+                        *terms, sign = target
+                        idx = pins[list(terms)]                       # (1|2, D)
+                        ok = (idx >= 0).all(axis=0)
+                        flat = idx[0] if len(terms) == 1 else idx[0] * n + idx[1]
+                        value = width[out] + np.arange(count)
+                        entries[out].append((value[ok], flat[ok], sign))
+                    width[out] += count
+        self.scatter = {}
+        for out in _OUTPUTS:
+            size = n if out in ("q", "f") else n * n
+            mat = np.zeros((width[out], size))
+            for value, flat, sign in entries[out]:
+                np.add.at(mat, (value, flat), sign)
+            self.scatter[out] = mat
+        # (row, col) of every df/dq entry some device can make nonzero
+        touched = (self.scatter["df"].any(axis=0) | self.scatter["dq"].any(axis=0)
+                   | (self.linear != 0.0).ravel())
+        self.jacobian_pattern = np.divmod(np.flatnonzero(touched), n)
+
+    def __call__(self, x, xi):
+        """One (M, 2n + 2n²) array holding q, f, dq and df at M points, in
+        that order; `split` cuts it into the four outputs."""
+        m, n = x.shape
+        xe = np.concatenate([x, np.zeros((m, 1))], axis=1)
+        xie = np.concatenate([xi, np.zeros((m, 1))], axis=1)
+        vals = {out: [] for out in _OUTPUTS}
+        out = np.empty((m, 2 * n + 2 * n * n))
+        q, f, dq, df = self.split(out)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for group in self.groups:
+                for name, arrays in group.values(xe, xie).items():
+                    vals[name].extend(arrays)
+            for name, dest in zip(_OUTPUTS, (q, f, dq, df)):
+                if vals[name]:
+                    np.matmul(np.concatenate(vals[name], axis=1), self.scatter[name], out=dest)
+                else:
+                    dest[...] = 0.0
+            f += x @ self.linear.T
+            df += self.linear.ravel()
+        return out
+
+    def split(self, out):
+        """Views q, f (M, n) and dq, df (M, n*n) of a kernel result."""
+        n = self.n
+        return out[:, :n], out[:, n:2 * n], out[:, 2 * n:2 * n + n * n], out[:, 2 * n + n * n:]

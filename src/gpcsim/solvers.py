@@ -4,15 +4,19 @@ All methods expand the state in the same orthonormal basis; they differ in
 how coefficients are obtained:
 
 * testing (st): collocate the residual at K selected nodes and solve one
-  coupled system whose Newton updates decouple into K small solves plus a
-  Vandermonde back-substitution.
+  coupled system whose Newton updates decouple into K small solves, done
+  as one batched solve, plus a Vandermonde back-substitution.
 * galerkin (sg): project the residual onto each basis function with a
   tensor quadrature; the Jacobian couples all blocks and is solved dense.
-* collocation (sc): run independent deterministic simulations at the full
-  tensor grid and recover coefficients by weighted summation.
-* monte carlo (mc): seeded sampling, one deterministic run per sample.
+* collocation (sc): deterministic solutions at the full tensor grid, then
+  coefficients by weighted summation.
+* monte carlo (mc): seeded sampling, one deterministic solution per sample.
 
-Transient versions drive the shared time-stepping engine; st keeps its
+Every method makes one batched device evaluation per Newton iteration, at
+its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
+solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
+one block-diagonal stacked problem, which is st with Φ = I.  All methods
+run DC, sweeps and transients through one function, `_run`.  st and sg keep
 adaptive step control, while sc/mc use a fixed grid so samples share time
 points.
 """
@@ -34,6 +38,7 @@ from .engine import (
     SolveStats,
     StepControl,
     TransientError,
+    Trajectory,
     dc_solve,
     transient_solve,
 )
@@ -41,6 +46,7 @@ from .netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
 from .quadrature import gauss_rule, tensor_grid
 
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
+LOCKSTEP_CHUNK = 128         # germ points per sc/mc lockstep batch; bounds its memory
 
 
 class MethodError(RuntimeError):
@@ -143,14 +149,13 @@ class _StackedEvalST:
     def __init__(self, q, f, dqs, dfs, phi_inv, n):
         self.q = q
         self.f = f
-        self.dqs = dqs
+        self.dqs = dqs            # (K, n, n)
         self.dfs = dfs
         self.phi_inv = phi_inv
         self.n = n
 
     def linearize(self, c):
-        blocks = [c * dq + df for dq, df in zip(self.dqs, self.dfs)]
-        return _DecoupledSolve(blocks, self.phi_inv, self.n)
+        return _DecoupledSolve(c * self.dqs + self.dfs, self.phi_inv, self.n)
 
 
 class _DecoupledSolve:
@@ -166,53 +171,71 @@ class _DecoupledSolve:
                                         -rhs.reshape(len(self.blocks), self.n))
 
 
-def st_decoupled_linear_step(jac_blocks, phi_inv, residual) -> np.ndarray:
-    """Two-stage update: blockwise solves, then the inverse Vandermonde map.
-
-    residual has one row per testing node; the result is the flattened
-    coefficient update solving the coupled system blockdiag(J̃)·(Φ⊗I)·ΔX = −R.
-    """
-    rows = []
-    for m, (jac, r) in enumerate(zip(jac_blocks, residual)):
+def _singular_block(jacs) -> int:
+    """Index of the first block np.linalg.solve rejects (failure path only)."""
+    for m, jac in enumerate(jacs):
         try:
-            rows.append(np.linalg.solve(jac, -r))
+            np.linalg.solve(jac, np.zeros(len(jac), dtype=jac.dtype))
         except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"singular jacobian block at testing node {m}") from None
-    dz = np.vstack(rows)
-    return (phi_inv @ dz).ravel()
+            return m
+    return -1
+
+
+def st_decoupled_linear_step(jac_blocks, phi_inv, residual) -> np.ndarray:
+    """Two-stage update: one batched blockwise solve, then the inverse
+    Vandermonde map.
+
+    jac_blocks is (K, n, n) and residual has one row per testing node; the
+    result is the flattened coefficient update solving the coupled system
+    blockdiag(J̃)·(Φ⊗I)·ΔX = −R.  phi_inv None stands for Φ = I, the
+    lockstep germ points of sc and mc.
+    """
+    jacs = np.asarray(jac_blocks)
+    try:
+        dz = np.linalg.solve(jacs, -np.asarray(residual)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            f"singular jacobian block at testing node {_singular_block(jacs)}") from None
+    return (dz if phi_inv is None else phi_inv @ dz).ravel()
+
+
+@dataclass(frozen=True)
+class GermPoints:
+    """Germ points solved side by side with Φ = I: the sc/mc lockstep node set."""
+
+    nodes: np.ndarray       # (M, l)
+    phi = None
+    phi_inv = None
 
 
 @dataclass
 class STProblem:
-    """Collocated residual: X holds coefficients, residual lives at nodes."""
+    """Collocated residual: X holds coefficients, residual lives at nodes.
+
+    With a GermPoints node set X holds the M nodal states themselves, so the
+    problem is M independent deterministic circuits stacked block-diagonally.
+    """
 
     circuit: StochasticCircuit
-    basis: GpcBasisSet
-    nodes: TestingNodeSet
+    basis: GpcBasisSet | None
+    nodes: TestingNodeSet | GermPoints
 
     @property
     def size(self) -> int:
-        return self.circuit.n * self.basis.size
+        return self.circuit.n * len(self.nodes.nodes)
 
     def eval(self, X, t):
         n = self.circuit.n
-        k = self.basis.size
-        states = self.nodes.phi @ X.reshape(k, n)
-        q = np.empty((k, n))
-        f = np.empty((k, n))
-        dqs, dfs = [], []
-        for m in range(k):
-            ev = self.circuit.eval_qf(states[m], self.nodes.nodes[m])
-            q[m], f[m] = ev.q, ev.f
-            dqs.append(ev.dq)
-            dfs.append(ev.df)
-        return _StackedEvalST(q.ravel(), f.ravel(), dqs, dfs,
+        states = X.reshape(-1, n)
+        if self.nodes.phi is not None:
+            states = self.nodes.phi @ states
+        ev = self.circuit.eval_qf(states, self.nodes.nodes)
+        return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev.dq, ev.df,
                               self.nodes.phi_inv, n)
 
     def source(self, t):
         s = self.circuit.b_matrix @ self.circuit.source_vector(t)
-        return np.tile(s, self.basis.size)
+        return np.tile(s, len(self.nodes.nodes))
 
 
 def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndarray:
@@ -231,22 +254,30 @@ def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndar
 
 
 class _StackedEvalSG:
-    __slots__ = ("q", "f", "proj", "point_dq", "point_df", "n", "k")
+    __slots__ = ("q", "f", "wh", "hmat", "point_dq", "point_df", "pattern", "n", "k")
 
-    def __init__(self, q, f, proj, point_dq, point_df, n, k):
+    def __init__(self, q, f, wh, hmat, point_dq, point_df, pattern, n, k):
         self.q = q
         self.f = f
-        self.proj = proj          # (Q, K, K) pairwise basis products * weights
+        self.wh = wh              # (Q, K) weighted basis values
+        self.hmat = hmat          # (Q, K) basis values
         self.point_dq = point_dq  # (Q, n, n)
         self.point_df = point_df
+        self.pattern = pattern    # (rows, cols) of the entries devices touch
         self.n = n
         self.k = k
 
     def linearize(self, c):
-        point_jac = c * self.point_dq + self.point_df
-        coupled = np.tensordot(self.proj, point_jac, axes=(0, 0))
-        full = coupled.transpose(0, 2, 1, 3).reshape(self.n * self.k, -1)
-        return _SgSolve(full)
+        # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q, one product over q
+        # for the entries the devices touch; the rest of the matrix is zero
+        n, k = self.n, self.k
+        rows, cols = self.pattern
+        point_jac = c * self.point_dq[:, rows, cols] + self.point_df[:, rows, cols]
+        weighted = self.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
+        coupled = (self.wh.T @ weighted.reshape(len(self.hmat), -1)).reshape(k, k, -1)
+        full = np.zeros((k, n, k, n))
+        full[:, rows, :, cols] = coupled.transpose(2, 0, 1)
+        return _SgSolve(full.reshape(n * k, n * k))
 
 
 class _SgSolve:
@@ -277,9 +308,7 @@ class SGProblem:
             self.points = np.zeros((1, 0))
             self.weights = np.ones(1)
         self.hmat = self.basis.eval_many(self.points)        # (Q, K)
-        wh = self.weights[:, None] * self.hmat
-        self.proj = np.einsum("qi,qj->qij", wh, self.hmat)   # (Q, K, K)
-        self.wh = wh
+        self.wh = self.weights[:, None] * self.hmat
 
     @property
     def size(self) -> int:
@@ -289,19 +318,12 @@ class SGProblem:
         n = self.circuit.n
         k = self.basis.size
         states = self.hmat @ X.reshape(k, n)                 # (Q, n)
-        nq = len(self.weights)
-        qs = np.empty((nq, n))
-        fs = np.empty((nq, n))
-        dqs = np.empty((nq, n, n))
-        dfs = np.empty((nq, n, n))
-        for s in range(nq):
-            ev = self.circuit.eval_qf(states[s], self.points[s])
-            qs[s], fs[s] = ev.q, ev.f
-            dqs[s], dfs[s] = ev.dq, ev.df
-        q_proj = self.wh.T @ qs                              # (K, n)
-        f_proj = self.wh.T @ fs
-        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), self.proj,
-                              dqs, dfs, n, k)
+        ev = self.circuit.eval_qf(states, self.points)
+        q_proj = self.wh.T @ ev.q                            # (K, n)
+        f_proj = self.wh.T @ ev.f
+        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), self.wh, self.hmat,
+                              ev.dq, ev.df, self.circuit.kernel().jacobian_pattern,
+                              n, k)
 
     def source(self, t):
         # projections of the deterministic source: only the constant basis
@@ -332,8 +354,8 @@ def _initial_state(circuit, basis, newton) -> np.ndarray:
     return X0.ravel()
 
 
-def _wrap_engine_error(exc, method):
-    raise type(exc)(f"[method={method}] {exc}") from exc
+def _wrap_engine_error(exc, label):
+    raise type(exc)(f"[method={label}] {exc}") from exc
 
 
 def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
@@ -341,67 +363,77 @@ def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
     return analysis.start + analysis.step * np.arange(count)
 
 
-def _intrusive_solve(problem_factory, circuit, basis, nodes, analysis, method,
-                     newton=None, control=None, scheme="be", fixed_h=None):
-    newton = newton or NewtonConfig()
-    control = control or StepControl()
-    problem = problem_factory(circuit)
-    try:
-        X0 = _initial_state(circuit, basis, newton)
-    except DcConvergenceError as exc:
-        _wrap_engine_error(exc, f"{method} nominal init")
+def _static(times, states, stats, scheme) -> Trajectory:
+    empty = np.zeros(0)
+    return Trajectory(times=times, states=states, scheme=scheme, h_history=empty,
+                      lte_history=empty, est_history=empty, stats=stats)
 
+
+def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
+         scheme="be", fixed_h=None, guess_previous=False) -> Trajectory:
+    """The DC, sweep and transient runner every method shares.
+
+    problem_for(circuit) builds the (stacked) problem; a sweep rebuilds it on
+    each swept twin of the circuit and warm-starts every level from the one
+    before.  The result's states are the problem's unknowns at each time or
+    sweep level.  Engine failures are re-raised with "[method=<label>]".
+    """
     if isinstance(analysis, DcAnalysis):
         try:
-            res = dc_solve(problem, newton, x0=X0)
+            res = dc_solve(problem_for(circuit), newton, x0=x0)
         except DcConvergenceError as exc:
-            _wrap_engine_error(exc, method)
-        return GpcTrajectory(
-            times=np.zeros(1), coeffs=res.x.reshape(1, basis.size, circuit.n),
-            basis=basis, nodes=nodes, method=method,
-            newton_iterations=res.stats.newton_iterations, stats=res.stats)
+            _wrap_engine_error(exc, label)
+        return _static(np.zeros(1), res.x[None, :], res.stats, scheme)
 
     if isinstance(analysis, DcSweepAnalysis):
         levels = _sweep_levels(analysis)
         stats = SolveStats()
-        coeffs = np.empty((len(levels), basis.size, circuit.n))
-        warm = X0
-        for i, level in enumerate(levels):
+        rows = []
+        warm = x0
+        for level in levels:
             swept = circuit.with_source_dc(analysis.source, level)
-            prob = problem_factory(swept)
             try:
-                res = dc_solve(prob, newton, x0=warm)
+                res = dc_solve(problem_for(swept), newton, x0=warm)
             except DcConvergenceError as exc:
-                _wrap_engine_error(exc, f"{method} sweep {analysis.source}={level:g}")
+                _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}")
             warm = res.x
-            coeffs[i] = res.x.reshape(basis.size, circuit.n)
+            rows.append(res.x)
             stats.merge(res.stats)
-        return GpcTrajectory(
-            times=levels, coeffs=coeffs, basis=basis, nodes=nodes,
-            method=method, newton_iterations=stats.newton_iterations, stats=stats)
+        return _static(levels, np.array(rows), stats, scheme)
 
     if isinstance(analysis, TranAnalysis):
+        problem = problem_for(circuit)
         try:
-            dc = dc_solve(problem, newton, x0=X0)
-            kw = {}
-            if fixed_h is not None:
-                kw["fixed_h"] = fixed_h
-            if analysis.hmax is not None:
-                control = replace(control, h_max=analysis.hmax)
+            dc = dc_solve(problem, newton, x0=x0)
             traj = transient_solve(problem, dc.x, analysis.tstop, scheme=scheme,
-                                   newton=newton, control=control,
-                                   guess_previous=True, **kw)
+                                   newton=newton, control=control, fixed_h=fixed_h,
+                                   guess_previous=guess_previous)
         except (DcConvergenceError, TransientError) as exc:
-            _wrap_engine_error(exc, method)
+            _wrap_engine_error(exc, label)
         traj.stats.merge(dc.stats)
-        return GpcTrajectory(
-            times=traj.times,
-            coeffs=traj.states.reshape(len(traj.times), basis.size, circuit.n),
-            basis=basis, nodes=nodes, method=method,
-            h_history=traj.h_history, lte_history=traj.lte_history,
-            newton_iterations=traj.stats.newton_iterations, stats=traj.stats)
+        return traj
 
-    raise MethodError(f"unsupported analysis for {method}: {analysis!r}")
+    raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
+
+
+def _intrusive_solve(problem_factory, circuit, basis, nodes, analysis, method,
+                     newton=None, control=None, scheme="be", fixed_h=None):
+    newton = newton or NewtonConfig()
+    control = control or StepControl()
+    if isinstance(analysis, TranAnalysis) and analysis.hmax is not None:
+        control = replace(control, h_max=analysis.hmax)
+    try:
+        X0 = _initial_state(circuit, basis, newton)
+    except DcConvergenceError as exc:
+        _wrap_engine_error(exc, f"{method} nominal init")
+    run = _run(problem_factory, circuit, X0, analysis, method, newton,
+               control=control, scheme=scheme, fixed_h=fixed_h, guess_previous=True)
+    return GpcTrajectory(
+        times=run.times,
+        coeffs=run.states.reshape(len(run.times), basis.size, circuit.n),
+        basis=basis, nodes=nodes, method=method,
+        h_history=run.h_history, lte_history=run.lte_history,
+        newton_iterations=run.stats.newton_iterations, stats=run.stats)
 
 
 def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
@@ -429,37 +461,54 @@ def sg_solve(circuit, order, analysis, newton=None, control=None,
         fixed_h=fixed_h)
 
 
-def _run_deterministic(circuit, xi, analysis, newton, scheme, fixed_h, label):
-    """One deterministic realization on the shared grid; returns (times, states)."""
-    prob = CircuitProblem(circuit, xi)
-    if isinstance(analysis, DcAnalysis):
-        res = dc_solve(prob, newton)
-        return np.zeros(1), res.x[None, :], res.stats
-    if isinstance(analysis, DcSweepAnalysis):
-        levels = _sweep_levels(analysis)
-        stats = SolveStats()
-        rows = np.empty((len(levels), circuit.n))
-        warm = None
-        for i, level in enumerate(levels):
-            swept = circuit.with_source_dc(analysis.source, level)
-            res = dc_solve(CircuitProblem(swept, xi), newton, x0=warm)
-            warm = res.x
-            rows[i] = res.x
-            stats.merge(res.stats)
-        return levels, rows, stats
-    if isinstance(analysis, TranAnalysis):
-        h = fixed_h if fixed_h is not None else analysis.tstop / DEFAULT_FIXED_STEPS
-        dc = dc_solve(prob, newton)
-        traj = transient_solve(prob, dc.x, analysis.tstop, scheme=scheme,
-                               newton=newton, fixed_h=h)
-        traj.stats.merge(dc.stats)
-        return traj.times, traj.states, traj.stats
-    raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
+def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
+    """Deterministic runs at every germ point, LOCKSTEP_CHUNK points at a time.
+
+    Each chunk is one block-diagonal stacked problem (STProblem with Φ = I)
+    run through `_run` from a cold start, on a fixed transient
+    grid shared by every point.  A chunk that fails is retried one point at
+    a time, so a failure stays with its own point.  Returns the times, the
+    (S, T, n) solutions (NaN rows where a point failed), {point: error} and
+    the merged counters.
+    """
+    if isinstance(analysis, TranAnalysis) and fixed_h is None:
+        fixed_h = analysis.tstop / DEFAULT_FIXED_STEPS
+    n = circuit.n
+    stats = SolveStats()
+    times = sols = None
+    errors = {}
+
+    def solve(idx, label):
+        nonlocal times, sols
+        nodes = GermPoints(points[idx])
+        traj = _run(lambda c: STProblem(c, None, nodes), circuit, None, analysis,
+                    label, newton, scheme=scheme, fixed_h=fixed_h)
+        if sols is None:
+            times = traj.times
+            sols = np.full((len(points), len(times), n), np.nan)
+        sols[idx] = traj.states.reshape(len(times), len(idx), n).transpose(1, 0, 2)
+        stats.merge(traj.stats)
+
+    for start in range(0, len(points), LOCKSTEP_CHUNK):
+        chunk = np.arange(start, min(start + LOCKSTEP_CHUNK, len(points)))
+        if len(chunk) > 1:
+            try:
+                solve(chunk, method)
+                continue
+            except (DcConvergenceError, TransientError):
+                pass
+        for s in chunk:
+            label = f"{method} node {s} xi={np.array2string(points[s], precision=4)}"
+            try:
+                solve(chunk[s - start:s - start + 1], label)
+            except (DcConvergenceError, TransientError) as exc:
+                errors[int(s)] = exc
+    return times, sols, errors, stats
 
 
-def sc_solve(circuit, order, analysis, newton=None, scheme="be",
-             fixed_h=None, jobs=None):
-    """Tensor-grid collocation: (p+1)^l independent runs, then projection."""
+def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
+    """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
+    projection."""
     basis = _basis_for(circuit, order)
     newton = newton or NewtonConfig()
     rules = [gauss_rule(p.dist, order + 1) for p in circuit.params]
@@ -467,21 +516,10 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be",
     points = grid.all_nodes()
     weights = grid.all_weights()
 
-    def one(s):
-        try:
-            return _run_deterministic(circuit, points[s], analysis, newton,
-                                      scheme, fixed_h, "sc")
-        except (DcConvergenceError, TransientError) as exc:
-            raise type(exc)(
-                f"[method=sc node {s} xi={np.array2string(points[s], precision=4)}] {exc}"
-            ) from exc
-
-    results = _map_maybe_parallel(one, range(grid.npoints), jobs)
-    times = results[0][0]
-    stats = SolveStats()
-    sols = np.stack([r[1] for r in results])          # (S, T, n)
-    for r in results:
-        stats.merge(r[2])
+    times, sols, errors, stats = _sample_runs(circuit, points, analysis, newton,
+                                              scheme, fixed_h, "sc")
+    if errors:
+        raise errors[min(errors)]
 
     hmat = basis.eval_many(points)                    # (S, K)
     coeffs = np.einsum("s,sk,stn->tkn", weights, hmat, sols)
@@ -495,9 +533,12 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be",
 
 
 def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
-             fixed_h=None, mean_point=False, jobs=None,
-             max_failure_fraction=0.01):
-    """Plain Monte Carlo: seeded draws, one deterministic run per sample."""
+             fixed_h=None, mean_point=False, max_failure_fraction=0.01):
+    """Plain Monte Carlo: seeded draws, deterministic runs in lockstep.
+
+    A sample whose own run fails is dropped and counted; more than
+    max_failure_fraction of them aborts the run.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if circuit.l == 0:
@@ -510,43 +551,23 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
         cols = [p.dist.sample(rng, n_samples) for p in circuit.params]
         samples = np.column_stack(cols)
 
-    def one(s):
-        try:
-            return _run_deterministic(circuit, samples[s], analysis, newton,
-                                      scheme, fixed_h, "mc")
-        except (DcConvergenceError, TransientError):
-            return None
-
-    results = _map_maybe_parallel(one, range(n_samples), jobs)
-    good = [r for r in results if r is not None]
-    failures = n_samples - len(good)
+    times, sols, errors, stats = _sample_runs(circuit, samples, analysis, newton,
+                                              scheme, fixed_h, "mc")
+    failures = len(errors)
     if failures > max_failure_fraction * n_samples:
         raise MethodError(
             f"{failures}/{n_samples} samples failed (> {max_failure_fraction:.0%})")
-    times = good[0][0]
-    sols = np.stack([r[1] for r in good])
+    good = [s for s in range(n_samples) if s not in errors]
     kept = len(good)
-    stats = SolveStats()
-    for r in good:
-        stats.merge(r[2])
     return SampleEnsemble(
-        samples=np.stack([samples[s] for s, r in enumerate(results) if r is not None]),
+        samples=samples[good],
         weights=np.full(kept, 1.0 / kept),
         times=times,
-        solutions=sols,
+        solutions=sols[good],
         n_samples=kept,
         failures=failures,
         method="mc",
         stats=stats)
-
-
-def _map_maybe_parallel(fn, indices, jobs):
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(i) for i in indices]
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +599,8 @@ def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
 def ac_solve(circuit, order, freqs, beta=None, newton=None):
     """Frequency sweep of the linearization around the stochastic DC point.
 
-    Each testing node gets its own small-signal system (G + jwC) y = B u_ac;
+    Each testing node gets its own small-signal system (G + jwC) y = B u_ac,
+    solved for all nodes as one batch per frequency;
     nodal solutions map back to coefficients through the inverse Vandermonde.
     `freqs` is either an explicit frequency array or an AC analysis card.
     """
@@ -587,10 +609,7 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
     dc_states = dc.final.at_nodes()                 # (K, n)
     n, k = circuit.n, basis.size
 
-    lins = []
-    for m in range(k):
-        ev = circuit.eval_qf(dc_states[m], nodes.nodes[m])
-        lins.append((ev.df, ev.dq))
+    ev = circuit.eval_qf(dc_states, nodes.nodes)
     rhs = circuit.b_matrix @ circuit.ac_source_vector()
 
     if isinstance(freqs, AcAnalysis):
@@ -600,15 +619,13 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
         freqs = np.asarray(freqs, dtype=float)
     coeffs = np.empty((len(freqs), k, n), dtype=complex)
     for i, freq in enumerate(freqs):
-        omega = 2.0 * math.pi * freq
-        nodal = np.empty((k, n), dtype=complex)
-        for m, (g, c) in enumerate(lins):
-            try:
-                nodal[m] = np.linalg.solve(g + 1j * omega * c, rhs)
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"singular small-signal system at node {m}, f={freq:g} Hz"
-                ) from None
+        systems = ev.df + 1j * (2.0 * math.pi * freq) * ev.dq      # (K, n, n)
+        try:
+            nodal = np.linalg.solve(systems, rhs[:, None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"singular small-signal system at node {_singular_block(systems)}, "
+                f"f={freq:g} Hz") from None
         coeffs[i] = nodes.phi_inv @ nodal
     return AcResult(freqs=freqs, coeffs=coeffs, basis=basis, nodes=nodes,
                     stats=dc.stats)
@@ -620,7 +637,7 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
 
 def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
                  n_samples=1000, newton=None, control=None, scheme="be",
-                 fixed_h=None, jobs=None, mean_point=False):
+                 fixed_h=None, mean_point=False):
     if isinstance(analysis, AcAnalysis):
         if method != "st":
             raise MethodError("ac analysis is implemented for the st method only")
@@ -633,9 +650,8 @@ def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
                         control=control, scheme=scheme, fixed_h=fixed_h)
     if method == "sc":
         return sc_solve(circuit, order, analysis, newton=newton, scheme=scheme,
-                        fixed_h=fixed_h, jobs=jobs)
+                        fixed_h=fixed_h)
     if method == "mc":
         return mc_solve(circuit, n_samples, seed, analysis, newton=newton,
-                        scheme=scheme, fixed_h=fixed_h, jobs=jobs,
-                        mean_point=mean_point)
+                        scheme=scheme, fixed_h=fixed_h, mean_point=mean_point)
     raise MethodError(f"unknown method {method!r}")

@@ -180,15 +180,6 @@ class TestArtifacts:
         assert (a / "coefficients.json").read_bytes() == \
             (b / "coefficients.json").read_bytes()
 
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for d, jobs in ((serial, "1"), (parallel, "3")):
-            assert run_cli("dc", "lna.cir", "--method", "sc", "--order", "2",
-                           "--jobs", jobs, "--out", str(d)) == 0
-        assert (serial / "stats.csv").read_bytes() == \
-            (parallel / "stats.csv").read_bytes()
-
     def test_shipped_netlist_resolution(self):
         text = resolve_netlist("cs_amp.cir").read_text()
         assert "m1" in text

@@ -1,0 +1,136 @@
+"""The batched device kernel against the scalar reference stamps.
+
+Every shipped netlist plus an edge-case circuit is evaluated at random
+(x, xi) batches of M = 1, K and Q points, and each point must match the
+scalar stamps of scalar_devices.py entry by entry.
+"""
+
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from scalar_devices import scalar_eval
+
+from gpcsim.basis import num_basis
+from gpcsim.circuit import EvalOverflowError, load_circuit
+from gpcsim.devices import LIMEXP_ARG, thermal_voltage
+
+SHIPPED = sorted(p.name for p in (resources.files("gpcsim") / "netlists").iterdir()
+                 if p.name.endswith(".cir"))
+
+# every terminal of every nonlinear class touches ground somewhere, both
+# polarities of both transistor kinds, a diode-connected MOSFET, an inductor
+EDGES = """* kernel edge cases
+v1 a 0 dc 1
+i1 0 g dc 1u
+r1 a b dist=uniform(900,1100)
+r2 g 0 1k
+c1 b 0 1p
+l1 b c 1n
+d1 c 0 is=dist=gauss(1e-14,1e-15) n=1.2
+d2 0 b is=1e-15
+m1 c g 0 type=pmos w=dist=gauss(2u,0.1u) lambda=0.05
+m2 0 g c type=nmos lambda=0.05 vt0=dist=gauss(0.5,0.02)
+m3 g g a type=nmos kp=dist=gamma(2,180u,10u)
+m4 a 0 g type=pmos
+q1 c b 0 type=pnp is=dist=gauss(1e-15,1e-16)
+q2 0 c b type=npn bf=150
+q3 b 0 c type=npn
+"""
+
+
+def circuits():
+    out = {name: load_circuit((resources.files("gpcsim") / "netlists" / name).read_text())
+           for name in SHIPPED}
+    out["edges"] = load_circuit(EDGES)
+    return out
+
+
+CIRCUITS = circuits()
+
+
+def germ_draws(circuit, rng, m):
+    return np.column_stack([p.dist.sample(rng, m) for p in circuit.params]) \
+        if circuit.l else np.zeros((m, 0))
+
+
+def assert_matches_oracle(circuit, x, xi):
+    ev = circuit.eval_qf(x, xi)
+    for m in range(len(x)):
+        want = scalar_eval(circuit, x[m], xi[m])
+        for got, ref in zip((ev.q[m], ev.f[m], ev.dq[m], ev.df[m]), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_batched_eval_matches_scalar_stamps(name):
+    circuit = CIRCUITS[name]
+    rng = np.random.default_rng(17)
+    k = num_basis(2, circuit.l)
+    q = 3 ** circuit.l
+    for m in (1, k, q):
+        x = rng.uniform(-3.0, 3.0, size=(m, circuit.n))
+        xi = germ_draws(circuit, rng, m)
+        assert_matches_oracle(circuit, x, xi)
+
+
+@pytest.mark.parametrize("name", ["sram6t.cir", "edges"])
+def test_single_point_keeps_point_shapes(name):
+    circuit = CIRCUITS[name]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, size=circuit.n)
+    xi = germ_draws(circuit, rng, 1)[0]
+    ev = circuit.eval_qf(x, xi)
+    assert ev.f.shape == ev.q.shape == (circuit.n,)
+    assert ev.df.shape == ev.dq.shape == (circuit.n, circuit.n)
+    for got, ref in zip((ev.q, ev.f, ev.dq, ev.df), scalar_eval(circuit, x, xi)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    batch = circuit.eval_qf(x[None], xi[None])
+    np.testing.assert_array_equal(batch.df[0], ev.df)
+
+
+def test_mosfet_regions_and_swap():
+    """Cutoff, triode, saturation and vds < 0 for both polarities in one batch."""
+    circuit = CIRCUITS["edges"]
+    names = circuit.state_names
+    rng = np.random.default_rng(5)
+    rows = []
+    for vc in (-1.5, -0.2, 0.0, 0.2, 1.5):        # m1/m2 drain-source voltage
+        for vg in (-2.0, -0.3, 0.3, 0.8, 2.0):    # gate: cutoff through strong on
+            x = rng.uniform(-0.5, 0.5, size=circuit.n)
+            x[names.index("v(c)")] = vc
+            x[names.index("v(g)")] = vg
+            rows.append(x)
+    x = np.array(rows)
+    xi = np.tile(circuit.nominal_germ(), (len(x), 1))
+    assert_matches_oracle(circuit, x, xi)
+
+
+def test_beyond_limexp_knee():
+    circuit = CIRCUITS["edges"]
+    knee = LIMEXP_ARG * 1.2 * thermal_voltage(300.0)     # d1 has n = 1.2
+    x = np.zeros((4, circuit.n))
+    x[:, circuit.state_names.index("v(c)")] = [knee - 1e-3, knee, knee + 1e-3, 5.0]
+    xi = np.tile(circuit.nominal_germ(), (4, 1))
+    ev = circuit.eval_qf(x, xi)
+    assert np.isfinite(ev.f).all() and np.isfinite(ev.df).all()
+    assert_matches_oracle(circuit, x, xi)
+
+
+def test_zero_resistor_in_batch_overflows():
+    circuit = load_circuit("v1 a 0 1\nr1 a 0 dist=uniform(-1, 1)\n")
+    x = np.ones((3, circuit.n))
+    with pytest.raises(EvalOverflowError):
+        circuit.eval_qf(x, np.array([[0.5], [0.0], [-0.5]]))
+    with pytest.raises(FloatingPointError):
+        scalar_eval(circuit, x[1], np.array([0.0]))
+    ev = circuit.eval_qf(x[:2], np.array([[0.5], [-0.5]]))
+    assert ev.df[0, 0, 0] == pytest.approx(1 / 0.5)
+    assert ev.df[1, 0, 0] == pytest.approx(-1 / 0.5)
+
+
+def test_sweep_twin_shares_the_kernel():
+    circuit = CIRCUITS["cs_amp.cir"]
+    twin = circuit.with_source_dc("vin", 1.0)
+    assert twin.kernel() is circuit.kernel()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e, legendre
 
+from gpcsim import solvers
 from gpcsim.basis import GpcBasisSet
 from gpcsim.circuit import load_circuit
 from gpcsim.collocation import select_testing_nodes
@@ -60,6 +61,16 @@ POLY2 = """* fixed current source into two random resistors
 i1 0 1 1m
 r1 1 2 dist=uniform(900,1100)
 r2 2 0 dist=uniform(900,1100)
+.dc
+"""
+
+# a diode behind a resistor whose gaussian spread reaches below zero: for
+# r1 < 0 the diode current can never balance the resistor, so no operating
+# point exists
+NEGATIVE_R = """* diode behind a resistor that may go negative
+v1 1 0 dc 1
+r1 1 2 dist=gauss(1k,400)
+d1 2 0 is=1e-14
 .dc
 """
 
@@ -429,6 +440,28 @@ class TestMcSolve:
             mc_solve(circuit, 20, 0, DcAnalysis(),
                      newton=NewtonConfig(max_iter=0, abstol=1e-30, reltol=1e-30))
 
+    def test_lockstep_failures_stay_with_their_samples(self, monkeypatch):
+        """Draws that push r1 below zero leave no operating point; only they
+        fail, and every other sample matches its own one-point solve, in
+        clean chunks and in chunks that had to be retried point by point."""
+        monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", 16)
+        circuit = load_circuit(NEGATIVE_R)
+        # tight enough that both routes sit at the same root to ~1e-11 V
+        newton = NewtonConfig(abstol=1e-15, reltol=1e-13)
+        seed, count = 4, 200
+        ens = mc_solve(circuit, count, seed, DcAnalysis(), newton=newton,
+                       max_failure_fraction=0.1)
+
+        xi = circuit.params[0].dist.sample(np.random.default_rng(seed), count)
+        ok = 1000.0 + 400.0 * xi > 0.0
+        bad = np.flatnonzero(~ok)
+        assert len(bad) == ens.failures == 3
+        assert len(set(bad // 16)) == 3          # three different chunks
+        np.testing.assert_array_equal(ens.samples[:, 0], xi[ok])
+        alone = np.array([dc_solve(CircuitProblem(circuit, np.array([v])), newton).x
+                          for v in xi[ok]])
+        assert np.abs(ens.solutions[:, 0, :] - alone).max() < 1e-9
+
     def test_rejects_empty_request(self):
         circuit = load_circuit(DIVIDER)
         with pytest.raises(ValueError):
@@ -505,6 +538,25 @@ c1 2 0 1u
             r = 1000.0 + 100.0 * xi
             want = 1.0 / (1.0 + 1j * w * r * 1e-6)
             assert abs(got - want) < 1e-8
+
+    def test_singular_system_names_node(self):
+        # r2 is set to cancel r1's conductance exactly at one testing node;
+        # with every source at zero the DC point needs no linear solve
+        template = """* conductances at b cancel at one testing node
+i1 0 b dc 0 ac 1
+r1 b 0 dist=uniform(-1100,-900)
+r2 b 0 {r2!r}
+"""
+        base = load_circuit(template.format(r2=1000.0))
+        _, nodes = select_for(base, 2)
+        m = int(np.argmin(nodes.nodes[:, 0]))
+        assert m != 0
+        param = base.params[0]
+        r1 = float(param.shift + param.scale * nodes.nodes[m, 0])
+        circuit = load_circuit(template.format(r2=-r1))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"singular small-signal system at node {m}, f=10 Hz"):
+            ac_solve(circuit, 2, np.array([10.0, 1e3]))
 
     def test_frequency_grid_shape(self):
         f = frequency_grid(10.0, 1000.0, 2)
