@@ -10,7 +10,9 @@ DeviceKernel is compiled from those specs on the first evaluation and
 cached in a holder that copies share, so the swept twins a DC sweep makes
 with `with_source_dc` reuse it.  `eval_qf` is the only device-evaluation
 path: every method calls it once per Newton iteration with all of its
-points, and a single (x, xi) point is the M = 1 case.
+points, and a deterministic solve, such as the nominal operating point,
+calls it with one.  A 1-D (x, xi) call is the M = 1 case with unbatched
+shapes.
 """
 
 from __future__ import annotations

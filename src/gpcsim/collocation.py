@@ -3,9 +3,11 @@
 From the (p+1)^l tensor candidates we keep exactly K = num_basis(p, l)
 nodes: candidates are scanned in descending product-weight order and one is
 accepted when its basis-value vector H(xi) keeps a large enough component
-orthogonal to the span of the already accepted vectors.  The accepted rows
-form the square collocation matrix Phi with Phi[m, k] = H_k(xi^m), whose
-inverse maps stacked per-node solution values back to gPC coefficients.
+orthogonal to the span of the already accepted vectors.  The scan evaluates
+the basis K candidates at a time, so it holds O(K^2) basis values however
+many candidates it visits.  The accepted rows form the square collocation
+matrix Phi with Phi[m, k] = H_k(xi^m), whose inverse maps stacked per-node
+solution values back to gPC coefficients.
 """
 
 from __future__ import annotations
@@ -78,26 +80,27 @@ def build_phi(basis: GpcBasisSet, nodes) -> tuple[np.ndarray, np.ndarray, float]
     return phi, phi_inv, cond
 
 
-def _scan(basis: GpcBasisSet, grid: TensorGrid, order, beta: float, needed: int):
-    """One greedy pass; returns the accepted candidate indices."""
+def _scan(basis: GpcBasisSet, candidates, order, beta: float, needed: int):
+    """One greedy pass over candidates[order]; returns the accepted indices."""
     directions = np.zeros((needed, basis.size))
     accepted: list[int] = []
-    for j in order:
-        h = basis.eval_many(grid.node(j).reshape(1, -1))[0]
-        hn = np.linalg.norm(h)
-        m = len(accepted)
-        if m == 0:
-            v = h  # the largest-weight candidate is always kept
-        else:
-            span = directions[:m]
-            v = h - span.T @ (span @ h)
-            v -= span.T @ (span @ v)  # second projection keeps the span orthonormal
-            if np.linalg.norm(v) / hn <= beta:
-                continue
-        directions[m] = v / np.linalg.norm(v)
-        accepted.append(int(j))
-        if len(accepted) == needed:
-            break
+    for start in range(0, len(order), needed):
+        block = order[start:start + needed]
+        for j, h in zip(block, basis.eval_many(candidates[block])):
+            hn = np.linalg.norm(h)
+            m = len(accepted)
+            if m == 0:
+                v = h  # the largest-weight candidate is always kept
+            else:
+                span = directions[:m]
+                v = h - span.T @ (span @ h)
+                v -= span.T @ (span @ v)  # second projection keeps the span orthonormal
+                if np.linalg.norm(v) / hn <= beta:
+                    continue
+            directions[m] = v / np.linalg.norm(v)
+            accepted.append(int(j))
+            if len(accepted) == needed:
+                return accepted
     return accepted
 
 
@@ -123,6 +126,7 @@ def select_testing_nodes(
             f"candidate grid must use n_hat = p+1 = {basis.order + 1} points, got {grid.n_hat}"
         )
     weights = grid.all_weights()
+    candidates = grid.all_nodes()
     order = np.argsort(-np.abs(weights), kind="stable")
     needed = basis.size
 
@@ -130,13 +134,13 @@ def select_testing_nodes(
     cur_beta = beta
     for attempt in range(max_retries + 1):
         cur_beta = beta * 0.5**attempt
-        accepted = _scan(basis, grid, order, cur_beta, needed)
+        accepted = _scan(basis, candidates, order, cur_beta, needed)
         if len(accepted) == needed:
             break
     else:
         raise SelectionError(len(accepted), needed, cur_beta)
 
-    nodes = np.array([grid.node(j) for j in accepted])
+    nodes = candidates[accepted]
     phi, phi_inv, cond = build_phi(basis, nodes)
     return TestingNodeSet(
         nodes=nodes,

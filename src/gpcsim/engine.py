@@ -1,8 +1,10 @@
 """Deterministic DAE engine: Newton, DC operating point, transient schemes.
 
 Everything here works on the implicit form dq(x)/dt + f(x) = s(t) through a
-small problem protocol, so the same integrator drives a single circuit
-realization and the coupled spectral systems alike.  A problem exposes
+small problem protocol.  The problems live in `solvers`: a single circuit
+realization is the one-point case of the stacked testing-node problem, so
+the same integrator drives it and the coupled spectral systems alike.  A
+problem exposes
 
     size                 -> state dimension
     eval(x, t)           -> object with .q, .f and .linearize(c)
@@ -13,9 +15,8 @@ That solve is the only linear-algebra hook; block-structured problems
 substitute their own.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
-two-step BDF, all with predictor/corrector local-error control.  Accepted
-step sizes are recorded so a run can be replayed bit-for-bit on a fixed
-schedule.
+two-step BDF, all with predictor/corrector local-error control, or a fixed
+uniform step with none.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import EvalOverflowError, StochasticCircuit
+from .circuit import EvalOverflowError
 
 SCHEMES = ("be", "tr", "gear2")
 HOMOTOPY_STEPS = 10
@@ -79,50 +80,6 @@ class SolveStats:
         self.linear_solve_time += other.linear_solve_time
         self.steps_accepted += other.steps_accepted
         self.steps_rejected += other.steps_rejected
-
-
-class DenseEval:
-    """Dense linearization: factor c*dq + df with LAPACK and cache nothing."""
-
-    __slots__ = ("q", "f", "dq", "df")
-
-    def __init__(self, q, f, dq, df):
-        self.q = q
-        self.f = f
-        self.dq = dq
-        self.df = df
-
-    def linearize(self, c):
-        return _DenseSolve(c * self.dq + self.df)
-
-
-class _DenseSolve:
-    __slots__ = ("jac",)
-
-    def __init__(self, jac):
-        self.jac = jac
-
-    def solve(self, rhs):
-        return np.linalg.solve(self.jac, rhs)
-
-
-@dataclass
-class CircuitProblem:
-    """A stochastic circuit pinned to one germ realization."""
-
-    circuit: StochasticCircuit
-    xi: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.circuit.n
-
-    def eval(self, x, t):
-        ev = self.circuit.eval_qf(x, self.xi)
-        return DenseEval(ev.q, ev.f, ev.dq, ev.df)
-
-    def source(self, t):
-        return self.circuit.b_matrix @ self.circuit.source_vector(t)
 
 
 # --------------------------------------------------------------------------
@@ -279,15 +236,13 @@ def _corrector_constant(scheme, h, gaps, startup):
 def transient_solve(problem, x0, t_end, scheme="be",
                     newton: NewtonConfig | None = None,
                     control: StepControl | None = None,
-                    t_start=0.0, fixed_h=None, h_schedule=None,
-                    guess_previous=False) -> Trajectory:
-    """Integrate dq/dt + f = s(t) from a consistent initial state.
+                    fixed_h=None, guess_previous=False) -> Trajectory:
+    """Integrate dq/dt + f = s(t) from a consistent initial state at t = 0.
 
     Adaptive by default; `fixed_h` forces a uniform grid with no error
-    control, and `h_schedule` replays a recorded sequence of accepted
-    steps exactly (bit-identical arithmetic along the way).  The
-    extrapolated predictor seeds Newton unless `guess_previous` asks for
-    the plain previous state; the error estimate always uses the predictor.
+    control.  The extrapolated predictor seeds Newton unless
+    `guess_previous` asks for the plain previous state; the error estimate
+    always uses the predictor.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -296,7 +251,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
     stats = SolveStats()
 
     x = np.array(x0, dtype=float)
-    t = float(t_start)
+    t = 0.0
     times = [t]
     states = [x.copy()]
     accepted_h: list[float] = []
@@ -309,26 +264,12 @@ def transient_solve(problem, x0, t_end, scheme="be",
     q_prev2 = None
     gaps: list[float] = []                  # previous accepted step sizes
 
-    if fixed_h is not None and h_schedule is not None:
-        raise ValueError("fixed_h and h_schedule are mutually exclusive")
-    schedule = list(h_schedule) if h_schedule is not None else None
-    adaptive = fixed_h is None and schedule is None
-
-    if fixed_h is not None:
-        h = float(fixed_h)
-    elif schedule:
-        h = schedule[0]
-    else:
-        h = min(control.h_init, control.h_max)
+    adaptive = fixed_h is None
+    h = min(control.h_init, control.h_max) if adaptive else float(fixed_h)
     max_pred_pts = 2 if scheme == "be" else 3
-    step_index = 0
 
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        if schedule is not None:
-            if step_index >= len(schedule):
-                raise TransientError("replay schedule exhausted before t_end")
-            h = schedule[step_index]
-        elif fixed_h is not None:
+        if not adaptive:
             h = float(fixed_h)
         h = min(h, t_end - t, control.h_max)
         t_new = t + h
@@ -400,7 +341,6 @@ def transient_solve(problem, x0, t_end, scheme="be",
         states.append(x.copy())
         accepted_h.append(h)
         stats.steps_accepted += 1
-        step_index += 1
 
         if adaptive:
             ratio = lte_log[-1]

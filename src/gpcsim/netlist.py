@@ -233,7 +233,7 @@ class _Parser:
         self.params: dict[str, RandomParameter] = {}
         self.analyses = []
         self.title = ""
-        self._pending_refs = []  # (line, col, name, setter)
+        self._pending_refs = []  # (line, col, name, holder)
 
     def error(self, line, col, msg):
         self.diags.append(Diagnostic(line, col, msg))
@@ -284,10 +284,6 @@ class _Parser:
                 return self.make_distribution(kind, args, line, col, owner)
             if _IDENT_RE.match(spec):
                 holder = {"value": None}
-
-                def setter(par, holder=holder):
-                    holder["value"] = par
-
                 self._pending_refs.append((line, col, spec, holder))
                 return holder  # resolved to a RandomParameter after .param scan
             self.error(line, col, f"malformed dist= expression {tok!r}")

@@ -1,12 +1,11 @@
-"""Gauss quadrature per germ family and streamed tensor-product grids.
+"""Gauss quadrature per germ family and tensor-product grids.
 
 One-dimensional rules come from the symmetric tridiagonal (Golub-Welsch)
 eigenproblem of the monic recurrence, so nodes/weights exist for every
 family the basis module knows.  Multi-dimensional grids are enumerated in a
 mixed-radix order: the linear index j (0-based) decomposes into per-dimension
 digits with dimension 0 as the least significant digit and radix n_hat.
-Grid nodes are generated from the index alone, so nothing forces the full
-candidate set into memory; materialization is budget-guarded.
+A grid is always materialized whole, and only below an enumeration budget.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ class QuadratureError(RuntimeError):
 
 
 class GridBudgetError(RuntimeError):
-    """Materializing the grid would exceed the enumeration budget.
-
-    Use TensorGrid.node(j)/weight(j) for streamed access instead.
-    """
+    """Materializing the grid would exceed the enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -68,15 +64,14 @@ def gauss_rule(dist: Distribution, n_hat: int) -> QuadratureRule1D:
 
 
 class TensorGrid:
-    """Tensor product of l one-dimensional rules with streamed node access.
+    """Tensor product of l one-dimensional rules.
 
-    The linear index j in [0, npoints) maps to per-dimension digits by
-    radix-n_hat expansion, dimension 0 least significant.  In one-based
-    terms (both j and the digit columns I(:, j) starting at 1) that is
+    Row j of all_nodes()/all_weights() holds the grid point whose
+    per-dimension digits are the radix-n_hat expansion of j, dimension 0
+    least significant.  In one-based terms (both j and the digit columns
+    I(:, j) starting at 1) that is
 
         j = 1 + sum_k n_hat^(k-1) * (I(k, j) - 1)
-
-    which round-trips exactly for every column.
     """
 
     def __init__(self, rules, budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -98,43 +93,11 @@ class TensorGrid:
     def npoints(self) -> int:
         return self.n_hat ** self.dim
 
-    def digits(self, j: int) -> np.ndarray:
-        """0-based per-dimension point numbers of linear index j."""
-        if not (0 <= j < self.npoints):
-            raise IndexError(f"node index {j} out of range 0..{self.npoints - 1}")
-        out = np.empty(self.dim, dtype=np.int64)
-        for d in range(self.dim):
-            out[d] = j % self.n_hat
-            j //= self.n_hat
-        return out
-
-    def index_column(self, j: int) -> np.ndarray:
-        """1-based digit column of 0-based linear index j."""
-        return self.digits(j) + 1
-
-    def linear_index(self, column) -> int:
-        """Inverse of index_column: 1-based digits back to the 0-based index."""
-        column = np.asarray(column, dtype=np.int64)
-        if column.shape != (self.dim,) or column.min() < 1 or column.max() > self.n_hat:
-            raise ValueError(f"bad index column {column!r}")
-        return int(np.sum((column - 1) * self.n_hat ** np.arange(self.dim)))
-
-    def node(self, j: int) -> np.ndarray:
-        d = self.digits(j)
-        return np.array([self.rules[k].nodes[d[k]] for k in range(self.dim)])
-
-    def weight(self, j: int) -> float:
-        d = self.digits(j)
-        w = 1.0
-        for k in range(self.dim):
-            w *= self.rules[k].weights[d[k]]
-        return w
-
     def _check_budget(self):
         if self.npoints > self.budget:
             raise GridBudgetError(
                 f"grid has {self.npoints} nodes, over the materialization budget "
-                f"of {self.budget}; use node(j)/weight(j) streamed access"
+                f"of {self.budget}"
             )
 
     def all_weights(self) -> np.ndarray:
@@ -159,15 +122,3 @@ def tensor_grid(rules, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TensorGrid:
     """Tensor grid over l rules that all share the same point count."""
     return TensorGrid(rules, budget=budget)
 
-
-def integrate(grid: TensorGrid, g) -> np.ndarray:
-    """sum_j w_j g(xi_j) over the whole grid in linear-index order."""
-    total = None
-    for j in range(grid.npoints):
-        try:
-            val = np.asarray(g(grid.node(j)), dtype=float)
-        except Exception as exc:
-            raise RuntimeError(f"integrand evaluation failed at grid node {j}") from exc
-        term = grid.weight(j) * val
-        total = term if total is None else total + term
-    return total

@@ -15,10 +15,11 @@ how coefficients are obtained:
 Every method makes one batched device evaluation per Newton iteration, at
 its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
 solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
-one block-diagonal stacked problem, which is st with Φ = I.  All methods
-run DC, sweeps and transients through one function, `_run`.  st and sg keep
-adaptive step control, while sc/mc use a fixed grid so samples share time
-points.
+one block-diagonal stacked problem, which is st with Φ = I.  The nominal
+operating point that starts st and sg is the one-point case of it.  All
+methods run DC, sweeps and transients through one function, `_run`.  st and
+sg keep adaptive step control, while sc/mc use a fixed grid so samples share
+time points.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .basis import GpcBasisSet, eval_basis, moments_from_coeffs
 from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
-    CircuitProblem,
     DcConvergenceError,
     NewtonConfig,
     SolveStats,
@@ -140,6 +140,12 @@ class SampleEnsemble:
 # --------------------------------------------------------------------------
 # stacked problems
 # --------------------------------------------------------------------------
+
+def _gauss_grid(circuit, order):
+    """The (order+1)-point tensor Gauss grid over the circuit's germs: the
+    st candidates, the sg quadrature and the sc nodes."""
+    return tensor_grid([gauss_rule(p.dist, order + 1) for p in circuit.params])
+
 
 class _StackedEvalST:
     """Residual pieces at all testing nodes plus the decoupled linear hook."""
@@ -298,15 +304,9 @@ class SGProblem:
     basis: GpcBasisSet
 
     def __post_init__(self):
-        order = int(self.basis.indices.sum(axis=1).max()) if self.basis.size > 1 else 0
-        rules = [gauss_rule(p.dist, order + 1) for p in self.circuit.params]
-        if rules:
-            grid = tensor_grid(rules)
-            self.points = grid.all_nodes()
-            self.weights = grid.all_weights()
-        else:
-            self.points = np.zeros((1, 0))
-            self.weights = np.ones(1)
+        grid = _gauss_grid(self.circuit, self.basis.order)
+        self.points = grid.all_nodes()
+        self.weights = grid.all_weights()
         self.hmat = self.basis.eval_many(self.points)        # (Q, K)
         self.wh = self.weights[:, None] * self.hmat
 
@@ -344,8 +344,8 @@ def _basis_for(circuit, order) -> GpcBasisSet:
 
 
 def _nominal_dc(circuit, newton) -> np.ndarray:
-    prob = CircuitProblem(circuit, circuit.nominal_germ())
-    return dc_solve(prob, newton).x
+    nominal = GermPoints(circuit.nominal_germ()[None])
+    return dc_solve(STProblem(circuit, None, nominal), newton).x
 
 
 def _initial_state(circuit, basis, newton) -> np.ndarray:
@@ -441,10 +441,8 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
     """Stochastic testing: collocated intrusive solve with decoupled updates."""
     basis = _basis_for(circuit, order)
     if node_set is None:
-        rules = [gauss_rule(p.dist, order + 1) for p in circuit.params]
-        grid = tensor_grid(rules)
         kwargs = {} if beta is None else {"beta": beta}
-        node_set = select_testing_nodes(basis, grid, **kwargs)
+        node_set = select_testing_nodes(basis, _gauss_grid(circuit, order), **kwargs)
     return _intrusive_solve(
         lambda c: STProblem(c, basis, node_set), circuit, basis, node_set,
         analysis, "st", newton=newton, control=control, scheme=scheme,
@@ -511,8 +509,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
     projection."""
     basis = _basis_for(circuit, order)
     newton = newton or NewtonConfig()
-    rules = [gauss_rule(p.dist, order + 1) for p in circuit.params]
-    grid = tensor_grid(rules)
+    grid = _gauss_grid(circuit, order)
     points = grid.all_nodes()
     weights = grid.all_weights()
 

@@ -1,10 +1,12 @@
 """Shared test oracles, independent of the package internals."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
+from gpcsim.circuit import StochasticCircuit
 
 
 def germ_moments(dist, n):
@@ -56,3 +58,51 @@ def simpson_moment(dist, degree, panels=10**6, absolute=False):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(h / 3.0 * np.dot(w, fx))
+
+
+# --------------------------------------------------------------------------
+# dense one-point problem: the reference nominal solve
+# --------------------------------------------------------------------------
+
+class DenseEval:
+    """Dense linearization: factor c*dq + df with LAPACK and cache nothing."""
+
+    __slots__ = ("q", "f", "dq", "df")
+
+    def __init__(self, q, f, dq, df):
+        self.q = q
+        self.f = f
+        self.dq = dq
+        self.df = df
+
+    def linearize(self, c):
+        return _DenseSolve(c * self.dq + self.df)
+
+
+class _DenseSolve:
+    __slots__ = ("jac",)
+
+    def __init__(self, jac):
+        self.jac = jac
+
+    def solve(self, rhs):
+        return np.linalg.solve(self.jac, rhs)
+
+
+@dataclass
+class CircuitProblem:
+    """A stochastic circuit pinned to one germ realization."""
+
+    circuit: StochasticCircuit
+    xi: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.circuit.n
+
+    def eval(self, x, t):
+        ev = self.circuit.eval_qf(x, self.xi)
+        return DenseEval(ev.q, ev.f, ev.dq, ev.df)
+
+    def source(self, t):
+        return self.circuit.b_matrix @ self.circuit.source_vector(t)

@@ -7,6 +7,8 @@ import pytest
 
 from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform, num_basis
 from gpcsim.collocation import (
+    DEFAULT_BETA,
+    MAX_BETA_RETRIES,
     SelectionError,
     build_phi,
     select_testing_nodes,
@@ -76,7 +78,7 @@ def test_nodes_are_distinct_grid_members():
     for j, node in zip(sel.node_indices, sel.nodes):
         assert tuple(node) not in seen
         seen.add(tuple(node))
-        assert np.allclose(grid.node(int(j)), node)
+        assert np.array_equal(grid.all_nodes()[j], node)
 
 
 def test_scan_visits_descending_weights():
@@ -90,6 +92,55 @@ def test_scan_visits_descending_weights():
     accepted_w = np.abs(w[sel.node_indices])
     # accepted weights appear in non-increasing scan order
     assert np.all(np.diff(accepted_w) <= 1e-15)
+
+
+def per_candidate_scan(basis, grid, beta, max_retries=MAX_BETA_RETRIES):
+    """Reference selection: the greedy scan with one basis evaluation per
+    candidate.  Returns the accepted linear indices, their basis rows and
+    the beta that succeeded."""
+    candidates = grid.all_nodes()
+    order = np.argsort(-np.abs(grid.all_weights()), kind="stable")
+    k = basis.size
+    for attempt in range(max_retries + 1):
+        cur_beta = beta * 0.5**attempt
+        directions = np.zeros((k, k))
+        accepted, rows = [], []
+        for j in order:
+            h = basis.eval_many(candidates[j].reshape(1, -1))[0]
+            m = len(accepted)
+            if m == 0:
+                v = h
+            else:
+                span = directions[:m]
+                v = h - span.T @ (span @ h)
+                v -= span.T @ (span @ v)
+                if np.linalg.norm(v) / np.linalg.norm(h) <= cur_beta:
+                    continue
+            directions[m] = v / np.linalg.norm(v)
+            accepted.append(int(j))
+            rows.append(h)
+            if m + 1 == k:
+                return accepted, np.array(rows), cur_beta
+    raise AssertionError("the reference scan found fewer than K nodes")
+
+
+@pytest.mark.parametrize("beta", [DEFAULT_BETA, 0.9])   # 0.9 always retries
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("dists", [
+    [Gaussian(), Uniform()],
+    [Gamma(2.0), Beta(2.0, 3.0), Uniform()],
+    [Gaussian(), Beta(2.0, 2.0), Gamma(2.0), Uniform()],
+], ids=["gauss-unif", "gamma-beta-unif", "four-families"])
+def test_blocked_scan_matches_per_candidate_reference(dists, p, beta):
+    basis = GpcBasisSet(dists, p)
+    grid = make_grid(dists, p)
+    sel = select_testing_nodes(basis, grid, beta=beta)
+    indices, phi, beta_used = per_candidate_scan(basis, grid, beta)
+    np.testing.assert_array_equal(sel.node_indices, indices)
+    np.testing.assert_array_equal(sel.phi, phi)
+    assert sel.beta_used == beta_used
+    if beta == 0.9:
+        assert beta_used < beta
 
 
 def test_rank_grows_with_each_acceptance():

@@ -5,7 +5,6 @@ import pytest
 
 from gpcsim.circuit import load_circuit
 from gpcsim.engine import (
-    CircuitProblem,
     DcConvergenceError,
     NewtonConfig,
     SolveStats,
@@ -15,6 +14,7 @@ from gpcsim.engine import (
     newton_solve,
     transient_solve,
 )
+from helpers import CircuitProblem, DenseEval
 
 XI0 = np.zeros(0)
 
@@ -27,8 +27,6 @@ class ScalarProblem:
         self.size = 1
 
     def eval(self, x, t):
-        from gpcsim.engine import DenseEval
-
         v = float(x[0])
         return DenseEval(np.zeros(1), np.array([self.f(v)]),
                          np.zeros((1, 1)), np.array([[self.df(v)]]))
@@ -226,23 +224,6 @@ def test_stiff_adaptive_beats_fixed_grid():
     assert traj.final[2] == pytest.approx(1.0 - math.exp(-0.5), abs=0.01)
 
 
-def test_replay_is_bit_identical():
-    prob = rc_problem()
-    traj = transient_solve(prob, np.zeros(3), 1e-3, scheme="be",
-                           control=StepControl(h_init=1e-8))
-    replay = transient_solve(prob, np.zeros(3), 1e-3, scheme="be",
-                             h_schedule=traj.h_history)
-    assert np.array_equal(traj.times, replay.times)
-    assert np.array_equal(traj.states, replay.states)
-
-
-def test_replay_schedule_must_cover_span():
-    prob = rc_problem()
-    with pytest.raises(TransientError, match="schedule exhausted"):
-        transient_solve(prob, np.zeros(3), 1e-3, scheme="be",
-                        h_schedule=[1e-5, 1e-5])
-
-
 class FailingAfter:
     """Wraps a problem; evaluations past a cutoff time blow up."""
 
@@ -278,8 +259,6 @@ def test_argument_validation():
     prob = rc_problem()
     with pytest.raises(ValueError, match="unknown scheme"):
         transient_solve(prob, np.zeros(3), 1e-3, scheme="rk4")
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        transient_solve(prob, np.zeros(3), 1e-3, fixed_h=1e-5, h_schedule=[1e-5])
 
 
 def test_hmax_honored():

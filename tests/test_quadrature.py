@@ -12,7 +12,6 @@ from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform, eval_basis
 from gpcsim.quadrature import (
     GridBudgetError,
     gauss_rule,
-    integrate,
     tensor_grid,
 )
 from helpers import germ_moments, simpson_moment
@@ -107,29 +106,35 @@ def test_grid_requires_matching_point_counts():
 def test_index_round_trip_and_mixed_radix_relation():
     grid = _grid([Gaussian(), Uniform(), Gamma(1.5)], 3)
     n_hat = 3
-    for j in range(grid.npoints):
-        col = grid.index_column(j)
-        assert grid.linear_index(col) == j
+    nodes = grid.all_nodes()
+    weights = grid.all_weights()
+    seen = []
+    # every one-based digit column I(:, j), in any order
+    for col in product(range(1, n_hat + 1), repeat=grid.dim):
         # one-based mixed-radix linearization of the digit column
-        j1 = 1 + sum(n_hat ** (k) * (col[k] - 1) for k in range(grid.dim))
-        assert j1 == j + 1
-        # node/weight are the per-dimension products the column says they are
-        node = grid.node(j)
+        j = 1 + sum(n_hat ** k * (col[k] - 1) for k in range(grid.dim))
+        seen.append(j)
+        # row j is the per-dimension product the column says it is
         w = 1.0
         for k in range(grid.dim):
-            assert node[k] == grid.rules[k].nodes[col[k] - 1]
+            assert nodes[j - 1, k] == grid.rules[k].nodes[col[k] - 1]
             w *= grid.rules[k].weights[col[k] - 1]
-        assert grid.weight(j) == pytest.approx(w, rel=1e-15)
+        assert weights[j - 1] == pytest.approx(w, rel=1e-15)
+    assert sorted(seen) == list(range(1, grid.npoints + 1))
 
 
 def test_materialized_views_match_streamed_access():
+    # the streamed reference is itertools.product, which varies its last
+    # factor fastest: over the reversed rules it walks the grid with
+    # dimension 0 least significant, one point at a time
     grid = _grid([Uniform(), Gamma(2.0)], 4)
     nodes = grid.all_nodes()
     weights = grid.all_weights()
     assert nodes.shape == (16, 2)
-    for j in range(grid.npoints):
-        assert np.allclose(nodes[j], grid.node(j))
-        assert weights[j] == pytest.approx(grid.weight(j), rel=1e-15)
+    for j, pairs in enumerate(product(*[list(zip(r.nodes, r.weights))
+                                        for r in reversed(grid.rules)])):
+        assert np.array_equal(nodes[j], [node for node, _ in reversed(pairs)])
+        assert weights[j] == pytest.approx(math.prod(w for _, w in pairs), rel=1e-15)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(weights > 0)
 
@@ -141,10 +146,6 @@ def test_enumeration_budget():
         grid.all_weights()
     with pytest.raises(GridBudgetError):
         grid.all_nodes()
-    # streamed access still works on the same grid
-    j = grid.npoints - 1
-    assert grid.node(j).shape == (8,)
-    assert grid.weight(j) > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,7 +168,8 @@ def test_tensor_weight_positivity(n_hat, fam, l):
 
 def test_integrate_constant_is_one():
     grid = _grid([Gaussian(), Beta(2.0, 5.0)], 3)
-    assert integrate(grid, lambda xi: 1.0) == pytest.approx(1.0, abs=1e-12)
+    total = grid.all_weights() @ np.ones(grid.npoints)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_orthonormal_pairs():
@@ -175,26 +177,16 @@ def test_integrate_orthonormal_pairs():
     p = 3
     basis = GpcBasisSet(dists, p)
     grid = _grid(dists, p + 1)
-    gram = integrate(grid, lambda xi: np.outer(eval_basis(basis, xi), eval_basis(basis, xi)))
+    h = np.array([eval_basis(basis, xi) for xi in grid.all_nodes()])
+    gram = np.einsum("j,jk,jm->km", grid.all_weights(), h, h)
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-10
 
 
 def test_integrate_gaussian_fourth_moment_product():
     grid = _grid([Gaussian(), Gaussian()], 3)
-    val = integrate(grid, lambda xi: xi[0] ** 2 * xi[1] ** 2)
+    xi = grid.all_nodes()
+    val = grid.all_weights() @ (xi[:, 0] ** 2 * xi[:, 1] ** 2)
     assert val == pytest.approx(1.0, rel=1e-12)
-
-
-def test_integrate_propagates_failure_with_node_index():
-    grid = _grid([Gaussian()], 3)
-
-    def bad(xi):
-        if xi[0] > 0:
-            raise FloatingPointError("boom")
-        return 1.0
-
-    with pytest.raises(RuntimeError, match="node"):
-        integrate(grid, bad)
 
 
 def test_mixed_family_gram_is_identity():

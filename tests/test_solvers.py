@@ -8,6 +8,7 @@ spectral method must reproduce the same coefficients.
 """
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from gpcsim import solvers
 from gpcsim.basis import GpcBasisSet
 from gpcsim.circuit import load_circuit
 from gpcsim.collocation import select_testing_nodes
-from gpcsim.engine import CircuitProblem, NewtonConfig, StepControl, dc_solve
+from gpcsim.engine import NewtonConfig, StepControl, dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
 from gpcsim.quadrature import gauss_rule, tensor_grid
 from gpcsim.solvers import (
+    GermPoints,
     MethodError,
     STProblem,
     ac_solve,
@@ -33,6 +35,7 @@ from gpcsim.solvers import (
     st_residual,
     st_solve,
 )
+from helpers import CircuitProblem
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -309,8 +312,26 @@ d1 0 2 is=1e-14
                      newton=NewtonConfig(max_iter=0, abstol=1e-30, reltol=1e-30))
 
 
+SHIPPED = sorted(p.name for p in (resources.files("gpcsim") / "netlists").iterdir()
+                 if p.name.endswith(".cir"))
+
+
 class TestDegenerateEquivalence:
     """Order 0 collapses every method onto the nominal deterministic run."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_one_point_problem_is_the_dense_nominal_solve(self, name):
+        """The nominal operating point through the one-point stacked problem
+        is the dense reference solve bit for bit, iteration counts included."""
+        circuit = load_circuit((resources.files("gpcsim") / "netlists" / name).read_text())
+        xi = circuit.nominal_germ()
+        dense = dc_solve(CircuitProblem(circuit, xi))
+        stacked = dc_solve(STProblem(circuit, None, GermPoints(xi[None])))
+        np.testing.assert_array_equal(stacked.x, dense.x)
+        assert stacked.iterations == dense.iterations
+        assert stacked.homotopy_used == dense.homotopy_used
+        assert stacked.stats.linear_solves == dense.stats.linear_solves
+        np.testing.assert_array_equal(solvers._nominal_dc(circuit, NewtonConfig()), dense.x)
 
     def test_dc_all_methods_identical(self):
         circuit = load_circuit(DIODE)
