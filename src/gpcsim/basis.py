@@ -37,10 +37,11 @@ class Distribution:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
+        """Every entry of x lies in the support, up to 1e-12."""
         lo, hi = self.support()
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
+        return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -216,10 +217,6 @@ class RecurrenceTable:
     @property
     def max_degree(self) -> int:
         return len(self.a) - 1
-
-    def norms(self) -> np.ndarray:
-        """||pi_j|| for j = 0..max_degree."""
-        return np.sqrt(np.cumprod(self.b))
 
 
 def univariate_recurrence(dist: Distribution, max_degree: int) -> RecurrenceTable:

@@ -23,7 +23,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -59,49 +58,19 @@ class ConfigError(ValueError):
     """Bad flag combination or a netlist missing the requested analysis."""
 
 
-@dataclass
-class RunConfig:
-    """Everything one run needs; built from parsed flags, usable directly."""
-
-    netlist: str
-    kind: str                      # dc | dcsweep | tran | ac
-    method: str = "st"
-    order: int = 2
-    beta: float | None = None
-    seed: int = 0
-    samples: int | None = None     # mc only
-    fixed_step: float | None = None
-    scheme: str = "be"
-    abstol: float | None = None
-    reltol: float | None = None
-    ltetol: float | None = None
-    out: str = "."
-    format: str = "both"
-
-    def validate(self):
-        if self.samples is not None:
-            if self.method != "mc":
-                raise ConfigError("--samples applies to the mc method only")
-            if self.samples < 1:
-                raise ConfigError("--samples must be positive")
-        if self.kind == "ac" and self.method != "st":
-            raise ConfigError("ac analysis runs with --method st only")
-        if self.order < 0:
-            raise ConfigError("--order must be nonnegative")
-        if self.fixed_step is not None and self.fixed_step <= 0:
-            raise ConfigError("--fixed-step must be positive")
-
-    def newton(self) -> NewtonConfig | None:
-        if self.abstol is None and self.reltol is None:
-            return None
-        base = NewtonConfig()
-        return NewtonConfig(abstol=self.abstol if self.abstol is not None else base.abstol,
-                            reltol=self.reltol if self.reltol is not None else base.reltol)
-
-    def control(self) -> StepControl | None:
-        if self.ltetol is None:
-            return None
-        return StepControl(lte_tol=self.ltetol)
+def _check_flags(args):
+    """Reject flag combinations argparse cannot express (exit code 2)."""
+    if args.samples is not None:
+        if args.method != "mc":
+            raise ConfigError("--samples applies to the mc method only")
+        if args.samples < 1:
+            raise ConfigError("--samples must be positive")
+    if args.command == "ac" and args.method != "st":
+        raise ConfigError("ac analysis runs with --method st only")
+    if args.order < 0:
+        raise ConfigError("--order must be nonnegative")
+    if args.fixed_step is not None and args.fixed_step <= 0:
+        raise ConfigError("--fixed-step must be positive")
 
 
 def resolve_netlist(name: str):
@@ -137,12 +106,12 @@ def _ac_series(result, names) -> StatSeries:
     return StatSeries(times=result.freqs, names=list(names), mean=mean, std=spread)
 
 
-def _ensemble_payload(result, config: RunConfig) -> dict:
+def _ensemble_payload(result, args) -> dict:
     return {
         "method": result.method,
         "n_samples": result.n_samples,
         "failures": result.failures,
-        "seed": config.seed,
+        "seed": args.seed,
         "states": None,
         "times": result.times.tolist(),
         "mean": result.mean().tolist(),
@@ -155,27 +124,26 @@ def _axis_length(result) -> int:
     return len(axis)
 
 
-def build_manifest(result, circuit, config: RunConfig, netlist_text: str,
-                   wall: float) -> dict:
+def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dict:
     nodes = getattr(result, "nodes", None)
     basis = getattr(result, "basis", None)
     stats = getattr(result, "stats", None)
     manifest = {
-        "netlist": Path(config.netlist).name,
+        "netlist": Path(args.netlist).name,
         "netlist_sha256": hashlib.sha256(netlist_text.encode()).hexdigest(),
         "title": circuit.name,
-        "analysis": config.kind,
-        "method": config.method,
-        "order": config.order,
+        "analysis": args.command,
+        "method": args.method,
+        "order": args.order,
         "states": circuit.n,
         "random_parameters": circuit.l,
         "basis_size": basis.size if basis is not None else None,
-        "node_count": _node_count(result, config),
+        "node_count": _node_count(result, args),
         "cond_phi": nodes.cond_estimate if nodes is not None else None,
         "beta": nodes.beta_used if nodes is not None else None,
-        "seed": config.seed if config.method == "mc" else None,
-        "scheme": config.scheme,
-        "fixed_step": config.fixed_step,
+        "seed": args.seed if args.method == "mc" else None,
+        "scheme": args.scheme,
+        "fixed_step": args.fixed_step,
         "time_points": _axis_length(result),
         "failures": _failure_count(result),
         "wall_time_s": wall,
@@ -186,8 +154,8 @@ def build_manifest(result, circuit, config: RunConfig, netlist_text: str,
     return manifest
 
 
-def _node_count(result, config: RunConfig) -> int:
-    if config.method in ("st", "sg"):
+def _node_count(result, args) -> int:
+    if args.method in ("st", "sg"):
         return result.basis.size
     ens = result if hasattr(result, "solutions") else result.ensemble
     return ens.n_samples + ens.failures
@@ -198,12 +166,11 @@ def _failure_count(result) -> int:
     return ens.failures if ens is not None else 0
 
 
-def write_artifacts(result, circuit, config: RunConfig, netlist_text: str,
-                    wall: float) -> list:
-    out = Path(config.out)
+def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> list:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if config.format in ("csv", "both"):
+    if args.format in ("csv", "both"):
         path = out / "stats.csv"
         if hasattr(result, "freqs"):
             series = _ac_series(result, circuit.state_names)
@@ -211,17 +178,17 @@ def write_artifacts(result, circuit, config: RunConfig, netlist_text: str,
             series = stats_over_time(result, names=circuit.state_names)
         write_stats_csv(path, series)
         written.append(path)
-    if config.format in ("json", "both"):
+    if args.format in ("json", "both"):
         path = out / "coefficients.json"
         if hasattr(result, "basis"):
             write_coefficients_json(path, result, state_names=circuit.state_names)
         else:
-            payload = _ensemble_payload(result, config)
+            payload = _ensemble_payload(result, args)
             payload["states"] = list(circuit.state_names)
             path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         written.append(path)
     path = out / "manifest.json"
-    manifest = build_manifest(result, circuit, config, netlist_text, wall)
+    manifest = build_manifest(result, circuit, args, netlist_text, wall)
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     written.append(path)
     return written
@@ -315,39 +282,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        netlist=args.netlist, kind=args.command, method=args.method,
-        order=args.order, beta=args.beta, seed=args.seed, samples=args.samples,
-        fixed_step=args.fixed_step, scheme=args.scheme, abstol=args.abstol,
-        reltol=args.reltol, ltetol=args.ltetol, out=args.out,
-        format=args.format)
-
-
-def run(config: RunConfig) -> int:
-    config.validate()
-    path = resolve_netlist(config.netlist)
+def run(args) -> int:
+    """One analysis run from the parsed flags of a run subcommand."""
+    _check_flags(args)
+    path = resolve_netlist(args.netlist)
     text = path.read_text()
     circuit = load_circuit(text)
     for warning in circuit.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if circuit.l == 0:
         raise ConfigError("netlist has no dist= parameters; nothing to quantify")
-    analysis = pick_analysis(circuit, config.kind)
+    analysis = pick_analysis(circuit, args.command)
+    tolerances = {name: getattr(args, name) for name in ("abstol", "reltol")
+                  if getattr(args, name) is not None}
+    samples = {} if args.samples is None else {"n_samples": args.samples}
 
     start = time.perf_counter()
     # a single mc sample is only useful as the nominal run: use the mean point
     result = run_analysis(
-        circuit, config.method, config.order, analysis, beta=config.beta,
-        seed=config.seed, n_samples=config.samples or 1000,
-        newton=config.newton(), control=config.control(),
-        scheme=config.scheme, fixed_h=config.fixed_step,
-        mean_point=(config.method == "mc" and config.samples == 1))
+        circuit, args.method, args.order, analysis, beta=args.beta, seed=args.seed,
+        newton=NewtonConfig(**tolerances) if tolerances else None,
+        control=None if args.ltetol is None else StepControl(lte_tol=args.ltetol),
+        scheme=args.scheme, fixed_h=args.fixed_step,
+        mean_point=args.samples == 1, **samples)
     wall = time.perf_counter() - start
 
-    written = write_artifacts(result, circuit, config, text, wall)
-    nodes = _node_count(result, config)
-    print(f"{path.name} {config.kind}: method={config.method} order={config.order} "
+    written = write_artifacts(result, circuit, args, text, wall)
+    nodes = _node_count(result, args)
+    print(f"{path.name} {args.command}: method={args.method} order={args.order} "
           f"nodes={nodes} wall={wall:.3g}s -> {', '.join(str(w) for w in written)}")
     return 0
 
@@ -367,7 +329,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return _run_report(args.manifests)
-        return run(_config_from_args(args))
+        return run(args)
     except DcConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DC

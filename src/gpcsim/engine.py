@@ -16,7 +16,10 @@ substitute their own.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
-uniform step with none.
+uniform step with none.  StepControl.h_max bounds the step in both modes.
+
+dc_solve and transient_solve are the only places that fill in a missing
+NewtonConfig or StepControl with its defaults; callers pass None through.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .circuit import EvalOverflowError
 
 SCHEMES = ("be", "tr", "gear2")
 HOMOTOPY_STEPS = 10
+STEP_GROW = 2.0      # largest step growth after an accepted step
+STEP_SHRINK = 0.5    # step cut on a rejection; also the smallest shrink factor
+STEP_SAFETY = 0.9    # margin on the error-optimal step
 
 
 class EngineError(RuntimeError):
@@ -49,7 +55,6 @@ class NewtonConfig:
     abstol: float = 1e-12
     reltol: float = 1e-9
     max_iter: int = 50
-    damping: float = 0.0      # max |dx_i| per iteration; 0 disables clipping
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,6 @@ class StepControl:
     h_max: float = np.inf
     lte_tol: float = 1e-3
     lte_floor: float = 1e-3   # absolute floor mixed into the per-state scale
-    grow: float = 2.0
-    shrink: float = 0.5
-    safety: float = 0.9
 
 
 @dataclass
@@ -98,7 +100,7 @@ class NewtonResult:
 
 def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
                  stats: SolveStats | None = None) -> NewtonResult:
-    """Solve c*q(x) + f(x) + history = source by damped Newton.
+    """Solve c*q(x) + f(x) + history = source by Newton.
 
     Convergence is judged on the residual alone, checked before every
     update, so a linear system converges in exactly one iteration.
@@ -127,10 +129,6 @@ def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
             return NewtonResult(x, False, it, last_norm, failure=f"singular jacobian: {exc}")
         if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, last_norm, failure="non-finite update")
-        if config.damping > 0.0:
-            peak = np.abs(dx).max()
-            if peak > config.damping:
-                dx = dx * (config.damping / peak)
         x = x + dx
         stats.newton_iterations += 1
     return NewtonResult(x, False, config.max_iter, last_norm,
@@ -300,7 +298,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
                 raise TransientError(
                     f"newton failed at t={t_new:.6g} on a fixed step: {res.failure}")
             stats.steps_rejected += 1
-            h *= control.shrink
+            h *= STEP_SHRINK
             if h < control.h_min:
                 raise TransientError(
                     f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
@@ -315,7 +313,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
             ratio = float((diff / scale).max())
             if ratio > 1.0:
                 stats.steps_rejected += 1
-                h *= control.shrink
+                h *= STEP_SHRINK
                 if h < control.h_min:
                     raise TransientError(
                         f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
@@ -346,10 +344,10 @@ def transient_solve(problem, x0, t_end, scheme="be",
             ratio = lte_log[-1]
             order = 1 if (scheme == "be" or startup) else 2
             if ratio > 0.0:
-                factor = control.safety * ratio ** (-1.0 / (order + 1))
-                h = h * min(control.grow, max(control.shrink, factor))
+                factor = STEP_SAFETY * ratio ** (-1.0 / (order + 1))
+                h = h * min(STEP_GROW, max(STEP_SHRINK, factor))
             else:
-                h = h * control.grow
+                h = h * STEP_GROW
             h = min(h, control.h_max)
 
     return Trajectory(

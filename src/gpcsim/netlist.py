@@ -13,6 +13,7 @@ raised together with line/column positions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -53,20 +54,15 @@ def parse_number(text: str) -> float:
     m = _NUMBER_RE.match(text.strip().lower())
     if not m:
         raise ValueError(f"not a number: {text!r}")
-    return float(m.group(1)) * _SUFFIX.get(m.group(2), 1.0)
+    value = float(m.group(1)) * _SUFFIX.get(m.group(2), 1.0)
+    if not math.isfinite(value):
+        raise ValueError(f"number out of range: {text!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
 # waveforms
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DcWave:
-    level: float
-
-    def value(self, t):
-        return self.level
-
 
 @dataclass(frozen=True)
 class SinWave:
@@ -77,8 +73,6 @@ class SinWave:
     damping: float = 0.0
 
     def value(self, t):
-        import math
-
         if t < self.delay:
             return self.offset
         dt = t - self.delay
@@ -438,6 +432,9 @@ class _Parser:
             if step <= 0:
                 self.error(line, args[3][1], ".dcsweep step must be positive")
                 return None
+            if stop < start:
+                self.error(line, args[2][1], ".dcsweep stop must not be below start")
+                return None
             self.analyses.append(DcSweepAnalysis(args[0][0], start, stop, step))
             return None
         if word == ".tran":
@@ -452,6 +449,9 @@ class _Parser:
                 return None
             if tstop <= 0:
                 self.error(line, args[0][1], ".tran tstop must be positive")
+                return None
+            if hmax is not None and hmax <= 0:
+                self.error(line, args[1][1], ".tran hmax must be positive")
                 return None
             self.analyses.append(TranAnalysis(tstop, hmax))
             return None

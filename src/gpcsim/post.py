@@ -45,7 +45,6 @@ class StatSeries:
 class PdfEstimate:
     """Histogram density of one scalar quantity with its sampling metadata."""
 
-    quantity: str
     n_samples: int
     edges: np.ndarray          # (B+1,)
     densities: np.ndarray      # (B,)
@@ -100,7 +99,7 @@ def freedman_diaconis_bins(samples) -> int:
 
 
 def pdf_of_expansion(basis: GpcBasisSet, coeffs, n_samples=10000, seed=0,
-                     bins=None, quantity="expansion") -> PdfEstimate:
+                     bins=None) -> PdfEstimate:
     """Histogram density of the expansion's value distribution.
 
     Sampling is seeded, so the estimate is deterministic.  Binning follows
@@ -122,11 +121,11 @@ def pdf_of_expansion(basis: GpcBasisSet, coeffs, n_samples=10000, seed=0,
         half = max(1e-9 * max(1.0, abs(mean)), 1e-300)
         edges = np.array([mean - half, mean + half])
         densities = np.array([1.0 / (edges[1] - edges[0])])
-        return PdfEstimate(quantity, int(n_samples), edges, densities, mean, std)
+        return PdfEstimate(int(n_samples), edges, densities, mean, std)
 
     nbins = bins if bins is not None else freedman_diaconis_bins(samples)
     densities, edges = np.histogram(samples, bins=nbins, density=True)
-    return PdfEstimate(quantity, int(n_samples), edges, densities, mean, std)
+    return PdfEstimate(int(n_samples), edges, densities, mean, std)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import Distribution, univariate_recurrence
 
-DEFAULT_ENUMERATION_BUDGET = 10**6
+ENUMERATION_BUDGET = 10**6   # most grid points ever materialized
 
 
 class QuadratureError(RuntimeError):
@@ -74,7 +74,7 @@ class TensorGrid:
         j = 1 + sum_k n_hat^(k-1) * (I(k, j) - 1)
     """
 
-    def __init__(self, rules, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    def __init__(self, rules):
         rules = tuple(rules)
         if not rules:
             raise ValueError("need at least one rule")
@@ -83,7 +83,6 @@ class TensorGrid:
             raise ValueError(f"all rules must share one point count, got {sorted(counts)}")
         self.rules = rules
         self.n_hat = rules[0].npoints
-        self.budget = int(budget)
 
     @property
     def dim(self) -> int:
@@ -94,10 +93,10 @@ class TensorGrid:
         return self.n_hat ** self.dim
 
     def _check_budget(self):
-        if self.npoints > self.budget:
+        if self.npoints > ENUMERATION_BUDGET:
             raise GridBudgetError(
                 f"grid has {self.npoints} nodes, over the materialization budget "
-                f"of {self.budget}"
+                f"of {ENUMERATION_BUDGET}"
             )
 
     def all_weights(self) -> np.ndarray:
@@ -118,7 +117,7 @@ class TensorGrid:
         return out
 
 
-def tensor_grid(rules, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TensorGrid:
+def tensor_grid(rules) -> TensorGrid:
     """Tensor grid over l rules that all share the same point count."""
-    return TensorGrid(rules, budget=budget)
+    return TensorGrid(rules)
 

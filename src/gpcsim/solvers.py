@@ -17,9 +17,11 @@ its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
 solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
 one block-diagonal stacked problem, which is st with Φ = I.  The nominal
 operating point that starts st and sg is the one-point case of it.  All
-methods run DC, sweeps and transients through one function, `_run`.  st and
-sg keep adaptive step control, while sc/mc use a fixed grid so samples share
-time points.
+methods run DC, sweeps and transients through one function, `_run`, which
+also applies a `.tran tstop hmax` bound to every method's step.  st and sg
+keep adaptive step control, while sc/mc use a fixed grid so samples share
+time points.  A Newton or step-control setting left as None reaches the
+engine as None, and the engine fills in its defaults.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
     DcConvergenceError,
-    NewtonConfig,
     SolveStats,
     StepControl,
     TransientError,
@@ -94,7 +95,6 @@ class GpcTrajectory:
     nodes: TestingNodeSet | None
     method: str
     h_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    newton_iterations: int = 0
     lte_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stats: SolveStats | None = None
     ensemble: "SampleEnsemble | None" = None   # sc keeps its per-node runs
@@ -148,9 +148,11 @@ def _gauss_grid(circuit, order):
 
 
 class _StackedEvalST:
-    """Residual pieces at all testing nodes plus the decoupled linear hook."""
+    """Residual pieces at all testing nodes plus the decoupled linear hook:
+    linearize(c) forms the (K, n, n) blocks c·dq + df, and solve runs the
+    two-stage update on them."""
 
-    __slots__ = ("q", "f", "dqs", "dfs", "phi_inv", "n")
+    __slots__ = ("q", "f", "dqs", "dfs", "phi_inv", "n", "blocks")
 
     def __init__(self, q, f, dqs, dfs, phi_inv, n):
         self.q = q
@@ -161,16 +163,8 @@ class _StackedEvalST:
         self.n = n
 
     def linearize(self, c):
-        return _DecoupledSolve(c * self.dqs + self.dfs, self.phi_inv, self.n)
-
-
-class _DecoupledSolve:
-    __slots__ = ("blocks", "phi_inv", "n")
-
-    def __init__(self, blocks, phi_inv, n):
-        self.blocks = blocks
-        self.phi_inv = phi_inv
-        self.n = n
+        self.blocks = c * self.dqs + self.dfs
+        return self
 
     def solve(self, rhs):
         return st_decoupled_linear_step(self.blocks, self.phi_inv,
@@ -375,7 +369,8 @@ def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
 
     problem_for(circuit) builds the (stacked) problem; a sweep rebuilds it on
     each swept twin of the circuit and warm-starts every level from the one
-    before.  The result's states are the problem's unknowns at each time or
+    before.  A transient caps the step at the analysis card's hmax, adaptive
+    or fixed.  The result's states are the problem's unknowns at each time or
     sweep level.  Engine failures are re-raised with "[method=<label>]".
     """
     if isinstance(analysis, DcAnalysis):
@@ -402,6 +397,9 @@ def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
         return _static(levels, np.array(rows), stats, scheme)
 
     if isinstance(analysis, TranAnalysis):
+        if analysis.hmax is not None:
+            control = (StepControl(h_max=analysis.hmax) if control is None
+                       else replace(control, h_max=analysis.hmax))
         problem = problem_for(circuit)
         try:
             dc = dc_solve(problem, newton, x0=x0)
@@ -418,10 +416,6 @@ def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
 
 def _intrusive_solve(problem_factory, circuit, basis, nodes, analysis, method,
                      newton=None, control=None, scheme="be", fixed_h=None):
-    newton = newton or NewtonConfig()
-    control = control or StepControl()
-    if isinstance(analysis, TranAnalysis) and analysis.hmax is not None:
-        control = replace(control, h_max=analysis.hmax)
     try:
         X0 = _initial_state(circuit, basis, newton)
     except DcConvergenceError as exc:
@@ -432,17 +426,15 @@ def _intrusive_solve(problem_factory, circuit, basis, nodes, analysis, method,
         times=run.times,
         coeffs=run.states.reshape(len(run.times), basis.size, circuit.n),
         basis=basis, nodes=nodes, method=method,
-        h_history=run.h_history, lte_history=run.lte_history,
-        newton_iterations=run.stats.newton_iterations, stats=run.stats)
+        h_history=run.h_history, lte_history=run.lte_history, stats=run.stats)
 
 
 def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
-             scheme="be", fixed_h=None, node_set=None):
+             scheme="be", fixed_h=None):
     """Stochastic testing: collocated intrusive solve with decoupled updates."""
     basis = _basis_for(circuit, order)
-    if node_set is None:
-        kwargs = {} if beta is None else {"beta": beta}
-        node_set = select_testing_nodes(basis, _gauss_grid(circuit, order), **kwargs)
+    kwargs = {} if beta is None else {"beta": beta}
+    node_set = select_testing_nodes(basis, _gauss_grid(circuit, order), **kwargs)
     return _intrusive_solve(
         lambda c: STProblem(c, basis, node_set), circuit, basis, node_set,
         analysis, "st", newton=newton, control=control, scheme=scheme,
@@ -508,7 +500,6 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
     """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
     projection."""
     basis = _basis_for(circuit, order)
-    newton = newton or NewtonConfig()
     grid = _gauss_grid(circuit, order)
     points = grid.all_nodes()
     weights = grid.all_weights()
@@ -525,8 +516,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
         n_samples=grid.npoints, method="sc")
     return GpcTrajectory(
         times=times, coeffs=coeffs, basis=basis, nodes=None, method="sc",
-        newton_iterations=stats.newton_iterations, stats=stats,
-        ensemble=ensemble)
+        stats=stats, ensemble=ensemble)
 
 
 def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
@@ -540,7 +530,6 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
         raise ValueError("need at least one sample")
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to sample")
-    newton = newton or NewtonConfig()
     if mean_point:
         samples = np.tile(circuit.nominal_germ(), (n_samples, 1))
     else:
@@ -581,9 +570,6 @@ class AcResult:
 
     def state(self, i: int) -> GpcState:
         return GpcState(self.coeffs[i].ravel(), self.basis, self.nodes)
-
-    def gain_coeffs(self, state_index: int) -> np.ndarray:
-        return self.coeffs[:, :, state_index]
 
 
 def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from gpcsim import cli
 from gpcsim.cli import main, report_costs, resolve_netlist
 from gpcsim.collocation import SelectionError
-from gpcsim.engine import DcConvergenceError, TransientError
+from gpcsim.engine import DcConvergenceError, NewtonConfig, TransientError
 from gpcsim.post import read_stats_csv
 
 CONFLICT = """\
@@ -55,6 +55,22 @@ class TestExitCodes:
     def test_ac_requires_st(self, tmp_path):
         assert run_cli("ac", "rc_uniform.cir", "--method", "sg",
                        "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("flags", [("--order", "-1"), ("--fixed-step", "0"),
+                                       ("--method", "mc", "--samples", "0")])
+    def test_bad_flag_values_are_2(self, tmp_path, flags):
+        assert run_cli("dc", "cs_amp.cir", *flags, "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("method", ["st", "mc"])
+    def test_reversed_dcsweep_is_2(self, tmp_path, capsys, method):
+        bad = tmp_path / "reversed.cir"
+        bad.write_text("* reversed sweep\nv1 1 0 1\nr1 1 2 dist=uniform(900, 1100)\n"
+                       "r2 2 0 1k\n.dcsweep v1 1 0 0.1\n")
+        assert run_cli("dcsweep", str(bad), "--method", method,
+                       "--out", str(tmp_path)) == 2
+        assert "line 5, col 15" in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
 
     def test_missing_analysis_card_is_2(self, tmp_path, capsys):
         # diode_dc.cir declares .dc and .dcsweep but no .tran
@@ -179,6 +195,20 @@ class TestArtifacts:
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
         assert (a / "coefficients.json").read_bytes() == \
             (b / "coefficients.json").read_bytes()
+
+    def test_newton_config_only_from_given_tolerances(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.run_analysis
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["newton"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_analysis", spy)
+        for flags in [(), ("--abstol", "1e-11"), ("--reltol", "1e-8")]:
+            assert run_cli("dc", "cs_amp.cir", "--order", "1", *flags,
+                           "--out", str(tmp_path)) == 0
+        assert seen == [None, NewtonConfig(abstol=1e-11), NewtonConfig(reltol=1e-8)]
 
     def test_shipped_netlist_resolution(self):
         text = resolve_netlist("cs_amp.cir").read_text()

@@ -85,14 +85,6 @@ def test_quadratic_root_in_few_iterations():
     assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_newton_damping_caps_update():
-    prob = ScalarProblem(lambda v: v, lambda v: 1.0, 10.0)
-    res = newton_solve(prob, np.array([0.0]), 0.0, 0.0, np.zeros(1),
-                       prob.source(0.0), NewtonConfig(damping=1.0, max_iter=30))
-    assert res.converged
-    assert res.iterations == 10  # ten capped unit moves to reach x = 10
-
-
 def test_newton_reports_iteration_limit():
     prob = ScalarProblem(lambda v: v * v * v - 2 * v + 2, lambda v: 3 * v * v - 2, 0.0)
     res = newton_solve(prob, np.array([0.0]), 0.0, 0.0, np.zeros(1),

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
@@ -39,7 +39,8 @@ def test_engineering_suffixes():
         assert parse_number(text) == pytest.approx(want, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1x", "", "k", "1..2", "1e", "--3"])
+@pytest.mark.parametrize("bad", ["abc", "1x", "", "k", "1..2", "1e", "--3",
+                                 "1e999", "-1e999", "1e308k"])
 def test_bad_numbers_rejected(bad):
     with pytest.raises(ValueError):
         parse_number(bad)
@@ -245,7 +246,75 @@ def test_empty_netlist_flagged():
 
 
 def test_analysis_argument_validation():
-    for line in [".tran -1m", ".tran", ".ac 0 10 5", ".ac 10 1 5",
-                 ".dcsweep v1 0 1 -0.1", ".unknown 3"]:
+    for line in [".tran -1m", ".tran", ".tran 20n 0", ".tran 20n -1n", ".ac 0 10 5",
+                 ".ac 10 1 5", ".ac 1 10 1e999", ".dcsweep v1 0 1 -0.1", ".unknown 3"]:
         with pytest.raises(NetlistError):
             parse_netlist(f"v1 a 0 1\nr1 a 0 1\n{line}\n")
+
+
+def test_reversed_dcsweep_flagged_at_stop_column():
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("v1 a 0 1\nr1 a 0 1k\n.dcsweep v1 1 0 0.1\n")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col) == (3, 15)
+    assert "stop" in diag.message
+    # a one-level sweep (stop == start) is still allowed
+    net = parse_netlist("v1 a 0 1\nr1 a 0 1k\n.dcsweep v1 1 1 0.1\n")
+    assert net.analyses == [DcSweepAnalysis("v1", 1.0, 1.0, 0.1)]
+
+
+# --------------------------------------------------------------------------
+# property: any text built from netlist vocabulary parses or is diagnosed
+# --------------------------------------------------------------------------
+
+_FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", ".5", "2.2u", "1k", "1meg", "10n", "1e-3",
+                     "1e999", "1e308k", "1x", "--3", "k", "", "1..2"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_FUZZ_NODES = st.sampled_from(["0", "1", "2", "a", "out", "n_1", "vdd"])
+_FUZZ_DISTS = st.sampled_from([
+    "dist=gauss(1,0.1)", "dist=gauss(1)", "dist=gauss(1,0)", "dist=uniform(0,1)",
+    "dist=uniform(2,1)", "dist=beta(2,3,0,1)", "dist=beta(0,1,0,1)",
+    "dist=gamma(2,0,1)", "dist=gamma(-1,0,1)", "dist=heavy(1,2)", "dist=p",
+    "dist=missing", "dist=", "dist=(", "dist=gauss(1e999,1)", "dist=uniform(a,b)",
+])
+_FUZZ_WAVES = st.sampled_from([
+    "sin(0 1 1k)", "sin(0 1 1k 1u 10)", "sin()", "sin(0 1", "pulse(0 1 0 1n 1n 5n 10n)",
+    "pulse(0 1 0 0 1n 5n 10n)", "pulse(0 1 0 1u)", "pwl(0 0 1n 1)", "pwl(0 0 0 1)",
+    "pwl(0 0 1n)", "tri(0 1 2)", "pwl(x 0 1n 1)",
+])
+_FUZZ_WORDS = st.sampled_from([
+    "r1", "r2", "c1", "l1", "v1", "v2", "i1", "d1", "m1", "q1", "x9", ".dc",
+    ".dcsweep", ".tran", ".ac", ".param", ".end", ".unknown", "dc", "ac", "p",
+    "type=nmos", "type=pnp", "is=", "*", "(", ")", "=",
+])
+_FUZZ_KEYVALUES = st.builds(
+    "{}={}".format, st.sampled_from(["is", "n", "w", "l", "vt", "bf", "kp"]),
+    st.one_of(_FUZZ_NUMBERS, _FUZZ_DISTS))
+_FUZZ_CARDS = st.sampled_from([
+    "v1 1 0 dc 1", "v1 1 0 dc 1 ac 1", "r1 1 0 1k", "r2 1 2 dist=p", "c1 2 0 1p",
+    ".param p dist=uniform(900,1100)", "d1 1 0 is=dist=gauss(1e-14,2e-15)",
+    "m1 1 2 0 type=nmos w=dist=p", ".dcsweep v1 0 1 0.1", ".dcsweep v1 1 0 0.1",
+    ".dcsweep v1 1.5 0.7 0.1", ".dcsweep i1 0 -1 0.5", ".tran 20n 1n", ".tran 20n 0",
+    ".ac 1 1meg 10", ".ac 1 10 1e999",
+])
+_FUZZ_LINES = st.one_of(
+    _FUZZ_CARDS,
+    st.lists(st.one_of(_FUZZ_WORDS, _FUZZ_NODES, _FUZZ_NUMBERS, _FUZZ_DISTS,
+                       _FUZZ_WAVES, _FUZZ_KEYVALUES), max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUZZ_LINES, max_size=10).map("\n".join))
+def test_any_text_parses_or_raises_netlist_error(text):
+    try:
+        net = parse_netlist(text)
+    except NetlistError:
+        return
+    for an in net.analyses:
+        if isinstance(an, DcSweepAnalysis):
+            assert an.start <= an.stop and an.step > 0
+        if isinstance(an, TranAnalysis):
+            assert an.tstop > 0 and (an.hmax is None or an.hmax > 0)

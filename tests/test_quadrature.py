@@ -88,8 +88,8 @@ def test_gauss_rule_validation():
 # tensor grids
 # ---------------------------------------------------------------------------
 
-def _grid(dists, n_hat, **kw):
-    return tensor_grid([gauss_rule(d, n_hat) for d in dists], **kw)
+def _grid(dists, n_hat):
+    return tensor_grid([gauss_rule(d, n_hat) for d in dists])
 
 
 def test_grid_sizes():
@@ -140,7 +140,7 @@ def test_materialized_views_match_streamed_access():
 
 
 def test_enumeration_budget():
-    grid = _grid([Gaussian()] * 8, 7, budget=10**6)  # 7^8 > 5.7e6 nodes
+    grid = _grid([Gaussian()] * 8, 7)  # 7^8 > 5.7e6 nodes, over the 10**6 budget
     assert grid.npoints == 7**8
     with pytest.raises(GridBudgetError):
         grid.all_weights()
@@ -155,7 +155,7 @@ def test_enumeration_budget():
     l=st.integers(1, 3),
 )
 def test_tensor_weight_positivity(n_hat, fam, l):
-    grid = _grid([fam] * l, n_hat, budget=10**6)
+    grid = _grid([fam] * l, n_hat)
     if grid.npoints <= 4096:
         w = grid.all_weights()
         assert np.all(w > 0)

@@ -602,6 +602,23 @@ class TestRunAnalysis:
         direct = st_solve(circuit, 2, DcAnalysis())
         np.testing.assert_allclose(via_front.coeffs, direct.coeffs, atol=1e-14)
 
+    def test_tran_hmax_bounds_every_method(self):
+        # the card's 1 ns hmax caps a 4 ns fixed step for every method, so
+        # all four return one 21-point grid
+        circuit = load_circuit("""* rc with a uniform resistor and a step bound
+v1 1 0 pulse(0 1 0 1n 1n 5n 10n)
+r1 1 2 dist=uniform(900,1100)
+c1 2 0 1p
+.tran 20n 1n
+""")
+        (analysis,) = circuit.analyses
+        want = np.linspace(0.0, 20e-9, 21)
+        for method in ("st", "sg", "sc", "mc"):
+            result = run_analysis(circuit, method, 1, analysis, n_samples=4,
+                                  fixed_h=4e-9)
+            assert len(result.times) == 21, method
+            np.testing.assert_allclose(result.times, want, rtol=0, atol=1e-21)
+
     def test_unknown_method(self):
         circuit = load_circuit(DIVIDER)
         with pytest.raises(MethodError, match="unknown method"):
