@@ -43,7 +43,6 @@ from .post import (
 )
 from .quadrature import gauss_rule, tensor_grid
 from .solvers import (
-    GpcState,
     GpcTrajectory,
     SampleEnsemble,
     ac_solve,
@@ -62,7 +61,6 @@ __all__ = [
     "Gamma",
     "Gaussian",
     "GpcBasisSet",
-    "GpcState",
     "GpcTrajectory",
     "NewtonConfig",
     "PdfEstimate",

@@ -311,9 +311,6 @@ class GpcBasisSet:
     def size(self) -> int:
         return self.indices.shape[0]
 
-    def germ_mean(self) -> np.ndarray:
-        return np.array([d.germ_mean() for d in self.dists])
-
     def sample_germs(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n independent joint germ samples, shape (n, dim)."""
         cols = [d.sample(rng, n) for d in self.dists]

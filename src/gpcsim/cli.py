@@ -1,7 +1,9 @@
 """Command-line front end: netlists in, CSV/JSON artifacts out.
 
 One subcommand per analysis (dc, dcsweep, tran, ac) plus ``report``, which
-digests run manifests into a cost-comparison table.  Every run writes a
+digests run manifests into a cost-comparison table.  This module only
+parses and checks flags, runs the analysis and calls the writers of
+`gpcsim.post`, which owns every artifact format.  Every run writes a
 manifest recording basis size, node count, wall time, and step/Newton
 totals, so speedup ratios can be recomputed from the manifests alone.
 
@@ -23,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from .netlist import (
     NetlistError,
     TranAnalysis,
 )
-from .post import StatSeries, stats_over_time, write_coefficients_json, write_stats_csv
+from .post import stats_over_time, write_coefficients_json, write_json, write_stats_csv
 from .solvers import MethodError, run_analysis
 
 EXIT_CONFIG = 2
@@ -58,13 +61,18 @@ class ConfigError(ValueError):
     """Bad flag combination or a netlist missing the requested analysis."""
 
 
+# method-specific run flags and the methods that read them
+_FLAG_METHODS = {"samples": ("mc",), "ltetol": ("st", "sg"), "beta": ("st",)}
+
+
 def _check_flags(args):
     """Reject flag combinations argparse cannot express (exit code 2)."""
-    if args.samples is not None:
-        if args.method != "mc":
-            raise ConfigError("--samples applies to the mc method only")
-        if args.samples < 1:
-            raise ConfigError("--samples must be positive")
+    for flag, methods in _FLAG_METHODS.items():
+        if getattr(args, flag) is not None and args.method not in methods:
+            raise ConfigError(f"--{flag} applies to the {'/'.join(methods)} "
+                              f"method only")
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError("--samples must be positive")
     if args.command == "ac" and args.method != "st":
         raise ConfigError("ac analysis runs with --method st only")
     if args.order < 0:
@@ -98,37 +106,9 @@ def pick_analysis(circuit, kind: str):
 # artifact writers
 # --------------------------------------------------------------------------
 
-def _ac_series(result, names) -> StatSeries:
-    # phasor statistics: magnitude of the mean coefficient, and the RMS
-    # spread of the remaining coefficients; full complex tensors go to JSON
-    mean = np.abs(result.coeffs[:, 0, :])
-    spread = np.sqrt(np.sum(np.abs(result.coeffs[:, 1:, :]) ** 2, axis=1))
-    return StatSeries(times=result.freqs, names=list(names), mean=mean, std=spread)
-
-
-def _ensemble_payload(result, args) -> dict:
-    return {
-        "method": result.method,
-        "n_samples": result.n_samples,
-        "failures": result.failures,
-        "seed": args.seed,
-        "states": None,
-        "times": result.times.tolist(),
-        "mean": result.mean().tolist(),
-        "std": result.std().tolist(),
-    }
-
-
-def _axis_length(result) -> int:
-    axis = result.freqs if hasattr(result, "freqs") else result.times
-    return len(axis)
-
-
 def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dict:
-    nodes = getattr(result, "nodes", None)
-    basis = getattr(result, "basis", None)
-    stats = getattr(result, "stats", None)
-    manifest = {
+    nodes = result.nodes
+    return {
         "netlist": Path(args.netlist).name,
         "netlist_sha256": hashlib.sha256(netlist_text.encode()).hexdigest(),
         "title": circuit.name,
@@ -137,60 +117,33 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dic
         "order": args.order,
         "states": circuit.n,
         "random_parameters": circuit.l,
-        "basis_size": basis.size if basis is not None else None,
-        "node_count": _node_count(result, args),
+        "basis_size": result.basis.size if result.basis is not None else None,
+        "node_count": result.node_count,
         "cond_phi": nodes.cond_estimate if nodes is not None else None,
         "beta": nodes.beta_used if nodes is not None else None,
         "seed": args.seed if args.method == "mc" else None,
         "scheme": args.scheme,
         "fixed_step": args.fixed_step,
-        "time_points": _axis_length(result),
-        "failures": _failure_count(result),
+        "time_points": result.time_points,
+        "failures": result.failures,
         "wall_time_s": wall,
+        **asdict(result.stats),
     }
-    for field in ("newton_iterations", "linear_solves", "linear_solve_time",
-                  "residual_evals", "steps_accepted", "steps_rejected"):
-        manifest[field] = getattr(stats, field, None)
-    return manifest
-
-
-def _node_count(result, args) -> int:
-    if args.method in ("st", "sg"):
-        return result.basis.size
-    ens = result if hasattr(result, "solutions") else result.ensemble
-    return ens.n_samples + ens.failures
-
-
-def _failure_count(result) -> int:
-    ens = result if hasattr(result, "solutions") else getattr(result, "ensemble", None)
-    return ens.failures if ens is not None else 0
 
 
 def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> list:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    names = circuit.state_names
     written = []
     if args.format in ("csv", "both"):
-        path = out / "stats.csv"
-        if hasattr(result, "freqs"):
-            series = _ac_series(result, circuit.state_names)
-        else:
-            series = stats_over_time(result, names=circuit.state_names)
-        write_stats_csv(path, series)
-        written.append(path)
+        written.append(out / "stats.csv")
+        write_stats_csv(written[-1], stats_over_time(result, names=names))
     if args.format in ("json", "both"):
-        path = out / "coefficients.json"
-        if hasattr(result, "basis"):
-            write_coefficients_json(path, result, state_names=circuit.state_names)
-        else:
-            payload = _ensemble_payload(result, args)
-            payload["states"] = list(circuit.state_names)
-            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        written.append(path)
-    path = out / "manifest.json"
-    manifest = build_manifest(result, circuit, args, netlist_text, wall)
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    written.append(path)
+        written.append(out / "coefficients.json")
+        write_coefficients_json(written[-1], result, state_names=names)
+    written.append(out / "manifest.json")
+    write_json(written[-1], build_manifest(result, circuit, args, netlist_text, wall))
     return written
 
 
@@ -308,9 +261,9 @@ def run(args) -> int:
     wall = time.perf_counter() - start
 
     written = write_artifacts(result, circuit, args, text, wall)
-    nodes = _node_count(result, args)
     print(f"{path.name} {args.command}: method={args.method} order={args.order} "
-          f"nodes={nodes} wall={wall:.3g}s -> {', '.join(str(w) for w in written)}")
+          f"nodes={result.node_count} wall={wall:.3g}s -> "
+          f"{', '.join(str(w) for w in written)}")
     return 0
 
 

@@ -181,7 +181,6 @@ def dc_solve(problem, config: NewtonConfig | None = None, x0=None) -> DcResult:
 class Trajectory:
     times: np.ndarray          # (nsteps+1,)
     states: np.ndarray         # (nsteps+1, n)
-    scheme: str
     h_history: np.ndarray      # accepted step sizes, (nsteps,)
     lte_history: np.ndarray    # max scaled error ratio per accepted step
     est_history: np.ndarray    # max unscaled error estimate per accepted step
@@ -353,7 +352,6 @@ def transient_solve(problem, x0, t_end, scheme="be",
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        scheme=scheme,
         h_history=np.array(accepted_h),
         lte_history=np.array(lte_log),
         est_history=np.array(est_log),

@@ -1,11 +1,14 @@
 """Statistics, PDF extraction, comparisons, and on-disk result formats.
 
-Everything here consumes finished solver results.  Moments come straight
-from orthonormal coefficients (mean = constant term, variance = sum of the
-squared rest); PDFs are estimated by sampling the polynomial expansion,
-which costs polynomial evaluations only.  CSV output is a long-format
-`time,state,mean,std` table printed with 17 significant digits so a
-read-back reproduces the floats exactly.
+Everything here consumes finished solver results, and this is the one
+module that knows how each result kind (GpcTrajectory, SampleEnsemble,
+AcResult) becomes an artifact: `stats_over_time` and
+`coefficients_payload` take any of them, and `write_json` writes every
+JSON file.  Moments come straight from orthonormal coefficients (mean =
+constant term, variance = sum of the squared rest); PDFs are estimated by
+sampling the polynomial expansion, which costs polynomial evaluations
+only.  CSV output is a long-format `time,state,mean,std` table printed
+with 17 significant digits so a read-back reproduces the floats exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GpcBasisSet, moments_from_coeffs
+from .basis import GpcBasisSet
+from .solvers import AcResult, GpcTrajectory, SampleEnsemble
 
 MIN_PDF_SAMPLES = 1000
 
@@ -56,15 +60,20 @@ class PdfEstimate:
 
 
 def stats_over_time(result, names=None) -> StatSeries:
-    """Mean/std series from a coefficient trajectory or a sample ensemble."""
-    if hasattr(result, "coeffs"):          # GpcTrajectory
-        mean = result.coeffs[:, 0, :].copy()
+    """Mean/std series of any result over its time, sweep or frequency axis.
+
+    An AC sweep's phasors report the magnitude of the mean coefficient and
+    the RMS spread of the other coefficients; the full complex tensors go
+    to `coefficients_payload`.
+    """
+    if isinstance(result, SampleEnsemble):
+        times, mean, std = result.times, result.mean(), result.std()
+    elif isinstance(result, GpcTrajectory):
+        times, mean = result.times, result.coeffs[:, 0, :].copy()
         std = np.sqrt(np.sum(result.coeffs[:, 1:, :] ** 2, axis=1))
-        times = result.times
-    elif hasattr(result, "solutions"):     # SampleEnsemble
-        mean = result.mean()
-        std = result.std()
-        times = result.times
+    elif isinstance(result, AcResult):
+        times, mean = result.freqs, np.abs(result.coeffs[:, 0, :])
+        std = np.sqrt(np.sum(np.abs(result.coeffs[:, 1:, :]) ** 2, axis=1))
     else:
         raise TypeError(f"cannot extract statistics from {type(result).__name__}")
     n = mean.shape[1]
@@ -215,7 +224,19 @@ def _complex_safe(arr):
 
 
 def coefficients_payload(result, state_names=None) -> dict:
-    """JSON-ready dict with the coefficient tensor and basis provenance."""
+    """JSON-ready dict of a result: the coefficient tensor with its basis
+    provenance, or a sample ensemble's moments with its seed and failures."""
+    if isinstance(result, SampleEnsemble):
+        return {
+            "method": result.method,
+            "n_samples": result.n_samples,
+            "failures": result.failures,
+            "seed": result.seed,
+            "states": None if state_names is None else list(state_names),
+            "times": result.times.tolist(),
+            "mean": result.mean().tolist(),
+            "std": result.std().tolist(),
+        }
     basis = result.basis
     payload = {
         "order": basis.order,
@@ -223,24 +244,31 @@ def coefficients_payload(result, state_names=None) -> dict:
         "germs": [type(d).__name__.lower() for d in basis.dists],
         "index_set": basis.indices.tolist(),
         "coefficients": _complex_safe(result.coeffs),
-        "method": getattr(result, "method", "st"),
+        "method": result.method,
     }
-    if hasattr(result, "times"):
-        payload["times"] = np.asarray(result.times, dtype=float).tolist()
-    else:
+    if isinstance(result, AcResult):
         payload["frequencies"] = np.asarray(result.freqs, dtype=float).tolist()
+    else:
+        payload["times"] = np.asarray(result.times, dtype=float).tolist()
     if state_names is not None:
         payload["states"] = list(state_names)
-    nodes = getattr(result, "nodes", None)
-    if nodes is not None:
-        payload["testing_nodes"] = nodes.nodes.tolist()
-        payload["beta"] = nodes.beta_used
-        payload["cond_phi"] = nodes.cond_estimate
+    if result.nodes is not None:
+        payload["testing_nodes"] = result.nodes.nodes.tolist()
+        payload["beta"] = result.nodes.beta_used
+        payload["cond_phi"] = result.nodes.cond_estimate
     return payload
 
 
-def write_coefficients_json(path, result, state_names=None):
+def write_json(path, payload):
+    """Every JSON artifact's layout: indent 1, sorted keys, a final newline.
+
+    json.dump streams the text to the file; json.dumps would hold every
+    chunk of a large coefficient tensor in memory at once.
+    """
     with open(path, "w") as fh:
-        json.dump(coefficients_payload(result, state_names), fh,
-                  indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_coefficients_json(path, result, state_names=None):
+    write_json(path, coefficients_payload(result, state_names))

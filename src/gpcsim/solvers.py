@@ -17,10 +17,11 @@ its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
 solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
 one block-diagonal stacked problem, which is st with Φ = I.  The nominal
 operating point that starts st and sg is the one-point case of it.  All
-methods run DC, sweeps and transients through one function, `_run`, which
-also applies a `.tran tstop hmax` bound to every method's step.  st and sg
-keep adaptive step control, while sc/mc use a fixed grid so samples share
-time points.  A Newton or step-control setting left as None reaches the
+methods run DC, sweeps and transients through one function, `_run`, on a
+problem built once per run (a sweep re-points it at each level's
+circuit), and `_run` applies a `.tran tstop hmax` bound to every method's
+step.  st and sg keep adaptive step control, while sc/mc use a fixed grid
+so samples share time points.  A Newton or step-control setting left as None reaches the
 engine as None, and the engine fills in its defaults.
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import GpcBasisSet, eval_basis, moments_from_coeffs
+from .basis import GpcBasisSet
 from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
@@ -58,32 +59,9 @@ class MethodError(RuntimeError):
 # results
 # --------------------------------------------------------------------------
 
-@dataclass
-class GpcState:
-    """Flattened coefficient vector X = [x̂_1; ...; x̂_K], each block length n."""
-
-    X: np.ndarray
-    basis: GpcBasisSet
-    nodes: TestingNodeSet | None = None
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.X.reshape(self.basis.size, -1)
-
-    def mean(self) -> np.ndarray:
-        return self.coeffs[0].copy()
-
-    def std(self) -> np.ndarray:
-        return moments_from_coeffs(self.coeffs)[1]
-
-    def reconstruct(self, xi) -> np.ndarray:
-        return eval_basis(self.basis, xi) @ self.coeffs
-
-    def at_nodes(self) -> np.ndarray:
-        if self.nodes is None:
-            raise ValueError("state carries no testing-node set")
-        return self.nodes.phi @ self.coeffs
-
+# Every result exposes basis, nodes, stats, failures, node_count and
+# time_points, which the run manifest records; post turns each kind into
+# its stats.csv and coefficients.json.
 
 @dataclass
 class GpcTrajectory:
@@ -99,16 +77,20 @@ class GpcTrajectory:
     stats: SolveStats | None = None
     ensemble: "SampleEnsemble | None" = None   # sc keeps its per-node runs
 
+    failures = 0                     # an expansion drops no sample
+
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
             raise ValueError("trajectory times must increase strictly")
 
-    def state(self, i: int) -> GpcState:
-        return GpcState(self.coeffs[i].ravel(), self.basis, self.nodes)
+    @property
+    def node_count(self) -> int:
+        """Deterministic solves per time point: K for st/sg, the grid for sc."""
+        return self.basis.size if self.ensemble is None else self.ensemble.node_count
 
     @property
-    def final(self) -> GpcState:
-        return self.state(len(self.times) - 1)
+    def time_points(self) -> int:
+        return len(self.times)
 
 
 @dataclass
@@ -123,6 +105,19 @@ class SampleEnsemble:
     failures: int = 0
     method: str = "mc"
     stats: SolveStats | None = None
+    seed: int | None = None          # the mc draw's seed; None for sc nodes
+
+    basis = None                     # moments only, no expansion
+    nodes = None
+
+    @property
+    def node_count(self) -> int:
+        """Points solved, failed ones included."""
+        return self.n_samples + self.failures
+
+    @property
+    def time_points(self) -> int:
+        return len(self.times)
 
     def mean(self) -> np.ndarray:
         return np.einsum("s,stn->tn", self.weights, self.solutions)
@@ -357,50 +352,53 @@ def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
     return analysis.start + analysis.step * np.arange(count)
 
 
-def _static(times, states, stats, scheme) -> Trajectory:
+def _static(times, states, stats) -> Trajectory:
     empty = np.zeros(0)
-    return Trajectory(times=times, states=states, scheme=scheme, h_history=empty,
+    return Trajectory(times=times, states=states, h_history=empty,
                       lte_history=empty, est_history=empty, stats=stats)
 
 
-def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
+def _run(problem, x0, analysis, label, newton, control=None,
          scheme="be", fixed_h=None, guess_previous=False) -> Trajectory:
     """The DC, sweep and transient runner every method shares.
 
-    problem_for(circuit) builds the (stacked) problem; a sweep rebuilds it on
-    each swept twin of the circuit and warm-starts every level from the one
-    before.  A transient caps the step at the analysis card's hmax, adaptive
-    or fixed.  The result's states are the problem's unknowns at each time or
-    sweep level.  Engine failures are re-raised with "[method=<label>]".
+    The run builds no problem of its own.  A sweep points the given
+    (stacked) problem at each swept twin of its circuit in turn and
+    warm-starts every level from the one before; the twins share the
+    parameters and the compiled device kernel, so whatever the problem set
+    up from them, such as the Galerkin quadrature tables, stays valid.  A
+    transient caps the step at the analysis card's hmax, adaptive or fixed.
+    The result's states are the problem's unknowns at each time or sweep
+    level.  Engine failures are re-raised with "[method=<label>]".
     """
     if isinstance(analysis, DcAnalysis):
         try:
-            res = dc_solve(problem_for(circuit), newton, x0=x0)
+            res = dc_solve(problem, newton, x0=x0)
         except DcConvergenceError as exc:
             _wrap_engine_error(exc, label)
-        return _static(np.zeros(1), res.x[None, :], res.stats, scheme)
+        return _static(np.zeros(1), res.x[None, :], res.stats)
 
     if isinstance(analysis, DcSweepAnalysis):
         levels = _sweep_levels(analysis)
+        circuit = problem.circuit
         stats = SolveStats()
         rows = []
         warm = x0
         for level in levels:
-            swept = circuit.with_source_dc(analysis.source, level)
+            problem.circuit = circuit.with_source_dc(analysis.source, level)
             try:
-                res = dc_solve(problem_for(swept), newton, x0=warm)
+                res = dc_solve(problem, newton, x0=warm)
             except DcConvergenceError as exc:
                 _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}")
             warm = res.x
             rows.append(res.x)
             stats.merge(res.stats)
-        return _static(levels, np.array(rows), stats, scheme)
+        return _static(levels, np.array(rows), stats)
 
     if isinstance(analysis, TranAnalysis):
         if analysis.hmax is not None:
             control = (StepControl(h_max=analysis.hmax) if control is None
                        else replace(control, h_max=analysis.hmax))
-        problem = problem_for(circuit)
         try:
             dc = dc_solve(problem, newton, x0=x0)
             traj = transient_solve(problem, dc.x, analysis.tstop, scheme=scheme,
@@ -414,14 +412,15 @@ def _run(problem_for, circuit, x0, analysis, label, newton, control=None,
     raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
 
 
-def _intrusive_solve(problem_factory, circuit, basis, nodes, analysis, method,
-                     newton=None, control=None, scheme="be", fixed_h=None):
+def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None,
+                     scheme="be", fixed_h=None):
+    circuit, basis = problem.circuit, problem.basis
     try:
         X0 = _initial_state(circuit, basis, newton)
     except DcConvergenceError as exc:
         _wrap_engine_error(exc, f"{method} nominal init")
-    run = _run(problem_factory, circuit, X0, analysis, method, newton,
-               control=control, scheme=scheme, fixed_h=fixed_h, guess_previous=True)
+    run = _run(problem, X0, analysis, method, newton, control=control,
+               scheme=scheme, fixed_h=fixed_h, guess_previous=True)
     return GpcTrajectory(
         times=run.times,
         coeffs=run.states.reshape(len(run.times), basis.size, circuit.n),
@@ -436,9 +435,8 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
     kwargs = {} if beta is None else {"beta": beta}
     node_set = select_testing_nodes(basis, _gauss_grid(circuit, order), **kwargs)
     return _intrusive_solve(
-        lambda c: STProblem(c, basis, node_set), circuit, basis, node_set,
-        analysis, "st", newton=newton, control=control, scheme=scheme,
-        fixed_h=fixed_h)
+        STProblem(circuit, basis, node_set), node_set, analysis, "st",
+        newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
 
 
 def sg_solve(circuit, order, analysis, newton=None, control=None,
@@ -446,9 +444,8 @@ def sg_solve(circuit, order, analysis, newton=None, control=None,
     """Stochastic Galerkin: projected intrusive solve, coupled dense updates."""
     basis = _basis_for(circuit, order)
     return _intrusive_solve(
-        lambda c: SGProblem(c, basis), circuit, basis, None,
-        analysis, "sg", newton=newton, control=control, scheme=scheme,
-        fixed_h=fixed_h)
+        SGProblem(circuit, basis), None, analysis, "sg",
+        newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
 
 
 def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
@@ -470,9 +467,9 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
 
     def solve(idx, label):
         nonlocal times, sols
-        nodes = GermPoints(points[idx])
-        traj = _run(lambda c: STProblem(c, None, nodes), circuit, None, analysis,
-                    label, newton, scheme=scheme, fixed_h=fixed_h)
+        problem = STProblem(circuit, None, GermPoints(points[idx]))
+        traj = _run(problem, None, analysis, label, newton, scheme=scheme,
+                    fixed_h=fixed_h)
         if sols is None:
             times = traj.times
             sols = np.full((len(points), len(times), n), np.nan)
@@ -553,7 +550,8 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
         n_samples=kept,
         failures=failures,
         method="mc",
-        stats=stats)
+        stats=stats,
+        seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -568,8 +566,16 @@ class AcResult:
     nodes: TestingNodeSet
     stats: SolveStats | None = None
 
-    def state(self, i: int) -> GpcState:
-        return GpcState(self.coeffs[i].ravel(), self.basis, self.nodes)
+    method = "st"
+    failures = 0
+
+    @property
+    def node_count(self) -> int:
+        return self.basis.size
+
+    @property
+    def time_points(self) -> int:
+        return len(self.freqs)
 
 
 def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
@@ -589,7 +595,7 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
     """
     dc = st_solve(circuit, order, DcAnalysis(), beta=beta, newton=newton)
     basis, nodes = dc.basis, dc.nodes
-    dc_states = dc.final.at_nodes()                 # (K, n)
+    dc_states = nodes.phi @ dc.coeffs[-1]           # (K, n)
     n, k = circuit.n, basis.size
 
     ev = circuit.eval_qf(dc_states, nodes.nodes)

@@ -57,7 +57,11 @@ class TestExitCodes:
                        "--out", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("flags", [("--order", "-1"), ("--fixed-step", "0"),
-                                       ("--method", "mc", "--samples", "0")])
+                                       ("--method", "mc", "--samples", "0"),
+                                       ("--method", "sc", "--ltetol", "1e-9"),
+                                       ("--method", "sg", "--beta", "0.5"),
+                                       ("--method", "mc", "--samples", "5",
+                                        "--beta", "0.5")])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
         assert run_cli("dc", "cs_amp.cir", *flags, "--out", str(tmp_path)) == 2
         assert not (tmp_path / "manifest.json").exists()

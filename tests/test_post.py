@@ -8,7 +8,7 @@ import pytest
 
 from gpcsim.basis import GpcBasisSet, Gaussian, Uniform
 from gpcsim.circuit import load_circuit
-from gpcsim.netlist import DcAnalysis, TranAnalysis
+from gpcsim.netlist import AcAnalysis, DcAnalysis, TranAnalysis
 from gpcsim.post import (
     PdfEstimate,
     StatSeries,
@@ -21,7 +21,7 @@ from gpcsim.post import (
     write_coefficients_json,
     write_stats_csv,
 )
-from gpcsim.solvers import mc_solve, sc_solve, sg_solve, st_solve
+from gpcsim.solvers import ac_solve, mc_solve, sc_solve, sg_solve, st_solve
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -35,6 +35,13 @@ v1 1 0 sin(0 1 1k)
 r1 1 2 dist=uniform(900,1100)
 c1 2 0 1u
 .tran 1m
+"""
+
+RC_LOWPASS_AC = """* rc lowpass, uniform resistor
+v1 1 0 dc 0 ac 1
+r1 1 2 dist=uniform(900,1100)
+c1 2 0 1u
+.ac 100 1k 2
 """
 
 
@@ -83,6 +90,17 @@ class TestStatsOverTime:
         from_ensemble = stats_over_time(traj.ensemble)
         assert from_coeffs.mean[0, 1] == pytest.approx(
             from_ensemble.mean[0, 1], rel=1e-9)
+
+    def test_ac_sweep_magnitude_and_spread(self):
+        """Phasor statistics: |c_0| and the RMS of the other coefficients."""
+        circuit = load_circuit(RC_LOWPASS_AC)
+        res = ac_solve(circuit, 2, AcAnalysis(100.0, 1000.0, 2))
+        s = stats_over_time(res, names=circuit.state_names)
+        np.testing.assert_array_equal(s.times, res.freqs)
+        np.testing.assert_array_equal(s.mean, np.abs(res.coeffs[:, 0, :]))
+        rms = np.sqrt(np.sum(np.abs(res.coeffs[:, 1:, :]) ** 2, axis=1))
+        np.testing.assert_allclose(s.std, rms, rtol=1e-15, atol=0.0)
+        assert s.std[:, 1].min() > 0.0    # the random resistor spreads v(2)
 
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
@@ -241,6 +259,23 @@ class TestExports:
         assert data["beta"] > 0.0
         got = np.array(data["coefficients"])
         np.testing.assert_array_equal(got, traj.coeffs)
+
+    def test_json_payload_of_mc_ensemble(self, tmp_path):
+        circuit = load_circuit(DIVIDER)
+        ens = mc_solve(circuit, 50, 7, DcAnalysis())
+        payload = coefficients_payload(ens, state_names=circuit.state_names)
+        assert payload["method"] == "mc"
+        assert payload["seed"] == 7
+        assert payload["states"] == list(circuit.state_names)
+        assert payload["n_samples"] == 50
+        assert payload["failures"] == 0
+        assert payload["times"] == [0.0]
+        assert payload["mean"] == ens.mean().tolist()
+        assert payload["std"] == ens.std().tolist()
+        assert coefficients_payload(ens)["states"] is None
+        path = tmp_path / "coeffs.json"
+        write_coefficients_json(path, ens, state_names=circuit.state_names)
+        assert json.loads(path.read_text()) == payload
 
     def test_json_complex_coefficients(self):
         from gpcsim.netlist import AcAnalysis

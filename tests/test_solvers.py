@@ -260,7 +260,7 @@ class TestStSolve:
         """Reconstructed nodal states satisfy the deterministic DC equations."""
         circuit = load_circuit(DIODE)
         traj = st_solve(circuit, 3, DcAnalysis())
-        states = traj.final.at_nodes()
+        states = traj.nodes.phi @ traj.coeffs[-1]
         bu = circuit.b_matrix @ circuit.dc_source_vector()
         for m, xi in enumerate(traj.nodes.nodes):
             resid = circuit.eval_qf(states[m], xi).f - bu
@@ -387,6 +387,24 @@ class TestSgSolve:
         st = st_solve(circuit, 3, DcAnalysis()).coeffs
         sg = sg_solve(circuit, 3, DcAnalysis()).coeffs
         assert np.abs(st - sg).max() < 1e-6
+
+    def test_dc_sweep_sets_up_the_projection_once(self, monkeypatch):
+        """One SGProblem serves every sweep level: its quadrature tables are
+        built once, and each level still solves its own source value."""
+        calls = []
+        set_up = solvers.SGProblem.__post_init__
+
+        def counted(problem):
+            calls.append(problem)
+            set_up(problem)
+
+        monkeypatch.setattr(solvers.SGProblem, "__post_init__", counted)
+        circuit = load_circuit(DIVIDER)
+        traj = sg_solve(circuit, 2, DcSweepAnalysis("v1", 0.0, 2.0, 0.5))
+        assert len(calls) == 1
+        # mean of v2 = v1*1000/(2000+100 xi) over uniform xi: 5 v1 ln(21/19)
+        want = 5.0 * traj.times * math.log(21.0 / 19.0)
+        np.testing.assert_allclose(traj.coeffs[:, 0, 1], want, rtol=1e-5, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
