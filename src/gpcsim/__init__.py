@@ -21,7 +21,6 @@ from .circuit import StochasticCircuit, load_circuit
 from .collocation import (
     TestingNodeSet,
     select_testing_nodes,
-    sparse_grid_count,
     speedup_model,
 )
 from .engine import NewtonConfig, StepControl
@@ -85,7 +84,6 @@ __all__ = [
     "sc_solve",
     "select_testing_nodes",
     "sg_solve",
-    "sparse_grid_count",
     "speedup_model",
     "st_solve",
     "stats_over_time",

@@ -11,6 +11,10 @@ Netlist arguments are tried as filesystem paths first and then against the
 netlists shipped with the package, so ``simulate dc cs_amp.cir`` works from
 any directory.
 
+A run flag given to a run that does not read it (`_FLAG_READERS`) exits 2
+before anything is written, so the manifest records only settings that took
+effect, and null for a flag left out, whose default the solvers fill in.
+
 Exit codes: 0 success, 2 netlist or configuration problem, 3 operating
 point failure, 4 transient/analysis failure, 5 testing-node selection
 failure.  stats.csv and coefficients.json are byte-identical across runs
@@ -25,15 +29,16 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitError, EvalOverflowError, load_circuit
+from .circuit import AssemblyWarning, CircuitError, EvalOverflowError, load_circuit
 from .collocation import PhiSingularError, SelectionError
-from .engine import DcConvergenceError, NewtonConfig, StepControl
+from .engine import SCHEMES, DcConvergenceError, NewtonConfig, StepControl
 from .netlist import (
     AcAnalysis,
     DcAnalysis,
@@ -55,22 +60,34 @@ _ANALYSIS_KINDS = {
     "tran": TranAnalysis,
     "ac": AcAnalysis,
 }
+METHODS = ("st", "sg", "sc", "mc")
 
 
 class ConfigError(ValueError):
     """Bad flag combination or a netlist missing the requested analysis."""
 
 
-# method-specific run flags and the methods that read them
-_FLAG_METHODS = {"samples": ("mc",), "ltetol": ("st", "sg"), "beta": ("st",)}
+# run flags that only some runs read: flag -> (methods, analyses) reading it
+_FLAG_READERS = {
+    "samples": (("mc",), tuple(_ANALYSIS_KINDS)),
+    "seed": (("mc",), tuple(_ANALYSIS_KINDS)),
+    "beta": (("st",), tuple(_ANALYSIS_KINDS)),
+    "ltetol": (("st", "sg"), ("tran",)),
+    "scheme": (METHODS, ("tran",)),
+    "fixed_step": (METHODS, ("tran",)),
+}
 
 
 def _check_flags(args):
     """Reject flag combinations argparse cannot express (exit code 2)."""
-    for flag, methods in _FLAG_METHODS.items():
-        if getattr(args, flag) is not None and args.method not in methods:
-            raise ConfigError(f"--{flag} applies to the {'/'.join(methods)} "
-                              f"method only")
+    for flag, (methods, analyses) in _FLAG_READERS.items():
+        if getattr(args, flag) is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if args.method not in methods:
+            raise ConfigError(f"{name} applies to the {'/'.join(methods)} method only")
+        if args.command not in analyses:
+            raise ConfigError(f"{name} applies to {'/'.join(analyses)} analyses only")
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be positive")
     if args.command == "ac" and args.method != "st":
@@ -121,7 +138,7 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dic
         "node_count": result.node_count,
         "cond_phi": nodes.cond_estimate if nodes is not None else None,
         "beta": nodes.beta_used if nodes is not None else None,
-        "seed": args.seed if args.method == "mc" else None,
+        "seed": result.seed if args.method == "mc" else None,
         "scheme": args.scheme,
         "fixed_step": args.fixed_step,
         "time_points": result.time_points,
@@ -205,16 +222,17 @@ def _print_report(rows, stream):
 def build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("netlist", help="netlist path or shipped example name")
-    run_flags.add_argument("--method", choices=("st", "sg", "sc", "mc"), default="st")
+    run_flags.add_argument("--method", choices=METHODS, default="st")
     run_flags.add_argument("--order", type=int, default=2, help="gPC total order p")
     run_flags.add_argument("--beta", type=float, default=None,
                            help="testing-node conditioning bound")
-    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument("--seed", type=int, default=None, help="mc draw seed")
     run_flags.add_argument("--samples", type=int, default=None,
                            help="sample count (mc only)")
     run_flags.add_argument("--fixed-step", type=float, default=None,
                            help="uniform transient step; disables adaption")
-    run_flags.add_argument("--scheme", choices=("be", "tr", "gear2"), default="be")
+    run_flags.add_argument("--scheme", choices=SCHEMES, default=None,
+                           help=f"transient scheme (default {SCHEMES[0]})")
     run_flags.add_argument("--abstol", type=float, default=None)
     run_flags.add_argument("--reltol", type=float, default=None)
     run_flags.add_argument("--ltetol", type=float, default=None)
@@ -240,7 +258,10 @@ def run(args) -> int:
     _check_flags(args)
     path = resolve_netlist(args.netlist)
     text = path.read_text()
-    circuit = load_circuit(text)
+    with warnings.catch_warnings():
+        # printed once below, in the cli's own format
+        warnings.simplefilter("ignore", AssemblyWarning)
+        circuit = load_circuit(text)
     for warning in circuit.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if circuit.l == 0:
@@ -249,15 +270,16 @@ def run(args) -> int:
     tolerances = {name: getattr(args, name) for name in ("abstol", "reltol")
                   if getattr(args, name) is not None}
     samples = {} if args.samples is None else {"n_samples": args.samples}
+    seed = {} if args.seed is None else {"seed": args.seed}
 
     start = time.perf_counter()
     # a single mc sample is only useful as the nominal run: use the mean point
     result = run_analysis(
-        circuit, args.method, args.order, analysis, beta=args.beta, seed=args.seed,
+        circuit, args.method, args.order, analysis, beta=args.beta,
         newton=NewtonConfig(**tolerances) if tolerances else None,
         control=None if args.ltetol is None else StepControl(lte_tol=args.ltetol),
         scheme=args.scheme, fixed_h=args.fixed_step,
-        mean_point=args.samples == 1, **samples)
+        mean_point=args.samples == 1, **samples, **seed)
     wall = time.perf_counter() - start
 
     written = write_artifacts(result, circuit, args, text, wall)

@@ -12,7 +12,6 @@ solution values back to gPC coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,18 +103,14 @@ def _scan(basis: GpcBasisSet, candidates, order, beta: float, needed: int):
     return accepted
 
 
-def select_testing_nodes(
-    basis: GpcBasisSet,
-    grid: TensorGrid,
-    beta: float = DEFAULT_BETA,
-    max_retries: int = MAX_BETA_RETRIES,
-) -> TestingNodeSet:
+def select_testing_nodes(basis: GpcBasisSet, grid: TensorGrid,
+                         beta: float = DEFAULT_BETA) -> TestingNodeSet:
     """Pick K candidate nodes, largest weight first, keeping Phi well conditioned.
 
     Candidates with equal weights are visited in ascending linear index, so
     the selection is deterministic.  If a pass accepts fewer than K nodes
-    the threshold beta is halved and the scan restarts, at most max_retries
-    times, after which a SelectionError reports the count reached.
+    the threshold beta is halved and the scan restarts, at most
+    MAX_BETA_RETRIES times, after which a SelectionError reports the count reached.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -132,7 +127,7 @@ def select_testing_nodes(
 
     accepted: list[int] = []
     cur_beta = beta
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_BETA_RETRIES + 1):
         cur_beta = beta * 0.5**attempt
         accepted = _scan(basis, candidates, order, cur_beta, needed)
         if len(accepted) == needed:
@@ -152,26 +147,11 @@ def select_testing_nodes(
     )
 
 
-def sparse_grid_count(p: int, l: int) -> int:
-    """Node count of a level-p sparse collocation grid over l germs."""
-    if p < 0 or l < 1:
-        raise ValueError(f"need p >= 0 and l >= 1, got p={p}, l={l}")
-    total = sum(2**i * math.comb(l - 1 + i, i) for i in range(p + 1))
-    if total > 2**63 - 1:
-        raise OverflowError(f"sparse-grid count {total} exceeds the 2^63-1 limit")
-    return total
+def speedup_model(p: int, l: int) -> float:
+    """Per-solve node-count ratio of tensor-grid collocation over the
+    testing-node method: (p+1)^l / K.
 
-
-def speedup_model(p: int, l: int, sc_kind: str = "TP") -> float:
-    """Per-solve node-count ratio of collocation over the testing-node method.
-
-    TP compares against the full (p+1)^l tensor grid, SP against the
-    sparse-grid count.  The ratio is the deterministic-solve speedup; the
-    observed transient speedup additionally scales with the time-step ratio.
+    The ratio is the deterministic-solve speedup; the observed transient
+    speedup additionally scales with the time-step ratio.
     """
-    k = num_basis(p, l)
-    if sc_kind.upper() == "TP":
-        return (p + 1) ** l / k
-    if sc_kind.upper() == "SP":
-        return sparse_grid_count(p, l) / k
-    raise ValueError(f"sc_kind must be 'TP' or 'SP', got {sc_kind!r}")
+    return (p + 1) ** l / num_basis(p, l)

@@ -18,8 +18,8 @@ Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
 uniform step with none.  StepControl.h_max bounds the step in both modes.
 
-dc_solve and transient_solve are the only places that fill in a missing
-NewtonConfig or StepControl with its defaults; callers pass None through.
+dc_solve and transient_solve alone fill in a missing NewtonConfig,
+StepControl or scheme with its default; callers pass None through.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ import numpy as np
 
 from .circuit import EvalOverflowError
 
-SCHEMES = ("be", "tr", "gear2")
+SCHEMES = ("be", "tr", "gear2")   # the first is the default
 HOMOTOPY_STEPS = 10
+NEWTON_MAX_ITER = 50  # Newton iterations before a solve gives up
+H_MIN = 1e-18         # smallest adaptive step before a transient gives up
 STEP_GROW = 2.0      # largest step growth after an accepted step
 STEP_SHRINK = 0.5    # step cut on a rejection; also the smallest shrink factor
 STEP_SAFETY = 0.9    # margin on the error-optimal step
@@ -54,13 +56,11 @@ class TransientError(EngineError):
 class NewtonConfig:
     abstol: float = 1e-12
     reltol: float = 1e-9
-    max_iter: int = 50
 
 
 @dataclass(frozen=True)
 class StepControl:
     h_init: float = 1e-9
-    h_min: float = 1e-18
     h_max: float = np.inf
     lte_tol: float = 1e-3
     lte_floor: float = 1e-3   # absolute floor mixed into the per-state scale
@@ -108,7 +108,7 @@ def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
     x = np.array(x0, dtype=float)
     stats = stats if stats is not None else SolveStats()
     last_norm = np.inf
-    for it in range(config.max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         try:
             ev = problem.eval(x, t)
         except EvalOverflowError as exc:
@@ -118,7 +118,7 @@ def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
         last_norm = float(np.abs(resid).max()) if resid.size else 0.0
         if last_norm <= config.abstol + config.reltol * float(np.abs(x).max() if x.size else 0.0):
             return NewtonResult(x, True, it, last_norm, eval=ev)
-        if it == config.max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         try:
             tic = time.perf_counter()
@@ -131,7 +131,7 @@ def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
             return NewtonResult(x, False, it, last_norm, failure="non-finite update")
         x = x + dx
         stats.newton_iterations += 1
-    return NewtonResult(x, False, config.max_iter, last_norm,
+    return NewtonResult(x, False, NEWTON_MAX_ITER, last_norm,
                         failure="iteration limit reached")
 
 
@@ -230,7 +230,7 @@ def _corrector_constant(scheme, h, gaps, startup):
     return h * h * (h + gaps[0]) * (1 + r) / (6.0 * (1 + 2 * r))
 
 
-def transient_solve(problem, x0, t_end, scheme="be",
+def transient_solve(problem, x0, t_end, scheme=None,
                     newton: NewtonConfig | None = None,
                     control: StepControl | None = None,
                     fixed_h=None, guess_previous=False) -> Trajectory:
@@ -241,6 +241,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
     `guess_previous` asks for the plain previous state; the error estimate
     always uses the predictor.
     """
+    scheme = scheme or SCHEMES[0]
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     newton = newton or NewtonConfig()
@@ -298,7 +299,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
                     f"newton failed at t={t_new:.6g} on a fixed step: {res.failure}")
             stats.steps_rejected += 1
             h *= STEP_SHRINK
-            if h < control.h_min:
+            if h < H_MIN:
                 raise TransientError(
                     f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
             continue
@@ -313,7 +314,7 @@ def transient_solve(problem, x0, t_end, scheme="be",
             if ratio > 1.0:
                 stats.steps_rejected += 1
                 h *= STEP_SHRINK
-                if h < control.h_min:
+                if h < H_MIN:
                     raise TransientError(
                         f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
                 continue

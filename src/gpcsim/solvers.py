@@ -21,8 +21,8 @@ methods run DC, sweeps and transients through one function, `_run`, on a
 problem built once per run (a sweep re-points it at each level's
 circuit), and `_run` applies a `.tran tstop hmax` bound to every method's
 step.  st and sg keep adaptive step control, while sc/mc use a fixed grid
-so samples share time points.  A Newton or step-control setting left as None reaches the
-engine as None, and the engine fills in its defaults.
+so samples share time points.  A Newton, step-control or scheme setting
+left as None reaches the engine as None, which fills in its defaults.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .quadrature import gauss_rule, tensor_grid
 
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
 LOCKSTEP_CHUNK = 128         # germ points per sc/mc lockstep batch; bounds its memory
+MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
 
 
 class MethodError(RuntimeError):
@@ -359,7 +360,7 @@ def _static(times, states, stats) -> Trajectory:
 
 
 def _run(problem, x0, analysis, label, newton, control=None,
-         scheme="be", fixed_h=None, guess_previous=False) -> Trajectory:
+         scheme=None, fixed_h=None, guess_previous=False) -> Trajectory:
     """The DC, sweep and transient runner every method shares.
 
     The run builds no problem of its own.  A sweep points the given
@@ -413,7 +414,7 @@ def _run(problem, x0, analysis, label, newton, control=None,
 
 
 def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None,
-                     scheme="be", fixed_h=None):
+                     scheme=None, fixed_h=None):
     circuit, basis = problem.circuit, problem.basis
     try:
         X0 = _initial_state(circuit, basis, newton)
@@ -429,7 +430,7 @@ def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None
 
 
 def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
-             scheme="be", fixed_h=None):
+             scheme=None, fixed_h=None):
     """Stochastic testing: collocated intrusive solve with decoupled updates."""
     basis = _basis_for(circuit, order)
     kwargs = {} if beta is None else {"beta": beta}
@@ -440,7 +441,7 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
 
 
 def sg_solve(circuit, order, analysis, newton=None, control=None,
-             scheme="be", fixed_h=None):
+             scheme=None, fixed_h=None):
     """Stochastic Galerkin: projected intrusive solve, coupled dense updates."""
     basis = _basis_for(circuit, order)
     return _intrusive_solve(
@@ -493,7 +494,7 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
     return times, sols, errors, stats
 
 
-def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
+def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
     projection."""
     basis = _basis_for(circuit, order)
@@ -516,12 +517,12 @@ def sc_solve(circuit, order, analysis, newton=None, scheme="be", fixed_h=None):
         stats=stats, ensemble=ensemble)
 
 
-def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
-             fixed_h=None, mean_point=False, max_failure_fraction=0.01):
+def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
+             fixed_h=None, mean_point=False):
     """Plain Monte Carlo: seeded draws, deterministic runs in lockstep.
 
     A sample whose own run fails is dropped and counted; more than
-    max_failure_fraction of them aborts the run.
+    MAX_FAILURE_FRACTION of them aborts the run.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -537,9 +538,9 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme="be",
     times, sols, errors, stats = _sample_runs(circuit, samples, analysis, newton,
                                               scheme, fixed_h, "mc")
     failures = len(errors)
-    if failures > max_failure_fraction * n_samples:
+    if failures > MAX_FAILURE_FRACTION * n_samples:
         raise MethodError(
-            f"{failures}/{n_samples} samples failed (> {max_failure_fraction:.0%})")
+            f"{failures}/{n_samples} samples failed (> {MAX_FAILURE_FRACTION:.0%})")
     good = [s for s in range(n_samples) if s not in errors]
     kept = len(good)
     return SampleEnsemble(
@@ -588,34 +589,31 @@ def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
 def ac_solve(circuit, order, freqs, beta=None, newton=None):
     """Frequency sweep of the linearization around the stochastic DC point.
 
-    Each testing node gets its own small-signal system (G + jwC) y = B u_ac,
-    solved for all nodes as one batch per frequency;
-    nodal solutions map back to coefficients through the inverse Vandermonde.
+    The st problem linearized at the DC coefficients with c = jw gives each
+    testing node its own small-signal system (G + jwC) y = B u_ac; its
+    decoupled solve maps the nodal solutions back to coefficients.
     `freqs` is either an explicit frequency array or an AC analysis card.
     """
     dc = st_solve(circuit, order, DcAnalysis(), beta=beta, newton=newton)
     basis, nodes = dc.basis, dc.nodes
-    dc_states = nodes.phi @ dc.coeffs[-1]           # (K, n)
-    n, k = circuit.n, basis.size
-
-    ev = circuit.eval_qf(dc_states, nodes.nodes)
-    rhs = circuit.b_matrix @ circuit.ac_source_vector()
+    k = basis.size
+    ev = STProblem(circuit, basis, nodes).eval(dc.coeffs[-1].ravel(), 0.0)
+    rhs = np.tile(circuit.b_matrix @ circuit.ac_source_vector(), k)
 
     if isinstance(freqs, AcAnalysis):
         freqs = frequency_grid(freqs.fstart, freqs.fstop,
                                freqs.points_per_decade)
     else:
         freqs = np.asarray(freqs, dtype=float)
-    coeffs = np.empty((len(freqs), k, n), dtype=complex)
+    coeffs = np.empty((len(freqs), k, circuit.n), dtype=complex)
     for i, freq in enumerate(freqs):
-        systems = ev.df + 1j * (2.0 * math.pi * freq) * ev.dq      # (K, n, n)
+        lin = ev.linearize(1j * (2.0 * math.pi * freq))
         try:
-            nodal = np.linalg.solve(systems, rhs[:, None])[..., 0]
+            coeffs[i] = lin.solve(rhs).reshape(k, -1)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(
-                f"singular small-signal system at node {_singular_block(systems)}, "
+                f"singular small-signal system at node {_singular_block(ev.blocks)}, "
                 f"f={freq:g} Hz") from None
-        coeffs[i] = nodes.phi_inv @ nodal
     return AcResult(freqs=freqs, coeffs=coeffs, basis=basis, nodes=nodes,
                     stats=dc.stats)
 
@@ -625,22 +623,19 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
 # --------------------------------------------------------------------------
 
 def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
-                 n_samples=1000, newton=None, control=None, scheme="be",
+                 n_samples=1000, newton=None, control=None, scheme=None,
                  fixed_h=None, mean_point=False):
     if isinstance(analysis, AcAnalysis):
         if method != "st":
             raise MethodError("ac analysis is implemented for the st method only")
         return ac_solve(circuit, order, analysis, beta=beta, newton=newton)
+    run = {"newton": newton, "scheme": scheme, "fixed_h": fixed_h}
     if method == "st":
-        return st_solve(circuit, order, analysis, beta=beta, newton=newton,
-                        control=control, scheme=scheme, fixed_h=fixed_h)
+        return st_solve(circuit, order, analysis, beta=beta, control=control, **run)
     if method == "sg":
-        return sg_solve(circuit, order, analysis, newton=newton,
-                        control=control, scheme=scheme, fixed_h=fixed_h)
+        return sg_solve(circuit, order, analysis, control=control, **run)
     if method == "sc":
-        return sc_solve(circuit, order, analysis, newton=newton, scheme=scheme,
-                        fixed_h=fixed_h)
+        return sc_solve(circuit, order, analysis, **run)
     if method == "mc":
-        return mc_solve(circuit, n_samples, seed, analysis, newton=newton,
-                        scheme=scheme, fixed_h=fixed_h, mean_point=mean_point)
+        return mc_solve(circuit, n_samples, seed, analysis, mean_point=mean_point, **run)
     raise MethodError(f"unknown method {method!r}")

@@ -1,0 +1,38 @@
+"""The benchmark's hooks into the package, checked by the tier-1 suite.
+
+``bench/`` wraps package functions and methods by name, repeats each
+workload's set-up calls and runs ``simulate`` command lines.  A renamed
+function, a changed signature or a newly refused flag would otherwise show
+up only in the benchmark's own tests.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from tracer import span_points  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from gpcsim import cli  # noqa: E402
+
+
+def test_every_span_point_exists():
+    for owner, attr, span, _ in span_points():
+        assert attr in vars(owner), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_setup_runs(name):
+    workload = WORKLOADS[name]
+    text = cli.resolve_netlist(workload.netlist).read_text()
+    workload.setup(text, workload.order, 1)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_command_lines_pass_the_flag_checks(name):
+    workload = WORKLOADS[name]
+    for argv in (workload.argv(1), list(workload.reference)):
+        cli._check_flags(cli.build_parser().parse_args(argv))

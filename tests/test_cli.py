@@ -5,6 +5,8 @@ are observable without spawning interpreters.
 """
 
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,14 +58,26 @@ class TestExitCodes:
         assert run_cli("ac", "rc_uniform.cir", "--method", "sg",
                        "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("flags", [("--order", "-1"), ("--fixed-step", "0"),
-                                       ("--method", "mc", "--samples", "0"),
-                                       ("--method", "sc", "--ltetol", "1e-9"),
-                                       ("--method", "sg", "--beta", "0.5"),
-                                       ("--method", "mc", "--samples", "5",
-                                        "--beta", "0.5")])
+    # each command line is refused for one reason only
+    @pytest.mark.parametrize("flags", [
+        ("dc", "cs_amp.cir", "--order", "-1"),
+        ("tran", "rc_uniform.cir", "--fixed-step", "0"),
+        ("dc", "cs_amp.cir", "--method", "mc", "--samples", "0"),
+        ("tran", "rc_uniform.cir", "--method", "sc", "--ltetol", "1e-9"),
+        ("dc", "cs_amp.cir", "--method", "sg", "--beta", "0.5"),
+        ("dc", "cs_amp.cir", "--method", "mc", "--samples", "5", "--beta", "0.5"),
+        # flags only a transient reads
+        *[(command, netlist, *flag)
+          for command, netlist in [("dc", "cs_amp.cir"), ("dcsweep", "cs_amp.cir"),
+                                   ("ac", "rc_uniform.cir")]
+          for flag in [("--ltetol", "1e-9"), ("--scheme", "gear2"),
+                       ("--fixed-step", "1e-9")]],
+        # --seed is read by mc only
+        *[("dc", "cs_amp.cir", "--method", method, "--seed", "7")
+          for method in ("st", "sg", "sc")],
+    ])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
-        assert run_cli("dc", "cs_amp.cir", *flags, "--out", str(tmp_path)) == 2
+        assert run_cli(*flags, "--out", str(tmp_path)) == 2
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("method", ["st", "mc"])
@@ -213,6 +227,40 @@ class TestArtifacts:
             assert run_cli("dc", "cs_amp.cir", "--order", "1", *flags,
                            "--out", str(tmp_path)) == 0
         assert seen == [None, NewtonConfig(abstol=1e-11), NewtonConfig(reltol=1e-8)]
+
+    def test_manifest_records_run_flags_as_given(self, tmp_path):
+        runs = {
+            "dc": ("dc", "cs_amp.cir", "--order", "1"),
+            "tran": ("tran", "rc_uniform.cir", "--order", "1", "--scheme", "tr",
+                     "--fixed-step", "1e-4"),
+            "mc": ("dc", "cs_amp.cir", "--method", "mc", "--samples", "5",
+                   "--seed", "3"),
+        }
+        got = {}
+        for name, argv in runs.items():
+            assert run_cli(*argv, "--out", str(tmp_path / name)) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            got[name] = (manifest["scheme"], manifest["fixed_step"], manifest["seed"])
+        assert got == {"dc": (None, None, None), "tran": ("tr", 1e-4, None),
+                       "mc": (None, None, 3)}
+
+    def test_assembly_warning_printed_once(self, tmp_path, capsys, monkeypatch):
+        # show Python warnings on stderr the way a plain interpreter does
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                    lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+        net = tmp_path / "capnode.cir"
+        net.write_text("* node c is touched by capacitors only\nv1 a 0 1\n"
+                       "r1 a b dist=uniform(900, 1100)\nr2 b 0 1k\n"
+                       "c1 b c 1n\nc2 c 0 1n\n.dc\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            run_cli("dc", str(net), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert err.count("node 'c' has no DC path") == 1
+        assert "warning: node 'c' has no DC path" in err
 
     def test_shipped_netlist_resolution(self):
         text = resolve_netlist("cs_amp.cir").read_text()

@@ -5,14 +5,14 @@ import logging
 import numpy as np
 import pytest
 
-from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform, num_basis
+from gpcsim import collocation
+from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform
 from gpcsim.collocation import (
     DEFAULT_BETA,
     MAX_BETA_RETRIES,
     SelectionError,
     build_phi,
     select_testing_nodes,
-    sparse_grid_count,
     speedup_model,
 )
 from gpcsim.quadrature import gauss_rule, tensor_grid
@@ -158,14 +158,15 @@ def test_phi_inverse_identity_and_cond():
     assert sel.cond_estimate >= 1.0
 
 
-def test_selection_failure_and_retry():
+def test_selection_failure_and_retry(monkeypatch):
     dists = [Gaussian(), Gaussian()]
     basis = GpcBasisSet(dists, 1)
     grid = make_grid(dists, 1)
     # at beta=0.95 the three remaining corner candidates all fail the
     # orthogonality test (ratio ~ 0.943), so a single pass cannot reach K=3
-    with pytest.raises(SelectionError) as err:
-        select_testing_nodes(basis, grid, beta=0.95, max_retries=0)
+    with monkeypatch.context() as m, pytest.raises(SelectionError) as err:
+        m.setattr(collocation, "MAX_BETA_RETRIES", 0)
+        select_testing_nodes(basis, grid, beta=0.95)
     assert err.value.selected < err.value.needed
     assert err.value.needed == 3
 
@@ -174,9 +175,10 @@ def test_selection_failure_and_retry():
     assert sel.beta_used < 0.95
 
 
-def test_monotone_beta_is_a_soft_diagnostic(caplog):
+def test_monotone_beta_is_a_soft_diagnostic(caplog, monkeypatch):
     # raising beta should not worsen conditioning in most cases; violations
     # are logged for inspection, never failed hard
+    monkeypatch.setattr(collocation, "MAX_BETA_RETRIES", 0)
     rng = np.random.default_rng(11)
     violations = 0
     trials = 0
@@ -190,8 +192,8 @@ def test_monotone_beta_is_a_soft_diagnostic(caplog):
         basis = GpcBasisSet(dists, p)
         grid = make_grid(dists, p)
         try:
-            lo = select_testing_nodes(basis, grid, beta=1e-3, max_retries=0)
-            hi = select_testing_nodes(basis, grid, beta=1e-1, max_retries=0)
+            lo = select_testing_nodes(basis, grid, beta=1e-3)
+            hi = select_testing_nodes(basis, grid, beta=1e-1)
         except SelectionError:
             continue
         trials += 1
@@ -222,21 +224,7 @@ def test_argument_validation():
 # cost model
 # ---------------------------------------------------------------------------
 
-def test_sparse_grid_count_values():
-    assert sparse_grid_count(0, 5) == 1
-    assert sparse_grid_count(1, 1) == 3
-    assert sparse_grid_count(2, 2) == 17
-    with pytest.raises(ValueError):
-        sparse_grid_count(-1, 2)
-    with pytest.raises(OverflowError):
-        sparse_grid_count(120, 40)
-
-
 def test_speedup_model_values():
-    assert speedup_model(6, 4, "TP") == pytest.approx(2401 / 210)
-    assert speedup_model(1, 4, "TP") == pytest.approx(16 / 5)
-    assert speedup_model(0, 3, "TP") == pytest.approx(1.0)
-    assert speedup_model(0, 3, "SP") == pytest.approx(1.0)
-    assert speedup_model(2, 2, "SP") == pytest.approx(17 / num_basis(2, 2))
-    with pytest.raises(ValueError):
-        speedup_model(2, 2, "XX")
+    assert speedup_model(6, 4) == pytest.approx(2401 / 210)
+    assert speedup_model(1, 4) == pytest.approx(16 / 5)
+    assert speedup_model(0, 3) == pytest.approx(1.0)

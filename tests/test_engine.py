@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gpcsim import engine
 from gpcsim.circuit import load_circuit
 from gpcsim.engine import (
+    SCHEMES,
     DcConvergenceError,
     NewtonConfig,
     SolveStats,
@@ -85,10 +87,11 @@ def test_quadratic_root_in_few_iterations():
     assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_newton_reports_iteration_limit():
+def test_newton_reports_iteration_limit(monkeypatch):
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 25)
     prob = ScalarProblem(lambda v: v * v * v - 2 * v + 2, lambda v: 3 * v * v - 2, 0.0)
     res = newton_solve(prob, np.array([0.0]), 0.0, 0.0, np.zeros(1),
-                       prob.source(0.0), NewtonConfig(max_iter=25))
+                       prob.source(0.0), NewtonConfig())
     assert not res.converged  # the classic 0 <-> 1 Newton cycle
     assert "limit" in res.failure
 
@@ -123,11 +126,12 @@ def test_diode_clamp_matches_bisection():
     assert res.x[1] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
 
-def test_homotopy_rescues_cold_start():
+def test_homotopy_rescues_cold_start(monkeypatch):
     # sinh(x) = 20 from x=0 overshoots to x=20 and blows up; the 10-step
     # source ramp walks the solution out instead
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 8)
     prob = ScalarProblem(np.sinh, np.cosh, 20.0)
-    res = dc_solve(prob, NewtonConfig(max_iter=8))
+    res = dc_solve(prob, NewtonConfig())
     assert res.homotopy_used
     assert res.x[0] == pytest.approx(math.asinh(20.0), rel=1e-10)
 
@@ -154,6 +158,14 @@ def test_scheme_order_by_halving(scheme, target):
     e1 = final_error(scheme, 200)
     e2 = final_error(scheme, 400)
     assert e1 / e2 == pytest.approx(target, rel=0.2)
+
+
+def test_missing_scheme_is_the_first_of_schemes():
+    prob = rc_problem()
+    default = transient_solve(prob, np.zeros(3), 1e-3, scheme=None, fixed_h=1e-5)
+    first = transient_solve(prob, np.zeros(3), 1e-3, scheme=SCHEMES[0], fixed_h=1e-5)
+    assert SCHEMES[0] == "be"
+    np.testing.assert_array_equal(default.states, first.states)
 
 
 def test_fixed_step_grid_and_final_time():
@@ -234,11 +246,12 @@ class FailingAfter:
         return self.inner.source(t)
 
 
-def test_step_underflow_raises():
+def test_step_underflow_raises(monkeypatch):
+    monkeypatch.setattr(engine, "H_MIN", 1e-12)
     prob = FailingAfter(rc_problem(), 1e-5)
     with pytest.raises(TransientError, match="underflow"):
         transient_solve(prob, np.zeros(3), 1e-3, scheme="be",
-                        control=StepControl(h_init=1e-6, h_min=1e-12))
+                        control=StepControl(h_init=1e-6))
 
 
 def test_fixed_step_newton_failure_raises():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e, legendre
 
-from gpcsim import solvers
+from gpcsim import engine, solvers
 from gpcsim.basis import GpcBasisSet
 from gpcsim.circuit import load_circuit
 from gpcsim.collocation import select_testing_nodes
@@ -298,7 +298,7 @@ class TestStSolve:
         assert abs(c[idx[(1, 1)], 0]) < 1e-12
         assert abs(c[idx[(2, 0)], 0]) < 1e-12
 
-    def test_engine_failure_is_annotated(self):
+    def test_engine_failure_is_annotated(self, monkeypatch):
         bad = load_circuit("""* no dc path anywhere useful
 v1 1 0 dc 1
 r1 1 2 dist=uniform(900,1100)
@@ -307,9 +307,10 @@ d1 0 2 is=1e-14
 """)
         # reverse-biased diode in series leaves node 2 floating at DC; the
         # solve itself still works, so force failure with a hopeless budget
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 0)
         with pytest.raises(Exception, match="method=st"):
             st_solve(bad, 2, DcAnalysis(),
-                     newton=NewtonConfig(max_iter=0, abstol=1e-30, reltol=1e-30))
+                     newton=NewtonConfig(abstol=1e-30, reltol=1e-30))
 
 
 SHIPPED = sorted(p.name for p in (resources.files("gpcsim") / "netlists").iterdir()
@@ -424,14 +425,15 @@ class TestScSolve:
         sc = sc_solve(circuit, 2, DcAnalysis()).coeffs
         assert np.abs(st - sc).max() < 1e-8
 
-    def test_failure_names_the_node(self):
+    def test_failure_names_the_node(self, monkeypatch):
         # R(xi) crosses zero inside the uniform support: the node at the
         # negative end produces a negative-resistance divider that still
         # solves, so instead starve Newton to force a per-node failure
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 0)
         circuit = load_circuit(DIODE)
         with pytest.raises(Exception, match=r"method=sc node \d+ xi="):
             sc_solve(circuit, 1, DcAnalysis(),
-                     newton=NewtonConfig(max_iter=0, abstol=1e-30, reltol=1e-30))
+                     newton=NewtonConfig(abstol=1e-30, reltol=1e-30))
 
     def test_shared_transient_grid(self):
         circuit = load_circuit(RC_UNIFORM)
@@ -473,23 +475,24 @@ class TestMcSolve:
         assert abs(ens.mean()[0, 1] - mean_ref) < 3.0 * se
         assert abs(ens.std()[0, 1] - std_ref) / std_ref < 0.1
 
-    def test_failure_budget_aborts(self):
+    def test_failure_budget_aborts(self, monkeypatch):
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 0)
         circuit = load_circuit(DIODE)
         with pytest.raises(MethodError, match="samples failed"):
             mc_solve(circuit, 20, 0, DcAnalysis(),
-                     newton=NewtonConfig(max_iter=0, abstol=1e-30, reltol=1e-30))
+                     newton=NewtonConfig(abstol=1e-30, reltol=1e-30))
 
     def test_lockstep_failures_stay_with_their_samples(self, monkeypatch):
         """Draws that push r1 below zero leave no operating point; only they
         fail, and every other sample matches its own one-point solve, in
         clean chunks and in chunks that had to be retried point by point."""
         monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", 16)
+        monkeypatch.setattr(solvers, "MAX_FAILURE_FRACTION", 0.1)
         circuit = load_circuit(NEGATIVE_R)
         # tight enough that both routes sit at the same root to ~1e-11 V
         newton = NewtonConfig(abstol=1e-15, reltol=1e-13)
         seed, count = 4, 200
-        ens = mc_solve(circuit, count, seed, DcAnalysis(), newton=newton,
-                       max_failure_fraction=0.1)
+        ens = mc_solve(circuit, count, seed, DcAnalysis(), newton=newton)
 
         xi = circuit.params[0].dist.sample(np.random.default_rng(seed), count)
         ok = 1000.0 + 400.0 * xi > 0.0
