@@ -8,11 +8,12 @@ randomness enters through device parameters bound to germ components.
 Assembly records one DeviceSpec per device and nothing more.  The batched
 DeviceKernel is compiled from those specs on the first evaluation and
 cached in a holder that copies share, so the swept twins a DC sweep makes
-with `with_source_dc` reuse it.  `eval_qf` is the only device-evaluation
-path: every method calls it once per Newton iteration with all of its
-points, and a deterministic solve, such as the nominal operating point,
-calls it with one.  A 1-D (x, xi) call is the M = 1 case with unbatched
-shapes.
+with `with_source_dc` reuse it, and with it its memo of the parameters at
+the last germ points, which the sweep levels share.  `eval_qf` is the only
+device-evaluation path: every method calls it once per Newton iteration
+with all of its points, and a deterministic solve, such as the nominal
+operating point, calls it with one.  A 1-D (x, xi) call is the M = 1 case
+with unbatched shapes.
 """
 
 from __future__ import annotations

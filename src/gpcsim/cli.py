@@ -4,22 +4,25 @@ One subcommand per analysis (dc, dcsweep, tran, ac) plus ``report``, which
 digests run manifests into a cost-comparison table.  This module only
 parses and checks flags, runs the analysis and calls the writers of
 `gpcsim.post`, which owns every artifact format.  Every run writes a
-manifest recording basis size, node count, wall time, and step/Newton
+manifest recording basis size, node count, wall time (the analysis
+alone), write time (stats.csv and coefficients.json), and step/Newton
 totals, so speedup ratios can be recomputed from the manifests alone.
 
 Netlist arguments are tried as filesystem paths first and then against the
 netlists shipped with the package, so ``simulate dc cs_amp.cir`` works from
 any directory.
 
-A run flag given to a run that does not read it (`_FLAG_READERS`) exits 2
-before anything is written, so the manifest records only settings that took
+A run flag given to a run that does not read it (`_FLAG_READERS`, plus
+--ltetol with --fixed-step and --seed with --samples 1) exits 2 before
+anything is written, so the manifest records only settings that took
 effect, and null for a flag left out, whose default the solvers fill in.
+The manifest's order is the one the expansion used, null for mc.
 
 Exit codes: 0 success, 2 netlist or configuration problem, 3 operating
 point failure, 4 transient/analysis failure, 5 testing-node selection
 failure.  stats.csv and coefficients.json are byte-identical across runs
 with the same configuration and seed; manifest.json is not, because it
-records wall time.
+records wall and write times.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .netlist import (
     TranAnalysis,
 )
 from .post import stats_over_time, write_coefficients_json, write_json, write_stats_csv
-from .solvers import MethodError, run_analysis
+from .solvers import DEFAULT_ORDER, MethodError, run_analysis
 
 EXIT_CONFIG = 2
 EXIT_DC = 3
@@ -69,6 +72,7 @@ class ConfigError(ValueError):
 
 # run flags that only some runs read: flag -> (methods, analyses) reading it
 _FLAG_READERS = {
+    "order": (("st", "sg", "sc"), tuple(_ANALYSIS_KINDS)),
     "samples": (("mc",), tuple(_ANALYSIS_KINDS)),
     "seed": (("mc",), tuple(_ANALYSIS_KINDS)),
     "beta": (("st",), tuple(_ANALYSIS_KINDS)),
@@ -90,9 +94,13 @@ def _check_flags(args):
             raise ConfigError(f"{name} applies to {'/'.join(analyses)} analyses only")
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be positive")
+    if args.seed is not None and args.samples == 1:
+        raise ConfigError("--seed draws nothing with --samples 1, which runs the mean point")
+    if args.ltetol is not None and args.fixed_step is not None:
+        raise ConfigError("--ltetol controls adaptive steps, which --fixed-step turns off")
     if args.command == "ac" and args.method != "st":
         raise ConfigError("ac analysis runs with --method st only")
-    if args.order < 0:
+    if args.order is not None and args.order < 0:
         raise ConfigError("--order must be nonnegative")
     if args.fixed_step is not None and args.fixed_step <= 0:
         raise ConfigError("--fixed-step must be positive")
@@ -123,7 +131,13 @@ def pick_analysis(circuit, kind: str):
 # artifact writers
 # --------------------------------------------------------------------------
 
-def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dict:
+def _expansion_order(result):
+    """The gPC order a run expanded in; None for mc, which expands nothing."""
+    return result.basis.order if result.basis is not None else None
+
+
+def build_manifest(result, circuit, args, netlist_text: str, wall: float,
+                   write_time: float) -> dict:
     nodes = result.nodes
     return {
         "netlist": Path(args.netlist).name,
@@ -131,7 +145,7 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dic
         "title": circuit.name,
         "analysis": args.command,
         "method": args.method,
-        "order": args.order,
+        "order": _expansion_order(result),
         "states": circuit.n,
         "random_parameters": circuit.l,
         "basis_size": result.basis.size if result.basis is not None else None,
@@ -144,6 +158,7 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float) -> dic
         "time_points": result.time_points,
         "failures": result.failures,
         "wall_time_s": wall,
+        "write_time_s": write_time,
         **asdict(result.stats),
     }
 
@@ -153,14 +168,17 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
     out.mkdir(parents=True, exist_ok=True)
     names = circuit.state_names
     written = []
+    start = time.perf_counter()
     if args.format in ("csv", "both"):
         written.append(out / "stats.csv")
         write_stats_csv(written[-1], stats_over_time(result, names=names))
     if args.format in ("json", "both"):
         written.append(out / "coefficients.json")
         write_coefficients_json(written[-1], result, state_names=names)
+    write_time = time.perf_counter() - start
     written.append(out / "manifest.json")
-    write_json(written[-1], build_manifest(result, circuit, args, netlist_text, wall))
+    write_json(written[-1], build_manifest(result, circuit, args, netlist_text, wall,
+                                          write_time))
     return written
 
 
@@ -210,7 +228,8 @@ def _print_report(rows, stream):
     print(header, file=stream)
     for r in rows:
         steps = r["steps_accepted"] if r["steps_accepted"] is not None else "-"
-        print(f"{r['method']:<8}{r['order']:>6}{r['node_count']:>8}{steps:>8}"
+        order = r["order"] if r["order"] is not None else "-"
+        print(f"{r['method']:<8}{order:>6}{r['node_count']:>8}{steps:>8}"
               f"{r['wall_time_s']:>12.4g}{r['node_ratio']:>12.4g}"
               f"{r['time_ratio']:>12.4g}{r['kappa']:>10.4g}", file=stream)
 
@@ -223,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("netlist", help="netlist path or shipped example name")
     run_flags.add_argument("--method", choices=METHODS, default="st")
-    run_flags.add_argument("--order", type=int, default=2, help="gPC total order p")
+    run_flags.add_argument("--order", type=int, default=None,
+                           help=f"gPC total order p (default {DEFAULT_ORDER}; not mc)")
     run_flags.add_argument("--beta", type=float, default=None,
                            help="testing-node conditioning bound")
     run_flags.add_argument("--seed", type=int, default=None, help="mc draw seed")
@@ -283,7 +303,9 @@ def run(args) -> int:
     wall = time.perf_counter() - start
 
     written = write_artifacts(result, circuit, args, text, wall)
-    print(f"{path.name} {args.command}: method={args.method} order={args.order} "
+    order = _expansion_order(result)
+    print(f"{path.name} {args.command}: method={args.method} "
+          f"order={order if order is not None else '-'} "
           f"nodes={result.node_count} wall={wall:.3g}s -> "
           f"{', '.join(str(w) for w in written)}")
     return 0

@@ -15,7 +15,9 @@ df and dq.  One call evaluates M (state, germ) points in one numpy pass:
 the model equations run elementwise on (M, devices) arrays, the scatter is
 one matrix product per output, and ground (index -1) reads as a zero
 column and receives nothing.  Voltage-source and inductor incidences are
-constant and enter through one fixed matrix.
+constant and enter through one fixed matrix.  Each class's parameter
+stage depends on the germ points alone, so its arrays are kept from one
+call to the next while the points stay the same; see `DeviceKernel`.
 
 Every nonlinear branch carries a GMIN shunt.  A square-law device in cutoff
 has identically zero current *and* conductance, so a node attached only to
@@ -66,29 +68,39 @@ class DeviceSpec(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# model equations on (M, D) arrays: v[k] is the k-th terminal's state, p[r]
-# the r-th parameter; each returns {output: [value arrays]} in the order of
-# the class's scatter templates
+# model equations on (M, D) arrays: v[k] is the k-th terminal's state.  Each
+# class splits into a parameter stage, which maps the raw parameters to the
+# arrays its equations read and depends on the germ only, and the equations
+# proper, which get that tuple as d and return {output: [value arrays]} in
+# the order of the class's scatter templates
 # --------------------------------------------------------------------------
 
-def _resistor(v, p, sgn):
-    g = 1.0 / p[0]
+def _resistor_params(p):
+    return (1.0 / p[0],)
+
+
+def _resistor(v, d, sgn):
+    g, = d
     return {"f": [g * (v[0] - v[1])], "df": [g]}
 
 
-def _capacitor(v, p, sgn):
-    c = p[0]
+def _capacitor(v, d, sgn):
+    c, = d
     return {"q": [c * (v[0] - v[1])], "dq": [c]}
 
 
-def _inductor(v, p, sgn):
-    ell = p[0]
+def _inductor(v, d, sgn):
+    ell, = d
     return {"q": [ell * v[2]], "dq": [ell]}
 
 
-def _diode(v, p, sgn):
+def _diode_params(p):
     i_s, emission, temp = p
-    vt = emission * thermal_voltage(temp)
+    return i_s, emission * thermal_voltage(temp)
+
+
+def _diode(v, d, sgn):
+    i_s, vt = d
     vd = v[0] - v[1]
     e, de = limexp(vd / vt)
     return {"f": [i_s * (e - 1.0) + GMIN * vd], "df": [i_s * de / vt + GMIN]}
@@ -111,7 +123,12 @@ def _square_law(vds, vgs, beta, vth, lam):
             beta * vde * clm)
 
 
-def _mosfet(v, p, sgn):
+def _mosfet_params(p):
+    vt0, kp, width, length, lam, temp, tnom = p
+    return np.abs(vt0) - VT_TEMP_COEFF * (temp - tnom), kp * width / length, lam
+
+
+def _mosfet(v, d, sgn):
     """Square-law MOSFET with channel-length modulation.
 
     PMOS runs the same equations on negated terminal voltages, and vds < 0
@@ -122,10 +139,8 @@ def _mosfet(v, p, sgn):
     is their negation.  Swapped, the drain row is the source row of the
     swapped device: (gds + gm, -gm, -gds) instead of (gds, gm, -(gds + gm)).
     """
-    vt0, kp, width, length, lam, temp, tnom = p
-    vd, vg, vs = sgn * v[0], sgn * v[1], sgn * v[2]
-    vth = np.abs(vt0) - VT_TEMP_COEFF * (temp - tnom)
-    beta = kp * width / length
+    vth, beta, lam = d
+    vd, vg, vs = sgn * v
     fwd = vd >= vs
     vds = np.abs(vd - vs)
     ids, gds, gm = _square_law(vds, vg - np.minimum(vd, vs), beta, vth, lam)
@@ -135,11 +150,15 @@ def _mosfet(v, p, sgn):
             "df": [gds + ~fwd * gm, direction * gm, -(gds + fwd * gm)]}
 
 
-def _bjt(v, p, sgn):
-    """Ebers-Moll bipolar in transport form; pnp by voltage/current rotation."""
+def _bjt_params(p):
     i_s, bf, br, temp = p
-    vc, vb, ve = sgn * v[0], sgn * v[1], sgn * v[2]
-    vt = thermal_voltage(temp)
+    return i_s, bf, br, thermal_voltage(temp)
+
+
+def _bjt(v, d, sgn):
+    """Ebers-Moll bipolar in transport form; pnp by voltage/current rotation."""
+    i_s, bf, br, vt = d
+    vc, vb, ve = sgn * v
     ef, def_ = limexp((vb - ve) / vt)
     er, der = limexp((vb - vc) / vt)
     gf = i_s * def_ / vt
@@ -165,14 +184,15 @@ _BRANCH_ROWS = [[(0, 1.0), (1, -1.0)]]
 _BRANCH_JAC = [[(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)]]
 _THREE_BY_THREE = [[(r, c, 1.0)] for r in range(3) for c in range(3)]
 
+# class -> (parameter stage, equations, scatter templates)
 _MODELS = {
-    "R": (_resistor, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
-    "C": (_capacitor, {"q": _BRANCH_ROWS, "dq": _BRANCH_JAC}),
-    "L": (_inductor, {"q": [[(2, 1.0)]], "dq": [[(2, 2, 1.0)]]}),
-    "D": (_diode, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
-    "M": (_mosfet, {"f": [[(0, 1.0), (2, -1.0)]],
-                    "df": [[(0, c, 1.0), (2, c, -1.0)] for c in range(3)]}),
-    "Q": (_bjt, {"f": [[(r, 1.0)] for r in range(3)], "df": _THREE_BY_THREE}),
+    "R": (_resistor_params, _resistor, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
+    "C": (tuple, _capacitor, {"q": _BRANCH_ROWS, "dq": _BRANCH_JAC}),
+    "L": (tuple, _inductor, {"q": [[(2, 1.0)]], "dq": [[(2, 2, 1.0)]]}),
+    "D": (_diode_params, _diode, {"f": _BRANCH_ROWS, "df": _BRANCH_JAC}),
+    "M": (_mosfet_params, _mosfet, {"f": [[(0, 1.0), (2, -1.0)]],
+                                    "df": [[(0, c, 1.0), (2, c, -1.0)] for c in range(3)]}),
+    "Q": (_bjt_params, _bjt, {"f": [[(r, 1.0)] for r in range(3)], "df": _THREE_BY_THREE}),
 }
 
 # constant incidence of the branch equations, (row, col, sign) on pins
@@ -189,9 +209,10 @@ _OUTPUTS = ("q", "f", "dq", "df")
 class _Group:
     """Devices of one class: terminal and germ index arrays."""
 
-    __slots__ = ("model", "pins", "base", "scale", "germ", "sgn")
+    __slots__ = ("derive", "model", "pins", "base", "scale", "germ", "sgn")
 
-    def __init__(self, model, specs, n, l):
+    def __init__(self, derive, model, specs, n, l):
+        self.derive = derive
         self.model = model
         pins = np.array([s.pins for s in specs], dtype=int).T       # (P, D)
         self.pins = np.where(pins < 0, n, pins)                     # ground -> zero column
@@ -202,10 +223,14 @@ class _Group:
         self.germ = np.where(germ < 0, l, germ)                     # constant -> zero column
         self.sgn = np.array([s.polarity for s in specs])
 
-    def values(self, xe, xie):
-        v = xe[:, self.pins]                                        # (M, P, D)
+    def params(self, xie):
+        """The parameter stage's arrays at M germ points."""
         p = self.base + self.scale * xie[:, self.germ]              # (M, R, D)
-        return self.model(v.transpose(1, 0, 2), p.transpose(1, 0, 2), self.sgn)
+        return self.derive(p.transpose(1, 0, 2))
+
+    def values(self, xe, params):
+        v = xe[:, self.pins]                                        # (M, P, D)
+        return self.model(v.transpose(1, 0, 2), params, self.sgn)
 
 
 class DeviceKernel:
@@ -214,11 +239,20 @@ class DeviceKernel:
     Values are ordered group by group, value by value, device by device;
     the scatter matrix of each output has one row per value in that order
     and one column per entry of the output (n for f/q, n*n for df/dq).
+
+    A call keeps a one-entry memo: the shape and bytes of the germ points
+    it was given, and each group's parameter-stage arrays at them.  The
+    methods hold their K testing nodes, grid points or sample chunk fixed
+    over a whole run, so every Newton iteration after the first reuses it.
+    A call hits the memo only when its xi has the memo's shape and the same
+    bytes, so the memo cannot go stale, also when a caller changes its xi
+    array in place, and a hit returns the bits a fresh kernel would.
     """
 
     def __init__(self, specs, n, l):
         self.n = n
         self.groups = []
+        self._memo = None           # ((shape, bytes) of xi, per-group parameters)
         entries = {out: [] for out in _OUTPUTS}   # (value indices, targets, sign)
         width = {out: 0 for out in _OUTPUTS}        # values so far per output
         self.linear = np.zeros((n, n))
@@ -233,8 +267,8 @@ class DeviceKernel:
                         self.linear[a, b] += sign
             if kind not in _MODELS:
                 continue
-            model, templates = _MODELS[kind]
-            group = _Group(model, members, n, l)
+            derive, model, templates = _MODELS[kind]
+            group = _Group(derive, model, members, n, l)
             self.groups.append(group)
             pins = np.array([s.pins for s in members], dtype=int).T
             count = len(members)
@@ -265,13 +299,12 @@ class DeviceKernel:
         that order; `split` cuts it into the four outputs."""
         m, n = x.shape
         xe = np.concatenate([x, np.zeros((m, 1))], axis=1)
-        xie = np.concatenate([xi, np.zeros((m, 1))], axis=1)
         vals = {out: [] for out in _OUTPUTS}
         out = np.empty((m, 2 * n + 2 * n * n))
         q, f, dq, df = self.split(out)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for group in self.groups:
-                for name, arrays in group.values(xe, xie).items():
+            for group, d in zip(self.groups, self._params(xi)):
+                for name, arrays in group.values(xe, d).items():
                     vals[name].extend(arrays)
             for name, dest in zip(_OUTPUTS, (q, f, dq, df)):
                 if vals[name]:
@@ -281,6 +314,15 @@ class DeviceKernel:
             f += x @ self.linear.T
             df += self.linear.ravel()
         return out
+
+    def _params(self, xi):
+        """Each group's parameter-stage arrays at the points xi, from the memo
+        when xi has the shape and bytes of the last points."""
+        key = (xi.shape, xi.tobytes())
+        if self._memo is None or self._memo[0] != key:
+            xie = np.concatenate([xi, np.zeros((len(xi), 1))], axis=1)
+            self._memo = (key, [group.params(xie) for group in self.groups])
+        return self._memo[1]
 
     def split(self, out):
         """Views q, f (M, n) and dq, df (M, n*n) of a kernel result."""

@@ -9,11 +9,15 @@ constant term, variance = sum of the squared rest); PDFs are estimated by
 sampling the polynomial expansion, which costs polynomial evaluations
 only.  CSV output is a long-format `time,state,mean,std` table printed
 with 17 significant digits so a read-back reproduces the floats exactly.
+JSON output is byte for byte what json.dump(payload, indent=1,
+sort_keys=True) prints, plus a newline; `write_json` streams it and prints
+each list of plain numbers with one repr instead of one float at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -186,16 +190,28 @@ def compare_methods(reference, candidate) -> ComparisonReport:
 # exports
 # --------------------------------------------------------------------------
 
+def _csv_field(text):
+    """text as csv.writer prints it among other fields, quoted if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_stats_csv(path, series: StatSeries):
-    """Long-format time,state,mean,std with full float round-trip precision."""
+    """Long-format time,state,mean,std with full float round-trip precision.
+
+    The bytes are those of csv.writer printing one row per (time, state)
+    with each float as f"{value:.17g}"; each time's rows are printed by one
+    %-format of all their values.
+    """
+    rows = "".join(f"%.17g,{_csv_field(name).replace('%', '%%')},%.17g,%.17g\n"
+                   for name in series.names)
+    times = np.broadcast_to(series.times[:, None], series.mean.shape)
+    steps = np.stack([times, series.mean, series.std], axis=2)     # (T, n, 3)
+    steps = steps.reshape(len(series.times), 3 * len(series.names))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "state", "mean", "std"])
-        for i, t in enumerate(series.times):
-            for j, name in enumerate(series.names):
-                w.writerow([f"{t:.17g}", name,
-                            f"{series.mean[i, j]:.17g}",
-                            f"{series.std[i, j]:.17g}"])
+        fh.write("time,state,mean,std\n")
+        fh.writelines(rows % tuple(step) for step in steps.tolist())
 
 
 def read_stats_csv(path) -> StatSeries:
@@ -259,14 +275,52 @@ def coefficients_payload(result, state_names=None) -> dict:
     return payload
 
 
-def write_json(path, payload):
-    """Every JSON artifact's layout: indent 1, sorted keys, a final newline.
+def _json_chunks(obj, indent):
+    """Pieces of the text json.dump(obj, indent=1, sort_keys=True) prints,
+    for an object whose lines are indented by `indent`.
 
-    json.dump streams the text to the file; json.dumps would hold every
-    chunk of a large coefficient tensor in memory at once.
+    A non-empty list of plain ints and floats (no bools, no numpy scalars)
+    is printed by one repr(list): its items are the reprs json prints, its
+    ", " separators become json's line breaks, and nan and inf, the only
+    number reprs with an "n" in them, are spelled NaN and Infinity.
+    Non-empty dicts with str keys and other non-empty lists recurse;
+    anything else is json.dumps's own text with its line breaks indented.
+    """
+    inner = indent + " "
+    if type(obj) is list and obj:
+        yield "[\n" + inner
+        if set(map(type, obj)) <= {float, int}:
+            text = repr(obj)[1:-1].replace(", ", ",\n" + inner)
+            if "n" in text:
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield text
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    yield ",\n" + inner
+                yield from _json_chunks(item, inner)
+        yield "\n" + indent + "]"
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    else:
+        yield json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def write_json(path, payload):
+    """Every JSON artifact's layout: the bytes of json.dump(payload, fh,
+    indent=1, sort_keys=True) followed by a newline.
+
+    The text goes to the file in pieces as it is made, so a large
+    coefficient tensor is never held as one string, and its number lists
+    are printed at C speed rather than one float at a time.
     """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.writelines(_json_chunks(payload, ""))
         fh.write("\n")
 
 

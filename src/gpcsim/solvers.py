@@ -21,8 +21,9 @@ methods run DC, sweeps and transients through one function, `_run`, on a
 problem built once per run (a sweep re-points it at each level's
 circuit), and `_run` applies a `.tran tstop hmax` bound to every method's
 step.  st and sg keep adaptive step control, while sc/mc use a fixed grid
-so samples share time points.  A Newton, step-control or scheme setting
-left as None reaches the engine as None, which fills in its defaults.
+so samples share time points.  An order left as None is DEFAULT_ORDER, and
+a Newton, step-control or scheme setting left as None reaches the engine
+as None, which fills in its defaults.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .engine import (
 from .netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
 from .quadrature import gauss_rule, tensor_grid
 
+DEFAULT_ORDER = 2            # gPC total order when none is given
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
 LOCKSTEP_CHUNK = 128         # germ points per sc/mc lockstep batch; bounds its memory
 MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
@@ -328,9 +330,11 @@ class SGProblem:
 # --------------------------------------------------------------------------
 
 def _basis_for(circuit, order) -> GpcBasisSet:
+    """The circuit's gPC basis of total order `order`, DEFAULT_ORDER if None."""
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to expand")
-    return GpcBasisSet([p.dist for p in circuit.params], order)
+    return GpcBasisSet([p.dist for p in circuit.params],
+                       DEFAULT_ORDER if order is None else order)
 
 
 def _nominal_dc(circuit, newton) -> np.ndarray:
@@ -434,7 +438,7 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
     """Stochastic testing: collocated intrusive solve with decoupled updates."""
     basis = _basis_for(circuit, order)
     kwargs = {} if beta is None else {"beta": beta}
-    node_set = select_testing_nodes(basis, _gauss_grid(circuit, order), **kwargs)
+    node_set = select_testing_nodes(basis, _gauss_grid(circuit, basis.order), **kwargs)
     return _intrusive_solve(
         STProblem(circuit, basis, node_set), node_set, analysis, "st",
         newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
@@ -498,7 +502,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
     projection."""
     basis = _basis_for(circuit, order)
-    grid = _gauss_grid(circuit, order)
+    grid = _gauss_grid(circuit, basis.order)
     points = grid.all_nodes()
     weights = grid.all_weights()
 

@@ -75,6 +75,13 @@ class TestExitCodes:
         # --seed is read by mc only
         *[("dc", "cs_amp.cir", "--method", method, "--seed", "7")
           for method in ("st", "sg", "sc")],
+        # mc expands nothing, so it reads no --order
+        ("dc", "cs_amp.cir", "--method", "mc", "--samples", "5", "--order", "2"),
+        # no local-error control runs on a fixed step
+        ("tran", "rc_uniform.cir", "--method", "st", "--ltetol", "1e-9",
+         "--fixed-step", "4e-5"),
+        # a single sample is the mean point: nothing to draw
+        ("dcsweep", "diode_dc.cir", "--method", "mc", "--samples", "1", "--seed", "7"),
     ])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
         assert run_cli(*flags, "--out", str(tmp_path)) == 2
@@ -167,8 +174,7 @@ class TestArtifacts:
     def test_mc_single_sample_is_nominal(self, tmp_path):
         mc_dir = tmp_path / "mc"
         st_dir = tmp_path / "st"
-        assert run_cli("tran", "rc_uniform.cir", "--method", "mc",
-                       "--order", "0", "--samples", "1",
+        assert run_cli("tran", "rc_uniform.cir", "--method", "mc", "--samples", "1",
                        "--fixed-step", "4e-5", "--out", str(mc_dir)) == 0
         assert run_cli("tran", "rc_uniform.cir", "--method", "st",
                        "--order", "0", "--fixed-step", "4e-5",
@@ -180,6 +186,7 @@ class TestArtifacts:
         manifest = json.loads((mc_dir / "manifest.json").read_text())
         assert manifest["node_count"] == 1
         assert manifest["seed"] == 0
+        assert manifest["order"] is None
 
     def test_ac_artifacts(self, tmp_path):
         assert run_cli("ac", "rc_uniform.cir", "--order", "4",
@@ -243,6 +250,24 @@ class TestArtifacts:
             got[name] = (manifest["scheme"], manifest["fixed_step"], manifest["seed"])
         assert got == {"dc": (None, None, None), "tran": ("tr", 1e-4, None),
                        "mc": (None, None, 3)}
+
+    def test_manifest_order_and_write_time(self, tmp_path, capsys):
+        runs = {"st": ("--method", "st"), "sc": ("--method", "sc", "--order", "1"),
+                "mc": ("--method", "mc", "--samples", "5")}
+        manifests = {}
+        for name, flags in runs.items():
+            assert run_cli("dc", "cs_amp.cir", *flags, "--out", str(tmp_path / name)) == 0
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert {name: m["order"] for name, m in manifests.items()} == \
+            {"st": 2, "sc": 1, "mc": None}
+        assert all(m["write_time_s"] > 0.0 for m in manifests.values())
+        lines = capsys.readouterr().out.splitlines()
+        assert ["order=2" in lines[0], "order=1" in lines[1], "order=-" in lines[2]] == \
+            [True, True, True]
+        assert run_cli("report", *(str(tmp_path / name / "manifest.json")
+                                   for name in runs)) == 0
+        mc_row = capsys.readouterr().out.splitlines()[3].split()
+        assert mc_row[:2] == ["mc", "-"]
 
     def test_assembly_warning_printed_once(self, tmp_path, capsys, monkeypatch):
         # show Python warnings on stderr the way a plain interpreter does

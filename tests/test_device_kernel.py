@@ -2,7 +2,8 @@
 
 Every shipped netlist plus an edge-case circuit is evaluated at random
 (x, xi) batches of M = 1, K and Q points, and each point must match the
-scalar stamps of scalar_devices.py entry by entry.
+scalar stamps of scalar_devices.py entry by entry.  A kernel that has
+memoized one germ set must return the bits of a freshly compiled one.
 """
 
 from importlib import resources
@@ -14,7 +15,7 @@ from scalar_devices import scalar_eval
 
 from gpcsim.basis import num_basis
 from gpcsim.circuit import EvalOverflowError, load_circuit
-from gpcsim.devices import LIMEXP_ARG, thermal_voltage
+from gpcsim.devices import LIMEXP_ARG, DeviceKernel, thermal_voltage
 
 SHIPPED = sorted(p.name for p in (resources.files("gpcsim") / "netlists").iterdir()
                  if p.name.endswith(".cir"))
@@ -134,3 +135,19 @@ def test_sweep_twin_shares_the_kernel():
     circuit = CIRCUITS["cs_amp.cir"]
     twin = circuit.with_source_dc("vin", 1.0)
     assert twin.kernel() is circuit.kernel()
+
+
+@pytest.mark.parametrize("name", ["sram6t.cir", "edges"])
+def test_memo_returns_what_a_fresh_kernel_does(name):
+    circuit = CIRCUITS[name]
+    rng = np.random.default_rng(23)
+    kernel = circuit.kernel()
+    for m in (1, num_basis(2, circuit.l)):
+        a, b = germ_draws(circuit, rng, m), germ_draws(circuit, rng, m)
+        for step in ("a", "a", "b", "a", "mutated a"):
+            if step == "mutated a":
+                a[...] = germ_draws(circuit, rng, m)       # same array, new values
+            xi = b if step == "b" else a
+            x = rng.uniform(-2.0, 2.0, size=(m, circuit.n))
+            fresh = DeviceKernel(circuit.devices, circuit.n, circuit.l)
+            np.testing.assert_array_equal(kernel(x, xi), fresh(x, xi), err_msg=step)

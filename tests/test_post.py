@@ -1,10 +1,16 @@
 """Statistics, PDF, comparison, and export round-trip checks."""
 
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpcsim.basis import GpcBasisSet, Gaussian, Uniform
 from gpcsim.circuit import load_circuit
@@ -19,6 +25,7 @@ from gpcsim.post import (
     sample_expansion,
     stats_over_time,
     write_coefficients_json,
+    write_json,
     write_stats_csv,
 )
 from gpcsim.solvers import ac_solve, mc_solve, sc_solve, sg_solve, st_solve
@@ -294,3 +301,62 @@ c1 2 0 1u
         imag = np.array(payload["coefficients"]["imag"])
         np.testing.assert_array_equal(real + 1j * imag, res.coeffs)
         json.dumps(payload)  # fully serializable
+
+
+# json values with the corners of the number-list fast path: the floats
+# whose repr json spells differently or that print in exponent form, bools
+# among numbers, strings that look like a printed list or a special float
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+JSON_NUMBERS = st.one_of(FLOATS, st.integers())
+JSON_LEAVES = st.one_of(
+    JSON_NUMBERS, st.booleans(), st.none(), st.text(),
+    st.sampled_from([", ", "nan", "inf", "[1.0, -inf]"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(JSON_NUMBERS, max_size=6),
+                            st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=JSON_VALUES)
+def test_write_json_is_json_dump_bytes(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.json"), Path(tmp, "want.json")
+        write_json(got, payload)
+        with open(want, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert got.read_bytes() == want.read_bytes()
+
+
+# state names csv.writer must quote (delimiter, quote, newline) or that
+# clash with %-formatting, and floats of every kind
+CSV_NAMES = st.lists(st.one_of(st.text(st.characters(blacklist_categories=("Cs",))),
+                               st.sampled_from(["a,b", 'q"x', "", "p%s", "n\nl"])), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=CSV_NAMES, steps=st.integers(0, 3), data=st.data())
+def test_stats_csv_is_csv_writer_bytes(names, steps, data):
+    def draw(shape):
+        return data.draw(arrays(np.float64, shape, elements=FLOATS))
+
+    shape = (steps, len(names))
+    series = StatSeries(times=draw(steps), names=names, mean=draw(shape),
+                        std=np.abs(draw(shape)))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_stats_csv(got, series)
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["time", "state", "mean", "std"])
+            for i, t in enumerate(series.times):
+                for j, name in enumerate(series.names):
+                    w.writerow([f"{t:.17g}", name, f"{series.mean[i, j]:.17g}",
+                                f"{series.std[i, j]:.17g}"])
+        assert got.read_bytes() == want.read_bytes()
