@@ -102,8 +102,6 @@ def _check_flags(args):
         raise ConfigError("ac analysis runs with --method st only")
     if args.order is not None and args.order < 0:
         raise ConfigError("--order must be nonnegative")
-    if args.fixed_step is not None and args.fixed_step <= 0:
-        raise ConfigError("--fixed-step must be positive")
 
 
 def resolve_netlist(name: str):
@@ -293,13 +291,11 @@ def run(args) -> int:
     seed = {} if args.seed is None else {"seed": args.seed}
 
     start = time.perf_counter()
-    # a single mc sample is only useful as the nominal run: use the mean point
     result = run_analysis(
         circuit, args.method, args.order, analysis, beta=args.beta,
         newton=NewtonConfig(**tolerances) if tolerances else None,
         control=None if args.ltetol is None else StepControl(lte_tol=args.ltetol),
-        scheme=args.scheme, fixed_h=args.fixed_step,
-        mean_point=args.samples == 1, **samples, **seed)
+        scheme=args.scheme, fixed_h=args.fixed_step, **samples, **seed)
     wall = time.perf_counter() - start
 
     written = write_artifacts(result, circuit, args, text, wall)

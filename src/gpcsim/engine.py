@@ -17,6 +17,9 @@ substitute their own.
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
 uniform step with none.  StepControl.h_max bounds the step in both modes.
+Every Newton solve of a step starts from the last accepted state, whatever
+the method; the extrapolated predictor feeds only the error estimate, whose
+per-state scale is lte_tol * (|x| + LTE_FLOOR).
 
 dc_solve and transient_solve alone fill in a missing NewtonConfig,
 StepControl or scheme with its default; callers pass None through.
@@ -38,6 +41,7 @@ H_MIN = 1e-18         # smallest adaptive step before a transient gives up
 STEP_GROW = 2.0      # largest step growth after an accepted step
 STEP_SHRINK = 0.5    # step cut on a rejection; also the smallest shrink factor
 STEP_SAFETY = 0.9    # margin on the error-optimal step
+LTE_FLOOR = 1e-3     # absolute floor mixed into the per-state error scale
 
 
 class EngineError(RuntimeError):
@@ -57,13 +61,22 @@ class NewtonConfig:
     abstol: float = 1e-12
     reltol: float = 1e-9
 
+    def __post_init__(self):
+        for name in ("abstol", "reltol"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class StepControl:
     h_init: float = 1e-9
     h_max: float = np.inf
     lte_tol: float = 1e-3
-    lte_floor: float = 1e-3   # absolute floor mixed into the per-state scale
+
+    def __post_init__(self):
+        for name in ("h_init", "h_max", "lte_tol"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -233,17 +246,23 @@ def _corrector_constant(scheme, h, gaps, startup):
 def transient_solve(problem, x0, t_end, scheme=None,
                     newton: NewtonConfig | None = None,
                     control: StepControl | None = None,
-                    fixed_h=None, guess_previous=False) -> Trajectory:
+                    fixed_h=None) -> Trajectory:
     """Integrate dq/dt + f = s(t) from a consistent initial state at t = 0.
 
     Adaptive by default; `fixed_h` forces a uniform grid with no error
-    control.  The extrapolated predictor seeds Newton unless
-    `guess_previous` asks for the plain previous state; the error estimate
-    always uses the predictor.
+    control.  Newton starts every step from the last accepted state, and
+    only the adaptive error estimate extrapolates the predictor.  Seeding
+    Newton at the predictor instead is unsafe: a solve that starts there can
+    stop at iteration 0, and then the corrector-minus-predictor estimate
+    reads 0 and accepts the step unchecked.  Seeded that way, the st p=5
+    trapezoid run of rc_uniform at lte_tol 1e-10 ends in a time step
+    underflow.
     """
     scheme = scheme or SCHEMES[0]
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if fixed_h is not None and not (fixed_h > 0):
+        raise ValueError(f"fixed step must be positive, got {fixed_h}")
     newton = newton or NewtonConfig()
     control = control or StepControl()
     stats = SolveStats()
@@ -260,7 +279,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
     q_prev = ev0.q
     qdot_prev = problem.source(t) - ev0.f   # consistent: dq/dt = s - f
     q_prev2 = None
-    gaps: list[float] = []                  # previous accepted step sizes
 
     adaptive = fixed_h is None
     h = min(control.h_init, control.h_max) if adaptive else float(fixed_h)
@@ -273,8 +291,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
         t_new = t + h
         startup = scheme == "gear2" and q_prev2 is None
 
-        x_pred, pred_pts = _predict(times, states, t_new, max_pred_pts)
-
         if scheme == "be" or startup:
             c = 1.0 / h
             hist = -q_prev / h
@@ -282,7 +298,7 @@ def transient_solve(problem, x0, t_end, scheme=None,
             c = 2.0 / h
             hist = -2.0 * q_prev / h - qdot_prev
         else:
-            r = h / gaps[-1]
+            r = h / accepted_h[-1]
             a0 = (2 * r + 1) / ((r + 1) * h)
             a1 = -(r + 1) / h
             a2 = r * r / ((r + 1) * h)
@@ -290,10 +306,20 @@ def transient_solve(problem, x0, t_end, scheme=None,
             hist = a1 * q_prev + a2 * q_prev2
 
         src_new = problem.source(t_new)
-        x_guess = states[-1] if guess_previous else x_pred
-        res = newton_solve(problem, x_guess, t_new, c, hist, src_new, newton, stats)
+        res = newton_solve(problem, states[-1], t_new, c, hist, src_new, newton, stats)
 
-        if not res.converged:
+        ratio = est = 0.0
+        if res.converged and adaptive and len(times) > 1:
+            x_pred, pred_pts = _predict(times, states, t_new, max_pred_pts)
+            recent = accepted_h[:-4:-1]   # last three steps, most recent first
+            pcoef = _predictor_constant(h, recent, pred_pts)
+            ccoef = _corrector_constant(scheme, h, recent, startup)
+            diff = np.abs(res.x - x_pred) * (ccoef / (ccoef + pcoef))
+            scale = control.lte_tol * (np.abs(res.x) + LTE_FLOOR)
+            ratio = float((diff / scale).max())
+            est = float(diff.max())
+
+        if not res.converged or ratio > 1.0:
             if not adaptive:
                 raise TransientError(
                     f"newton failed at t={t_new:.6g} on a fixed step: {res.failure}")
@@ -303,26 +329,8 @@ def transient_solve(problem, x0, t_end, scheme=None,
                 raise TransientError(
                     f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
             continue
-
-        if adaptive and len(times) > 1:
-            prev_gaps = gaps[::-1]  # most recent first
-            pcoef = _predictor_constant(h, prev_gaps, pred_pts)
-            ccoef = _corrector_constant(scheme, h, prev_gaps, startup)
-            diff = np.abs(res.x - x_pred) * (ccoef / (ccoef + pcoef))
-            scale = control.lte_tol * (np.abs(res.x) + control.lte_floor)
-            ratio = float((diff / scale).max())
-            if ratio > 1.0:
-                stats.steps_rejected += 1
-                h *= STEP_SHRINK
-                if h < H_MIN:
-                    raise TransientError(
-                        f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
-                continue
-            lte_log.append(ratio)
-            est_log.append(float(diff.max()))
-        else:
-            lte_log.append(0.0)
-            est_log.append(0.0)
+        lte_log.append(ratio)
+        est_log.append(est)
 
         # accept
         ev_new = res.eval
@@ -330,9 +338,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
             qdot_prev = src_new - ev_new.f
         q_prev2 = q_prev
         q_prev = ev_new.q
-        gaps.append(h)
-        if len(gaps) > 3:
-            gaps.pop(0)
         t = t_new
         x = res.x
         times.append(t)
@@ -341,7 +346,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
         stats.steps_accepted += 1
 
         if adaptive:
-            ratio = lte_log[-1]
             order = 1 if (scheme == "be" or startup) else 2
             if ratio > 0.0:
                 factor = STEP_SAFETY * ratio ** (-1.0 / (order + 1))

@@ -27,6 +27,16 @@ class GridBudgetError(RuntimeError):
     """Materializing the grid would exceed the enumeration budget."""
 
 
+def check_grid_budget(n_hat: int, dim: int):
+    """Raise GridBudgetError if an n_hat**dim tensor grid is over the budget."""
+    npoints = n_hat ** dim
+    if npoints > ENUMERATION_BUDGET:
+        raise GridBudgetError(
+            f"grid has {npoints} nodes, over the materialization budget "
+            f"of {ENUMERATION_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureRule1D:
     """An n_hat-point Gauss rule for one germ weight; weights sum to one."""
@@ -92,16 +102,9 @@ class TensorGrid:
     def npoints(self) -> int:
         return self.n_hat ** self.dim
 
-    def _check_budget(self):
-        if self.npoints > ENUMERATION_BUDGET:
-            raise GridBudgetError(
-                f"grid has {self.npoints} nodes, over the materialization budget "
-                f"of {ENUMERATION_BUDGET}"
-            )
-
     def all_weights(self) -> np.ndarray:
         """All product weights in linear-index order (budget-guarded)."""
-        self._check_budget()
+        check_grid_budget(self.n_hat, self.dim)
         acc = self.rules[-1].weights
         for k in range(self.dim - 2, -1, -1):
             acc = np.kron(acc, self.rules[k].weights)
@@ -109,7 +112,7 @@ class TensorGrid:
 
     def all_nodes(self) -> np.ndarray:
         """All nodes in linear-index order, shape (npoints, dim) (budget-guarded)."""
-        self._check_budget()
+        check_grid_budget(self.n_hat, self.dim)
         lin = np.arange(self.npoints, dtype=np.int64)
         out = np.empty((self.npoints, self.dim))
         for k in range(self.dim):

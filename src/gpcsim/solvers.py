@@ -46,7 +46,7 @@ from .engine import (
     transient_solve,
 )
 from .netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
-from .quadrature import gauss_rule, tensor_grid
+from .quadrature import check_grid_budget, gauss_rule, tensor_grid
 
 DEFAULT_ORDER = 2            # gPC total order when none is given
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
@@ -236,21 +236,6 @@ class STProblem:
         return np.tile(s, len(self.nodes.nodes))
 
 
-def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndarray:
-    """Collocated residual, block m = c·q(x̂(ξᵐ)) + f(x̂(ξᵐ)) + hist − B u(t).
-
-    With the defaults (c = 0, no history) this is the static DC residual;
-    a time discretization supplies c and the charge-history term to get the
-    full transient residual at one step.
-    """
-    problem = STProblem(circuit, basis, nodes)
-    ev = problem.eval(np.asarray(X, dtype=float), t)
-    r = c * ev.q + ev.f - problem.source(t)
-    if history is not None:
-        r = r + history
-    return r
-
-
 class _StackedEvalSG:
     __slots__ = ("q", "f", "wh", "hmat", "point_dq", "point_df", "pattern", "n", "k")
 
@@ -330,11 +315,17 @@ class SGProblem:
 # --------------------------------------------------------------------------
 
 def _basis_for(circuit, order) -> GpcBasisSet:
-    """The circuit's gPC basis of total order `order`, DEFAULT_ORDER if None."""
+    """The circuit's gPC basis of total order `order`, DEFAULT_ORDER if None.
+
+    Every expansion also needs the (order+1)^l Gauss grid, so its budget is
+    checked first: the basis lists C(order+l, l) index tuples, which a grid
+    over budget can make too many to hold.
+    """
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to expand")
-    return GpcBasisSet([p.dist for p in circuit.params],
-                       DEFAULT_ORDER if order is None else order)
+    order = DEFAULT_ORDER if order is None else order
+    check_grid_budget(order + 1, circuit.l)
+    return GpcBasisSet([p.dist for p in circuit.params], order)
 
 
 def _nominal_dc(circuit, newton) -> np.ndarray:
@@ -364,7 +355,7 @@ def _static(times, states, stats) -> Trajectory:
 
 
 def _run(problem, x0, analysis, label, newton, control=None,
-         scheme=None, fixed_h=None, guess_previous=False) -> Trajectory:
+         scheme=None, fixed_h=None) -> Trajectory:
     """The DC, sweep and transient runner every method shares.
 
     The run builds no problem of its own.  A sweep points the given
@@ -407,8 +398,7 @@ def _run(problem, x0, analysis, label, newton, control=None,
         try:
             dc = dc_solve(problem, newton, x0=x0)
             traj = transient_solve(problem, dc.x, analysis.tstop, scheme=scheme,
-                                   newton=newton, control=control, fixed_h=fixed_h,
-                                   guess_previous=guess_previous)
+                                   newton=newton, control=control, fixed_h=fixed_h)
         except (DcConvergenceError, TransientError) as exc:
             _wrap_engine_error(exc, label)
         traj.stats.merge(dc.stats)
@@ -425,7 +415,7 @@ def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None
     except DcConvergenceError as exc:
         _wrap_engine_error(exc, f"{method} nominal init")
     run = _run(problem, X0, analysis, method, newton, control=control,
-               scheme=scheme, fixed_h=fixed_h, guess_previous=True)
+               scheme=scheme, fixed_h=fixed_h)
     return GpcTrajectory(
         times=run.times,
         coeffs=run.states.reshape(len(run.times), basis.size, circuit.n),
@@ -522,18 +512,19 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
 
 
 def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
-             fixed_h=None, mean_point=False):
+             fixed_h=None):
     """Plain Monte Carlo: seeded draws, deterministic runs in lockstep.
 
-    A sample whose own run fails is dropped and counted; more than
-    MAX_FAILURE_FRACTION of them aborts the run.
+    A single sample is only useful as the nominal run, so it is the mean
+    point and draws nothing.  A sample whose own run fails is dropped and
+    counted; more than MAX_FAILURE_FRACTION of them aborts the run.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to sample")
-    if mean_point:
-        samples = np.tile(circuit.nominal_germ(), (n_samples, 1))
+    if n_samples == 1:
+        samples = circuit.nominal_germ()[None]
     else:
         rng = np.random.default_rng(seed)
         cols = [p.dist.sample(rng, n_samples) for p in circuit.params]
@@ -628,7 +619,7 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
 
 def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
                  n_samples=1000, newton=None, control=None, scheme=None,
-                 fixed_h=None, mean_point=False):
+                 fixed_h=None):
     if isinstance(analysis, AcAnalysis):
         if method != "st":
             raise MethodError("ac analysis is implemented for the st method only")
@@ -641,5 +632,5 @@ def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
     if method == "sc":
         return sc_solve(circuit, order, analysis, **run)
     if method == "mc":
-        return mc_solve(circuit, n_samples, seed, analysis, mean_point=mean_point, **run)
+        return mc_solve(circuit, n_samples, seed, analysis, **run)
     raise MethodError(f"unknown method {method!r}")

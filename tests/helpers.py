@@ -7,6 +7,7 @@ import numpy as np
 
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
 from gpcsim.circuit import StochasticCircuit
+from gpcsim.solvers import STProblem
 
 
 def germ_moments(dist, n):
@@ -106,3 +107,18 @@ class CircuitProblem:
 
     def source(self, t):
         return self.circuit.b_matrix @ self.circuit.source_vector(t)
+
+
+def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndarray:
+    """Collocated residual, block m = c·q(x̂(ξᵐ)) + f(x̂(ξᵐ)) + hist − B u(t).
+
+    With the defaults (c = 0, no history) this is the static DC residual;
+    a time discretization supplies c and the charge-history term to get the
+    full transient residual at one step.
+    """
+    problem = STProblem(circuit, basis, nodes)
+    ev = problem.eval(np.asarray(X, dtype=float), t)
+    r = c * ev.q + ev.f - problem.source(t)
+    if history is not None:
+        r = r + history
+    return r

@@ -123,7 +123,7 @@ def test_resistor_value_tracks_germ():
     assert g_high == pytest.approx(1 / 1100)
 
 
-def test_nominal_germ_is_mean_point():
+def test_nominal_germ_is_germ_mean():
     c = load_circuit(
         """
         v1 a 0 1

@@ -6,6 +6,7 @@ are observable without spawning interpreters.
 
 import json
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -82,6 +83,12 @@ class TestExitCodes:
          "--fixed-step", "4e-5"),
         # a single sample is the mean point: nothing to draw
         ("dcsweep", "diode_dc.cir", "--method", "mc", "--samples", "1", "--seed", "7"),
+        # step and tolerance ranges, NaN included
+        ("tran", "rc_uniform.cir", "--ltetol", "-1"),
+        ("tran", "rc_uniform.cir", "--ltetol", "0"),
+        ("tran", "rc_uniform.cir", "--ltetol", "nan"),
+        ("tran", "rc_uniform.cir", "--abstol", "-1"),
+        ("tran", "rc_uniform.cir", "--reltol", "-1"),
     ])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
         assert run_cli(*flags, "--out", str(tmp_path)) == 2
@@ -119,6 +126,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_analysis", boom)
         assert run_cli("tran", "rc_uniform.cir", "--out", str(tmp_path)) == 4
+
+    def test_grid_over_budget_is_4_before_the_basis(self, tmp_path, capsys):
+        # the (200+1)^4 grid is over budget; listing the C(204, 4) basis
+        # tuples first would take minutes and gigabytes
+        start = time.perf_counter()
+        assert run_cli("dc", "cs_amp.cir", "--order", "200", "--out", str(tmp_path)) == 4
+        assert time.perf_counter() - start < 2.0
+        assert "materialization budget" in capsys.readouterr().err
 
     def test_selection_failure_is_5(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

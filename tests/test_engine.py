@@ -264,6 +264,19 @@ def test_argument_validation():
     prob = rc_problem()
     with pytest.raises(ValueError, match="unknown scheme"):
         transient_solve(prob, np.zeros(3), 1e-3, scheme="rk4")
+    # a zero step divides by zero and a negative one never reaches t_end
+    for h in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="fixed step must be positive"):
+            transient_solve(prob, np.zeros(3), 1e-3, fixed_h=h)
+    for field in ("h_init", "h_max", "lte_tol"):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                StepControl(**{field: bad})
+    for field in ("abstol", "reltol"):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+                NewtonConfig(**{field: bad})
+    NewtonConfig(abstol=0.0, reltol=0.0)
 
 
 def test_hmax_honored():

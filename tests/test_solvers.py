@@ -32,10 +32,9 @@ from gpcsim.solvers import (
     sc_solve,
     sg_solve,
     st_decoupled_linear_step,
-    st_residual,
     st_solve,
 )
-from helpers import CircuitProblem
+from helpers import CircuitProblem, st_residual
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -340,7 +339,7 @@ class TestDegenerateEquivalence:
         st = st_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
         sg = sg_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
         sc = sc_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
-        mc = mc_solve(circuit, 1, 0, DcAnalysis(), mean_point=True)
+        mc = mc_solve(circuit, 1, 0, DcAnalysis())
         np.testing.assert_allclose(st, nominal, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sg, nominal, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sc, nominal, rtol=0, atol=1e-12)
@@ -352,8 +351,7 @@ class TestDegenerateEquivalence:
         st = st_solve(circuit, 0, TranAnalysis(2e-3), fixed_h=h)
         sg = sg_solve(circuit, 0, TranAnalysis(2e-3), fixed_h=h)
         sc = sc_solve(circuit, 0, TranAnalysis(2e-3), fixed_h=h)
-        mc = mc_solve(circuit, 1, 0, TranAnalysis(2e-3), fixed_h=h,
-                      mean_point=True)
+        mc = mc_solve(circuit, 1, 0, TranAnalysis(2e-3), fixed_h=h)
         base = st.coeffs[:, 0, :]
         np.testing.assert_allclose(sg.coeffs[:, 0, :], base, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sc.coeffs[:, 0, :], base, rtol=0, atol=1e-12)
@@ -457,10 +455,10 @@ class TestMcSolve:
         np.testing.assert_array_equal(a.solutions, b.solutions)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_mean_point_single_sample(self):
+    def test_single_sample_is_nominal_run(self):
         circuit = load_circuit(DIODE)
         nominal = dc_solve(CircuitProblem(circuit, circuit.nominal_germ())).x
-        ens = mc_solve(circuit, 1, 0, DcAnalysis(), mean_point=True)
+        ens = mc_solve(circuit, 1, 0, DcAnalysis())
         np.testing.assert_allclose(ens.solutions[0, 0], nominal, atol=1e-12)
 
     def test_mean_matches_quadrature_oracle(self):
@@ -529,7 +527,7 @@ class TestTransientOracle:
         """p=5 testing-method moments vs 64-point quadrature of the exact
         solution, at every accepted output time."""
         circuit = load_circuit(RC_UNIFORM)
-        control = StepControl(h_init=1e-8, lte_tol=1e-10, lte_floor=1e-3)
+        control = StepControl(h_init=1e-8, lte_tol=1e-10)
         traj = st_solve(circuit, 5, TranAnalysis(2e-3), scheme="tr",
                         control=control)
         xg, wg = np.polynomial.legendre.leggauss(64)
@@ -544,6 +542,20 @@ class TestTransientOracle:
             coeffs = traj.coeffs[ti, :, idx]
             assert abs(coeffs[0] - mean_ref) < 1e-6
             assert abs(math.sqrt(np.sum(coeffs[1:] ** 2)) - std_ref) < 1e-6
+
+    def test_sc_newton_starts_from_previous_state(self):
+        """sc seeds each lockstep Newton solve from the last accepted state,
+        as st does: on the sram6t transient it needs under one iteration per
+        ten fixed steps, and its means sit near a tight-tolerance run."""
+        circuit = load_circuit(
+            (resources.files("gpcsim") / "netlists" / "sram6t.cir").read_text())
+        (tran,) = [a for a in circuit.analyses if isinstance(a, TranAnalysis)]
+        run = sc_solve(circuit, 2, tran)
+        tight = sc_solve(circuit, 2, tran,
+                         newton=NewtonConfig(abstol=1e-16, reltol=1e-14))
+        assert run.stats.newton_iterations < run.stats.steps_accepted / 10
+        np.testing.assert_allclose(run.coeffs[:, 0], tight.coeffs[:, 0],
+                                   rtol=0, atol=4e-7)
 
 
 # --------------------------------------------------------------------------
