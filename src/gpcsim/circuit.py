@@ -7,19 +7,20 @@ randomness enters through device parameters bound to germ components.
 
 Assembly records one DeviceSpec per device and nothing more.  The batched
 DeviceKernel is compiled from those specs on the first evaluation and
-cached in a holder that copies share, so the swept twins a DC sweep makes
-with `with_source_dc` reuse it, and with it its memo of the parameters at
-the last germ points, which the sweep levels share.  `eval_qf` is the only
-device-evaluation path: every method calls it once per Newton iteration
-with all of its points, and a deterministic solve, such as the nominal
-operating point, calls it with one.  A 1-D (x, xi) call is the M = 1 case
-with unbatched shapes.
+cached on the circuit, with its memo of the parameters at the last germ
+points.  Nothing copies or changes a circuit after assembly: a DC sweep
+sets each level in the source vector it hands the solver.  `eval_qf` is
+the only device-evaluation path: every method calls it once per Newton
+iteration with all of its points, and a deterministic solve, such as the
+nominal operating point, calls it with one.  A 1-D (x, xi) call is the
+M = 1 case with unbatched shapes.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,6 @@ class StochasticCircuit:
     _sources: list = field(repr=False, default_factory=list)
     analyses: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    # compiled kernel, built on first evaluation; copies share the holder
-    _compiled: dict = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -79,10 +78,9 @@ class StochasticCircuit:
     def l(self) -> int:
         return len(self.params)
 
+    @cached_property
     def kernel(self) -> DeviceKernel:
-        if "kernel" not in self._compiled:
-            self._compiled["kernel"] = DeviceKernel(self.devices, self.n, self.l)
-        return self._compiled["kernel"]
+        return DeviceKernel(self.devices, self.n, self.l)
 
     def eval_qf(self, x, xi) -> PointEval:
         """Device evaluation at one point, or at M points in one pass.
@@ -99,7 +97,7 @@ class StochasticCircuit:
             x = np.broadcast_to(x, (m, self.n))
         if xi.shape != (m, self.l):
             xi = np.broadcast_to(xi, (m, self.l))
-        kernel = self.kernel()
+        kernel = self.kernel
         out = kernel(x, xi)
         if not np.isfinite(out).all():
             raise EvalOverflowError(
@@ -120,24 +118,8 @@ class StochasticCircuit:
     def ac_source_vector(self) -> np.ndarray:
         return np.array([dev.ac_mag for dev in self._sources])
 
-    def source_column(self, name: str) -> int:
-        return self.source_names.index(name)
-
     def nominal_germ(self) -> np.ndarray:
         return np.array([p.dist.germ_mean() for p in self.params])
-
-    def with_source_dc(self, name: str, level: float) -> "StochasticCircuit":
-        """A copy whose named V/I source has its operating point replaced."""
-        import copy
-
-        col = self.source_column(name)
-        twin = copy.copy(self)
-        twin._sources = list(self._sources)
-        src = copy.copy(self._sources[col])
-        src.dc = level
-        src.waveform = None
-        twin._sources[col] = src
-        return twin
 
 
 def _require(cond, msg):

@@ -20,9 +20,10 @@ The manifest's order is the one the expansion used, null for mc.
 
 Exit codes: 0 success, 2 netlist or configuration problem, 3 operating
 point failure, 4 transient/analysis failure, 5 testing-node selection
-failure.  stats.csv and coefficients.json are byte-identical across runs
-with the same configuration and seed; manifest.json is not, because it
-records wall and write times.
+failure.  Any exception but the package's own and a ValueError is a bug
+and escapes with its traceback.  stats.csv and coefficients.json are
+byte-identical across runs with the same configuration and seed;
+manifest.json is not, because it records wall and write times.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .circuit import AssemblyWarning, CircuitError, EvalOverflowError, load_circuit
 from .collocation import PhiSingularError, SelectionError
-from .engine import SCHEMES, DcConvergenceError, NewtonConfig, StepControl
+from .engine import SCHEMES, DcConvergenceError, EngineError, NewtonConfig, StepControl
 from .netlist import (
     AcAnalysis,
     DcAnalysis,
@@ -50,6 +51,7 @@ from .netlist import (
     TranAnalysis,
 )
 from .post import stats_over_time, write_coefficients_json, write_json, write_stats_csv
+from .quadrature import GridBudgetError, QuadratureError
 from .solvers import DEFAULT_ORDER, MethodError, run_analysis
 
 EXIT_CONFIG = 2
@@ -311,7 +313,12 @@ def _run_report(paths) -> int:
     manifests = []
     for p in paths:
         with open(p) as fh:
-            manifests.append(json.load(fh))
+            manifest = json.load(fh)
+        for field in ("netlist", "netlist_sha256", "analysis", "method", "order",
+                      "node_count", "wall_time_s"):   # what report_costs reads
+            if field not in manifest:
+                raise ConfigError(f"{p}: manifest has no {field!r} field")
+        manifests.append(manifest)
     rows = report_costs(manifests)
     _print_report(rows, sys.stdout)
     return 0
@@ -329,10 +336,11 @@ def main(argv=None) -> int:
     except (SelectionError, PhiSingularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELECTION
-    except (MethodError, np.linalg.LinAlgError, RuntimeError, EvalOverflowError) as exc:
+    except (EngineError, MethodError, QuadratureError, GridBudgetError,
+            np.linalg.LinAlgError, EvalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (ConfigError, NetlistError, CircuitError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, NetlistError, CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

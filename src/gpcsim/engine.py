@@ -12,7 +12,8 @@ problem exposes
 
 where linearize(c) factors c*dq + df and returns something with solve(rhs).
 That solve is the only linear-algebra hook; block-structured problems
-substitute their own.
+substitute their own.  dc_solve solves f(x) = s for the s it is given, or
+for source(0.0), a transient's starting point, when given none.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
@@ -63,8 +64,9 @@ class NewtonConfig:
 
     def __post_init__(self):
         for name in ("abstol", "reltol"):
-            if not (getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (0 <= value < np.inf):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,12 @@ class StepControl:
     lte_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("h_init", "h_max", "lte_tol"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("h_init", "lte_tol"):
+            value = getattr(self, name)
+            if not (0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.h_max > 0):   # inf, the default, leaves the step unbounded
+            raise ValueError(f"h_max must be positive, got {self.h_max}")
 
 
 @dataclass
@@ -160,12 +165,15 @@ class DcResult:
     stats: SolveStats
 
 
-def dc_solve(problem, config: NewtonConfig | None = None, x0=None) -> DcResult:
-    """Operating point: f(x) = s.  Direct Newton first, then a 10-step
-    source ramp from zero if the cold start diverges."""
+def dc_solve(problem, config: NewtonConfig | None = None, x0=None,
+             source=None) -> DcResult:
+    """Operating point: f(x) = source, problem.source(0.0) when None.
+    Direct Newton first, then a 10-step ramp of that source from zero if
+    the cold start diverges."""
     config = config or NewtonConfig()
     stats = SolveStats()
-    source = problem.source(0.0)
+    if source is None:
+        source = problem.source(0.0)
     zeros = np.zeros(problem.size)
     hist = zeros
     x = np.array(x0, dtype=float) if x0 is not None else zeros.copy()

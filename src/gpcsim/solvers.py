@@ -18,12 +18,13 @@ solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
 one block-diagonal stacked problem, which is st with Φ = I.  The nominal
 operating point that starts st and sg is the one-point case of it.  All
 methods run DC, sweeps and transients through one function, `_run`, on a
-problem built once per run (a sweep re-points it at each level's
-circuit), and `_run` applies a `.tran tstop hmax` bound to every method's
-step.  st and sg keep adaptive step control, while sc/mc use a fixed grid
-so samples share time points.  An order left as None is DEFAULT_ORDER, and
-a Newton, step-control or scheme setting left as None reaches the engine
-as None, which fills in its defaults.
+problem built once per run and never changed: every DC solve gets the
+problem's `stack` of B u at the sources' DC values.  `_run` applies a
+`.tran tstop hmax` bound to every method's step.  st and sg keep adaptive
+step control, while sc/mc use a fixed grid so samples share time points.
+An order left as None is DEFAULT_ORDER, and a Newton, step-control or
+scheme setting left as None reaches the engine as None, which fills in its
+defaults.
 """
 
 from __future__ import annotations
@@ -231,9 +232,12 @@ class STProblem:
         return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev.dq, ev.df,
                               self.nodes.phi_inv, n)
 
-    def source(self, t):
-        s = self.circuit.b_matrix @ self.circuit.source_vector(t)
+    def stack(self, s):
+        """A deterministic (n,) right-hand side, the same at every node."""
         return np.tile(s, len(self.nodes.nodes))
+
+    def source(self, t):
+        return self.stack(self.circuit.b_matrix @ self.circuit.source_vector(t))
 
 
 class _StackedEvalSG:
@@ -299,15 +303,18 @@ class SGProblem:
         q_proj = self.wh.T @ ev.q                            # (K, n)
         f_proj = self.wh.T @ ev.f
         return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), self.wh, self.hmat,
-                              ev.dq, ev.df, self.circuit.kernel().jacobian_pattern,
+                              ev.dq, ev.df, self.circuit.kernel.jacobian_pattern,
                               n, k)
 
+    def stack(self, s):
+        """Projection of a deterministic (n,) right-hand side: only the
+        constant basis function survives, so block 0 is s, the rest zero."""
+        out = np.zeros((self.basis.size, self.circuit.n))
+        out[0] = s
+        return out.ravel()
+
     def source(self, t):
-        # projections of the deterministic source: only the constant basis
-        # function survives, so block 1 is B u and the rest vanish
-        s = np.zeros((self.basis.size, self.circuit.n))
-        s[0] = self.circuit.b_matrix @ self.circuit.source_vector(t)
-        return s.ravel()
+        return self.stack(self.circuit.b_matrix @ self.circuit.source_vector(t))
 
 
 # --------------------------------------------------------------------------
@@ -348,49 +355,19 @@ def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
     return analysis.start + analysis.step * np.arange(count)
 
 
-def _static(times, states, stats) -> Trajectory:
-    empty = np.zeros(0)
-    return Trajectory(times=times, states=states, h_history=empty,
-                      lte_history=empty, est_history=empty, stats=stats)
-
-
 def _run(problem, x0, analysis, label, newton, control=None,
          scheme=None, fixed_h=None) -> Trajectory:
     """The DC, sweep and transient runner every method shares.
 
-    The run builds no problem of its own.  A sweep points the given
-    (stacked) problem at each swept twin of its circuit in turn and
-    warm-starts every level from the one before; the twins share the
-    parameters and the compiled device kernel, so whatever the problem set
-    up from them, such as the Galerkin quadrature tables, stays valid.  A
-    transient caps the step at the analysis card's hmax, adaptive or fixed.
-    The result's states are the problem's unknowns at each time or sweep
-    level.  Engine failures are re-raised with "[method=<label>]".
+    The run builds no problem of its own and never changes the one it is
+    given.  A DC run is the one-level sweep: every level solves for the
+    problem's stack of B u, with u each source's DC value and the swept
+    source at the level, and warm-starts from the level before.  A
+    transient starts from the operating point at the t = 0 waveform values
+    and caps the step at the analysis card's hmax, adaptive or fixed.  The
+    result's states are the problem's unknowns at each time or sweep level.
+    Engine failures are re-raised with "[method=<label>]".
     """
-    if isinstance(analysis, DcAnalysis):
-        try:
-            res = dc_solve(problem, newton, x0=x0)
-        except DcConvergenceError as exc:
-            _wrap_engine_error(exc, label)
-        return _static(np.zeros(1), res.x[None, :], res.stats)
-
-    if isinstance(analysis, DcSweepAnalysis):
-        levels = _sweep_levels(analysis)
-        circuit = problem.circuit
-        stats = SolveStats()
-        rows = []
-        warm = x0
-        for level in levels:
-            problem.circuit = circuit.with_source_dc(analysis.source, level)
-            try:
-                res = dc_solve(problem, newton, x0=warm)
-            except DcConvergenceError as exc:
-                _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}")
-            warm = res.x
-            rows.append(res.x)
-            stats.merge(res.stats)
-        return _static(levels, np.array(rows), stats)
-
     if isinstance(analysis, TranAnalysis):
         if analysis.hmax is not None:
             control = (StepControl(h_max=analysis.hmax) if control is None
@@ -404,7 +381,28 @@ def _run(problem, x0, analysis, label, newton, control=None,
         traj.stats.merge(dc.stats)
         return traj
 
-    raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
+    if not isinstance(analysis, (DcAnalysis, DcSweepAnalysis)):
+        raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
+    circuit = problem.circuit
+    sweep = isinstance(analysis, DcSweepAnalysis)
+    levels = _sweep_levels(analysis) if sweep else np.zeros(1)
+    u = circuit.dc_source_vector()
+    stats = SolveStats()
+    rows = []
+    for level in levels:
+        if sweep:
+            u[circuit.source_names.index(analysis.source)] = level
+        try:
+            res = dc_solve(problem, newton, x0=rows[-1] if rows else x0,
+                           source=problem.stack(circuit.b_matrix @ u))
+        except DcConvergenceError as exc:
+            _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}"
+                               if sweep else label)
+        rows.append(res.x)
+        stats.merge(res.stats)
+    empty = np.zeros(0)
+    return Trajectory(times=levels, states=np.array(rows), h_history=empty,
+                      lte_history=empty, est_history=empty, stats=stats)
 
 
 def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None,
@@ -515,9 +513,9 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
              fixed_h=None):
     """Plain Monte Carlo: seeded draws, deterministic runs in lockstep.
 
-    A single sample is only useful as the nominal run, so it is the mean
-    point and draws nothing.  A sample whose own run fails is dropped and
-    counted; more than MAX_FAILURE_FRACTION of them aborts the run.
+    A single sample is the nominal run: the mean point, no draw, no seed.
+    A sample whose own run fails is dropped and counted; more than
+    MAX_FAILURE_FRACTION of them aborts the run.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -547,7 +545,7 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
         failures=failures,
         method="mc",
         stats=stats,
-        seed=seed)
+        seed=None if n_samples == 1 else seed)
 
 
 # --------------------------------------------------------------------------
@@ -592,8 +590,9 @@ def ac_solve(circuit, order, freqs, beta=None, newton=None):
     dc = st_solve(circuit, order, DcAnalysis(), beta=beta, newton=newton)
     basis, nodes = dc.basis, dc.nodes
     k = basis.size
-    ev = STProblem(circuit, basis, nodes).eval(dc.coeffs[-1].ravel(), 0.0)
-    rhs = np.tile(circuit.b_matrix @ circuit.ac_source_vector(), k)
+    problem = STProblem(circuit, basis, nodes)
+    ev = problem.eval(dc.coeffs[-1].ravel(), 0.0)
+    rhs = problem.stack(circuit.b_matrix @ circuit.ac_source_vector())
 
     if isinstance(freqs, AcAnalysis):
         freqs = frequency_grid(freqs.fstart, freqs.fstop,

@@ -334,14 +334,6 @@ def test_eval_overflow_signed():
         c.eval_qf(np.zeros(2), np.array([0.0]))  # resistor hits exactly zero
 
 
-def test_with_source_dc_override():
-    c = load_circuit(DIVIDER_TEXT)
-    swept = c.with_source_dc("v1", 10.0)
-    assert swept.dc_source_vector()[0] == 10.0
-    assert c.dc_source_vector()[0] == 3.0  # original untouched
-    assert swept.source_vector(123.0)[0] == 10.0
-
-
 def test_germ_continuity_of_eval():
     # f must vary smoothly along a germ sweep (no jumps from region logic)
     c = load_circuit(

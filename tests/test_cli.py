@@ -89,6 +89,11 @@ class TestExitCodes:
         ("tran", "rc_uniform.cir", "--ltetol", "nan"),
         ("tran", "rc_uniform.cir", "--abstol", "-1"),
         ("tran", "rc_uniform.cir", "--reltol", "-1"),
+        # an infinite tolerance would switch Newton or error control off
+        ("tran", "rc_uniform.cir", "--abstol", "inf"),
+        ("tran", "rc_uniform.cir", "--reltol", "inf"),
+        ("tran", "rc_uniform.cir", "--ltetol", "inf"),
+        ("dc", "cs_amp.cir", "--abstol", "inf"),
     ])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
         assert run_cli(*flags, "--out", str(tmp_path)) == 2
@@ -151,6 +156,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_analysis", boom)
         assert run_cli("tran", "rc_uniform.cir", "--out", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("error", [NotImplementedError, RuntimeError, KeyError])
+    def test_programming_error_escapes(self, tmp_path, monkeypatch, error):
+        # only the package's own errors map to an exit code; a bug keeps
+        # its traceback
+        def boom(*args, **kwargs):
+            raise error("bug")
+
+        monkeypatch.setattr(cli, "run_analysis", boom)
+        with pytest.raises(error, match="bug"):
+            run_cli("dc", "cs_amp.cir", "--out", str(tmp_path))
+
 
 # --------------------------------------------------------------------------
 # artifacts
@@ -200,7 +216,7 @@ class TestArtifacts:
         assert np.all(mc.std == 0.0)                 # one sample: no spread
         manifest = json.loads((mc_dir / "manifest.json").read_text())
         assert manifest["node_count"] == 1
-        assert manifest["seed"] == 0
+        assert manifest["seed"] is None
         assert manifest["order"] is None
 
     def test_ac_artifacts(self, tmp_path):
@@ -392,3 +408,12 @@ class TestReportCosts:
         capsys.readouterr()
         assert run_cli("report", str(st_dir / "manifest.json"),
                        str(other / "manifest.json")) == 2
+
+    def test_report_missing_field_exits_2(self, tmp_path, capsys):
+        manifest = fake_manifest("st", 210, 1.0)
+        del manifest["node_count"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run_cli("report", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "'node_count'" in err and str(path) in err

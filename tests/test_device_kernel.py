@@ -131,17 +131,11 @@ def test_zero_resistor_in_batch_overflows():
     assert ev.df[1, 0, 0] == pytest.approx(-1 / 0.5)
 
 
-def test_sweep_twin_shares_the_kernel():
-    circuit = CIRCUITS["cs_amp.cir"]
-    twin = circuit.with_source_dc("vin", 1.0)
-    assert twin.kernel() is circuit.kernel()
-
-
 @pytest.mark.parametrize("name", ["sram6t.cir", "edges"])
 def test_memo_returns_what_a_fresh_kernel_does(name):
     circuit = CIRCUITS[name]
     rng = np.random.default_rng(23)
-    kernel = circuit.kernel()
+    kernel = circuit.kernel
     for m in (1, num_basis(2, circuit.l)):
         a, b = germ_draws(circuit, rng, m), germ_draws(circuit, rng, m)
         for step in ("a", "a", "b", "a", "mutated a"):

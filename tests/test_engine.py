@@ -269,11 +269,16 @@ def test_argument_validation():
         with pytest.raises(ValueError, match="fixed step must be positive"):
             transient_solve(prob, np.zeros(3), 1e-3, fixed_h=h)
     for field in ("h_init", "h_max", "lte_tol"):
-        for bad in (0.0, -1.0, math.nan):
+        for bad in (0.0, -1.0, math.nan, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be positive"):
                 StepControl(**{field: bad})
+    # an infinite first step or error tolerance turns step control off
+    for field in ("h_init", "lte_tol"):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            StepControl(**{field: math.inf})
+    assert StepControl(h_max=math.inf).h_max == math.inf   # no step bound
     for field in ("abstol", "reltol"):
-        for bad in (-1.0, math.nan):
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
                 NewtonConfig(**{field: bad})
     NewtonConfig(abstol=0.0, reltol=0.0)

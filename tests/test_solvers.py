@@ -460,6 +460,7 @@ class TestMcSolve:
         nominal = dc_solve(CircuitProblem(circuit, circuit.nominal_germ())).x
         ens = mc_solve(circuit, 1, 0, DcAnalysis())
         np.testing.assert_allclose(ens.solutions[0, 0], nominal, atol=1e-12)
+        assert ens.seed is None                      # draws nothing
 
     def test_mean_matches_quadrature_oracle(self):
         """Divider mean over uniform R via adaptive Gauss-Legendre reference."""
@@ -665,3 +666,40 @@ r1 1 0 1k
 """)
         with pytest.raises(MethodError, match="no random parameters"):
             run_analysis(fixed, "st", 2, DcAnalysis())
+
+
+class TestDcSourceValue:
+    """DC runs solve at each source's DC value; a transient starts from the
+    t = 0 waveform value."""
+
+    TEXT = """* explicit dc level under a waveform
+v1 1 0 dc 3 sin(0 1 1k)
+r1 1 2 dist=uniform(900,1100)
+r2 2 0 1k
+.dc
+.tran 1m
+"""
+
+    @pytest.mark.parametrize("method", ["st", "sg", "mc"])
+    def test_dc_uses_dc_value(self, method):
+        circuit = load_circuit(self.TEXT)
+        v1 = circuit.state_names.index("v(1)")
+        result = run_analysis(circuit, method, 2, DcAnalysis(), n_samples=8, seed=1)
+        mean = result.mean()[0] if method == "mc" else result.coeffs[0, 0]
+        assert mean[v1] == pytest.approx(3.0, abs=1e-9)
+
+    def test_transient_starts_from_waveform(self):
+        circuit = load_circuit(self.TEXT)
+        v1 = circuit.state_names.index("v(1)")
+        (_, tran) = circuit.analyses
+        traj = run_analysis(circuit, "st", 2, tran, fixed_h=1e-4)
+        assert traj.coeffs[0, 0, v1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sweep_holds_other_sources_at_dc_value(self):
+        circuit = load_circuit(self.TEXT.replace(
+            ".dc\n", "v2 3 0 dc 0\nr3 3 2 1k\n.dcsweep v2 0 1 0.5\n"))
+        v1, v3 = (circuit.state_names.index(name) for name in ("v(1)", "v(3)"))
+        sweep = next(a for a in circuit.analyses if isinstance(a, DcSweepAnalysis))
+        traj = run_analysis(circuit, "st", 2, sweep)
+        np.testing.assert_allclose(traj.coeffs[:, 0, v1], 3.0, atol=1e-9)
+        np.testing.assert_allclose(traj.coeffs[:, 0, v3], [0.0, 0.5, 1.0], atol=1e-9)
