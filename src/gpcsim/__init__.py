@@ -37,7 +37,6 @@ from .post import (
     compare_methods,
     pdf_of_expansion,
     stats_over_time,
-    write_coefficients_json,
     write_stats_csv,
 )
 from .quadrature import gauss_rule, tensor_grid
@@ -88,6 +87,5 @@ __all__ = [
     "st_solve",
     "stats_over_time",
     "tensor_grid",
-    "write_coefficients_json",
     "write_stats_csv",
 ]

@@ -50,7 +50,7 @@ from .netlist import (
     NetlistError,
     TranAnalysis,
 )
-from .post import stats_over_time, write_coefficients_json, write_json, write_stats_csv
+from .post import coefficients_payload, stats_over_time, write_json, write_stats_csv
 from .quadrature import GridBudgetError, QuadratureError
 from .solvers import DEFAULT_ORDER, MethodError, run_analysis
 
@@ -174,7 +174,7 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
         write_stats_csv(written[-1], stats_over_time(result, names=names))
     if args.format in ("json", "both"):
         written.append(out / "coefficients.json")
-        write_coefficients_json(written[-1], result, state_names=names)
+        write_json(written[-1], coefficients_payload(result, names))
     write_time = time.perf_counter() - start
     written.append(out / "manifest.json")
     write_json(written[-1], build_manifest(result, circuit, args, netlist_text, wall,

@@ -13,7 +13,9 @@ problem exposes
 where linearize(c) factors c*dq + df and returns something with solve(rhs).
 That solve is the only linear-algebra hook; block-structured problems
 substitute their own.  dc_solve solves f(x) = s for the s it is given, or
-for source(0.0), a transient's starting point, when given none.
+for source(0.0), a transient's starting point, when given none; the
+solvers hand every DC solve its s, so only direct callers use that
+fallback.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GpcBasisSet
+from .basis import GpcBasisSet, moments_from_coeffs
 from .solvers import AcResult, GpcTrajectory, SampleEnsemble
 
 MIN_PDF_SAMPLES = 1000
@@ -73,11 +73,11 @@ def stats_over_time(result, names=None) -> StatSeries:
     if isinstance(result, SampleEnsemble):
         times, mean, std = result.times, result.mean(), result.std()
     elif isinstance(result, GpcTrajectory):
-        times, mean = result.times, result.coeffs[:, 0, :].copy()
-        std = np.sqrt(np.sum(result.coeffs[:, 1:, :] ** 2, axis=1))
+        times = result.times
+        mean, std = moments_from_coeffs(result.coeffs.transpose(1, 0, 2))
     elif isinstance(result, AcResult):
-        times, mean = result.freqs, np.abs(result.coeffs[:, 0, :])
-        std = np.sqrt(np.sum(np.abs(result.coeffs[:, 1:, :]) ** 2, axis=1))
+        times = result.freqs
+        mean, std = moments_from_coeffs(np.abs(result.coeffs).transpose(1, 0, 2))
     else:
         raise TypeError(f"cannot extract statistics from {type(result).__name__}")
     n = mean.shape[1]
@@ -322,7 +322,3 @@ def write_json(path, payload):
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, ""))
         fh.write("\n")
-
-
-def write_coefficients_json(path, result, state_names=None):
-    write_json(path, coefficients_payload(result, state_names))

@@ -15,16 +15,17 @@ how coefficients are obtained:
 Every method makes one batched device evaluation per Newton iteration, at
 its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
 solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
-one block-diagonal stacked problem, which is st with Φ = I.  The nominal
-operating point that starts st and sg is the one-point case of it.  All
-methods run DC, sweeps and transients through one function, `_run`, on a
-problem built once per run and never changed: every DC solve gets the
-problem's `stack` of B u at the sources' DC values.  `_run` applies a
-`.tran tstop hmax` bound to every method's step.  st and sg keep adaptive
-step control, while sc/mc use a fixed grid so samples share time points.
-An order left as None is DEFAULT_ORDER, and a Newton, step-control or
-scheme setting left as None reaches the engine as None, which fills in its
-defaults.
+one block-diagonal stacked problem, which is st with Φ = I.  All methods
+run DC, sweeps and transients through one function, `_run`, on a problem
+built once per run and never changed.  Every DC solve of a run takes the
+problem's `stack` of B u, with u the sources' DC values, a sweep level or a
+transient's t = 0 values; the nominal operating point that starts st and
+sg is the one-point case of the stacked problem, solved for the same B u.
+`_run` applies a `.tran tstop hmax` bound to every method's step.  st and
+sg keep adaptive step control, while sc/mc use a fixed grid so samples
+share time points.  An order left as None is DEFAULT_ORDER, and a Newton,
+step-control or scheme setting left as None reaches the engine as None,
+which fills in its defaults.
 """
 
 from __future__ import annotations
@@ -335,15 +336,10 @@ def _basis_for(circuit, order) -> GpcBasisSet:
     return GpcBasisSet([p.dist for p in circuit.params], order)
 
 
-def _nominal_dc(circuit, newton) -> np.ndarray:
+def _nominal_dc(circuit, newton, s) -> np.ndarray:
+    """The operating point at the mean germ for the right-hand side s."""
     nominal = GermPoints(circuit.nominal_germ()[None])
-    return dc_solve(STProblem(circuit, None, nominal), newton).x
-
-
-def _initial_state(circuit, basis, newton) -> np.ndarray:
-    X0 = np.zeros((basis.size, circuit.n))
-    X0[0] = _nominal_dc(circuit, newton)
-    return X0.ravel()
+    return dc_solve(STProblem(circuit, None, nominal), newton, source=s).x
 
 
 def _wrap_engine_error(exc, label):
@@ -355,51 +351,59 @@ def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
     return analysis.start + analysis.step * np.arange(count)
 
 
-def _run(problem, x0, analysis, label, newton, control=None,
-         scheme=None, fixed_h=None) -> Trajectory:
+def _run(problem, analysis, label, newton, control=None, scheme=None,
+         fixed_h=None) -> Trajectory:
     """The DC, sweep and transient runner every method shares.
 
     The run builds no problem of its own and never changes the one it is
-    given.  A DC run is the one-level sweep: every level solves for the
-    problem's stack of B u, with u each source's DC value and the swept
-    source at the level, and warm-starts from the level before.  A
-    transient starts from the operating point at the t = 0 waveform values
-    and caps the step at the analysis card's hmax, adaptive or fixed.  The
-    result's states are the problem's unknowns at each time or sweep level.
-    Engine failures are re-raised with "[method=<label>]".
+    given.  Every operating point is a level of one loop that solves for the
+    problem's stack of B u: a DC run is the single level at the sources' DC
+    values, a sweep sets the swept source at each level, and a transient
+    starts from the single level at the t = 0 waveform values, then caps
+    its step at the analysis card's hmax.  A level warm-starts from the one
+    before; the first starts from zero, or for st and sg from the nominal
+    operating point for the same B u.  The result's states are the
+    problem's unknowns at each time or sweep level.  Engine failures are
+    re-raised with "[method=<label>]".
     """
-    if isinstance(analysis, TranAnalysis):
-        if analysis.hmax is not None:
-            control = (StepControl(h_max=analysis.hmax) if control is None
-                       else replace(control, h_max=analysis.hmax))
-        try:
-            dc = dc_solve(problem, newton, x0=x0)
-            traj = transient_solve(problem, dc.x, analysis.tstop, scheme=scheme,
-                                   newton=newton, control=control, fixed_h=fixed_h)
-        except (DcConvergenceError, TransientError) as exc:
-            _wrap_engine_error(exc, label)
-        traj.stats.merge(dc.stats)
-        return traj
-
-    if not isinstance(analysis, (DcAnalysis, DcSweepAnalysis)):
-        raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
     circuit = problem.circuit
+    tran = isinstance(analysis, TranAnalysis)
     sweep = isinstance(analysis, DcSweepAnalysis)
+    if not (tran or sweep or isinstance(analysis, DcAnalysis)):
+        raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
     levels = _sweep_levels(analysis) if sweep else np.zeros(1)
-    u = circuit.dc_source_vector()
+    u = circuit.source_vector(0.0) if tran else circuit.dc_source_vector()
     stats = SolveStats()
     rows = []
     for level in levels:
         if sweep:
             u[circuit.source_names.index(analysis.source)] = level
+        s = circuit.b_matrix @ u
+        x0 = rows[-1] if rows else None
+        if x0 is None and problem.basis is not None:
+            x0 = np.zeros(problem.size)
+            try:
+                x0[:circuit.n] = _nominal_dc(circuit, newton, s)
+            except DcConvergenceError as exc:
+                _wrap_engine_error(exc, f"{label} nominal init")
         try:
-            res = dc_solve(problem, newton, x0=rows[-1] if rows else x0,
-                           source=problem.stack(circuit.b_matrix @ u))
+            res = dc_solve(problem, newton, x0=x0, source=problem.stack(s))
         except DcConvergenceError as exc:
             _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}"
                                if sweep else label)
         rows.append(res.x)
         stats.merge(res.stats)
+    if tran:
+        if analysis.hmax is not None:
+            control = (StepControl(h_max=analysis.hmax) if control is None
+                       else replace(control, h_max=analysis.hmax))
+        try:
+            traj = transient_solve(problem, rows[0], analysis.tstop, scheme=scheme,
+                                   newton=newton, control=control, fixed_h=fixed_h)
+        except TransientError as exc:
+            _wrap_engine_error(exc, label)
+        traj.stats.merge(stats)
+        return traj
     empty = np.zeros(0)
     return Trajectory(times=levels, states=np.array(rows), h_history=empty,
                       lte_history=empty, est_history=empty, stats=stats)
@@ -407,17 +411,12 @@ def _run(problem, x0, analysis, label, newton, control=None,
 
 def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None,
                      scheme=None, fixed_h=None):
-    circuit, basis = problem.circuit, problem.basis
-    try:
-        X0 = _initial_state(circuit, basis, newton)
-    except DcConvergenceError as exc:
-        _wrap_engine_error(exc, f"{method} nominal init")
-    run = _run(problem, X0, analysis, method, newton, control=control,
-               scheme=scheme, fixed_h=fixed_h)
+    run = _run(problem, analysis, method, newton, control=control, scheme=scheme,
+               fixed_h=fixed_h)
     return GpcTrajectory(
         times=run.times,
-        coeffs=run.states.reshape(len(run.times), basis.size, circuit.n),
-        basis=basis, nodes=nodes, method=method,
+        coeffs=run.states.reshape(len(run.times), problem.basis.size, -1),
+        basis=problem.basis, nodes=nodes, method=method,
         h_history=run.h_history, lte_history=run.lte_history, stats=run.stats)
 
 
@@ -461,8 +460,7 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
     def solve(idx, label):
         nonlocal times, sols
         problem = STProblem(circuit, None, GermPoints(points[idx]))
-        traj = _run(problem, None, analysis, label, newton, scheme=scheme,
-                    fixed_h=fixed_h)
+        traj = _run(problem, analysis, label, newton, scheme=scheme, fixed_h=fixed_h)
         if sols is None:
             times = traj.times
             sols = np.full((len(points), len(times), n), np.nan)

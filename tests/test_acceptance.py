@@ -283,10 +283,12 @@ def test_criterion_10_cost_model_scaling(tmp_path):
     per_solve = {"st": [], "sg": []}
     for p in orders:
         for method in ("st", "sg"):
-            traj = run_analysis(circuit, method, p, TranAnalysis(tstop=1e-3),
-                                fixed_h=1e-3 / 40)
+            # the fastest of three runs, so a one-off stall of the machine
+            # at a small K cannot bend the fitted exponent
+            runs = [run_analysis(circuit, method, p, TranAnalysis(tstop=1e-3),
+                                 fixed_h=1e-3 / 40).stats for _ in range(3)]
             per_solve[method].append(
-                traj.stats.linear_solve_time / traj.stats.linear_solves)
+                min(s.linear_solve_time / s.linear_solves for s in runs))
     st_exp = np.polyfit(np.log(sizes), np.log(per_solve["st"]), 1)[0]
     sg_exp = np.polyfit(np.log(sizes), np.log(per_solve["sg"]), 1)[0]
     assert st_exp <= 1.5, per_solve["st"]

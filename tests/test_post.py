@@ -24,7 +24,6 @@ from gpcsim.post import (
     read_stats_csv,
     sample_expansion,
     stats_over_time,
-    write_coefficients_json,
     write_json,
     write_stats_csv,
 )
@@ -255,7 +254,7 @@ class TestExports:
         circuit = load_circuit(DIVIDER)
         traj = st_solve(circuit, 3, DcAnalysis())
         path = tmp_path / "coeffs.json"
-        write_coefficients_json(path, traj, state_names=circuit.state_names)
+        write_json(path, coefficients_payload(traj, circuit.state_names))
         data = json.loads(path.read_text())
         assert data["order"] == 3
         assert data["basis_size"] == 4
@@ -281,7 +280,7 @@ class TestExports:
         assert payload["std"] == ens.std().tolist()
         assert coefficients_payload(ens)["states"] is None
         path = tmp_path / "coeffs.json"
-        write_coefficients_json(path, ens, state_names=circuit.state_names)
+        write_json(path, coefficients_payload(ens, circuit.state_names))
         assert json.loads(path.read_text()) == payload
 
     def test_json_complex_coefficients(self):

@@ -331,7 +331,8 @@ class TestDegenerateEquivalence:
         assert stacked.iterations == dense.iterations
         assert stacked.homotopy_used == dense.homotopy_used
         assert stacked.stats.linear_solves == dense.stats.linear_solves
-        np.testing.assert_array_equal(solvers._nominal_dc(circuit, NewtonConfig()), dense.x)
+        np.testing.assert_array_equal(solvers._nominal_dc(
+            circuit, NewtonConfig(), circuit.b_matrix @ circuit.source_vector(0.0)), dense.x)
 
     def test_dc_all_methods_identical(self):
         circuit = load_circuit(DIODE)
@@ -703,3 +704,25 @@ r2 2 0 1k
         traj = run_analysis(circuit, "st", 2, sweep)
         np.testing.assert_allclose(traj.coeffs[:, 0, v1], 3.0, atol=1e-9)
         np.testing.assert_allclose(traj.coeffs[:, 0, v3], [0.0, 0.5, 1.0], atol=1e-9)
+
+    # the DIODE clamp with a waveform beside its DC value
+    CLAMP = DIODE.replace("dc 0.8", "dc 0.8 sin(0 0.1 1k)")
+
+    @pytest.mark.parametrize("method", ["st", "sg"])
+    def test_nominal_seed_solves_for_dc_value(self, method):
+        """st and sg start from the nominal operating point of the run's own
+        source, so a waveform beside the DC value changes no bit."""
+        plain = run_analysis(load_circuit(DIODE), method, 2, DcAnalysis())
+        waved = run_analysis(load_circuit(self.CLAMP), method, 2, DcAnalysis())
+        np.testing.assert_array_equal(waved.coeffs, plain.coeffs)
+        assert waved.stats.newton_iterations == plain.stats.newton_iterations
+
+    @pytest.mark.parametrize("method", ["st", "sg"])
+    def test_nominal_seed_solves_for_first_sweep_level(self, method):
+        """A sweep's nominal seed is solved at its first level, whatever DC
+        value the swept source is written with."""
+        sweep = DcSweepAnalysis("v1", 0.0, 1.0, 0.25)
+        at_zero = run_analysis(load_circuit(DIODE.replace("dc 0.8", "dc 0")),
+                               method, 2, sweep)
+        at_dc = run_analysis(load_circuit(DIODE), method, 2, sweep)
+        np.testing.assert_array_equal(at_dc.coeffs, at_zero.coeffs)
