@@ -43,7 +43,6 @@ from .quadrature import gauss_rule, tensor_grid
 from .solvers import (
     GpcTrajectory,
     SampleEnsemble,
-    ac_solve,
     mc_solve,
     run_analysis,
     sc_solve,
@@ -69,7 +68,6 @@ __all__ = [
     "TestingNodeSet",
     "TranAnalysis",
     "Uniform",
-    "ac_solve",
     "build_index_set",
     "compare_methods",
     "gauss_rule",

@@ -334,11 +334,6 @@ class GpcBasisSet:
         return vals.T
 
 
-def eval_basis(basis: GpcBasisSet, xi) -> np.ndarray:
-    """H(xi): the K basis values at a single germ point."""
-    return basis.eval_many(np.asarray(xi, dtype=float).reshape(1, -1))[0]
-
-
 def moments_from_coeffs(coeffs):
     """Mean and standard deviation of an orthonormal expansion.
 

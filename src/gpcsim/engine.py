@@ -20,6 +20,9 @@ fallback.
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
 uniform step with none.  StepControl.h_max bounds the step in both modes.
+A run whose step cap (h_max, or the fixed step) would need more than
+MAX_STEPS steps to reach t_end is refused with a ValueError before the
+first step, so a mistyped cap cannot run for days.
 Every Newton solve of a step starts from the last accepted state, whatever
 the method; the extrapolated predictor feeds only the error estimate, whose
 per-state scale is lte_tol * (|x| + LTE_FLOOR).
@@ -45,6 +48,7 @@ STEP_GROW = 2.0      # largest step growth after an accepted step
 STEP_SHRINK = 0.5    # step cut on a rejection; also the smallest shrink factor
 STEP_SAFETY = 0.9    # margin on the error-optimal step
 LTE_FLOOR = 1e-3     # absolute floor mixed into the per-state error scale
+MAX_STEPS = 10**6    # most steps a transient's step cap may force
 
 
 class EngineError(RuntimeError):
@@ -209,10 +213,6 @@ class Trajectory:
     est_history: np.ndarray    # max unscaled error estimate per accepted step
     stats: SolveStats
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _predict(times, states, t_new, max_points):
     """Newton-forward extrapolation through the last few accepted points."""
@@ -275,6 +275,10 @@ def transient_solve(problem, x0, t_end, scheme=None,
         raise ValueError(f"fixed step must be positive, got {fixed_h}")
     newton = newton or NewtonConfig()
     control = control or StepControl()
+    h_cap = min(control.h_max, fixed_h or np.inf)
+    if t_end / h_cap > MAX_STEPS:
+        raise ValueError(f"a step of at most {h_cap:g} needs over {MAX_STEPS} steps "
+                         f"to reach {t_end:g}")
     stats = SolveStats()
 
     x = np.array(x0, dtype=float)

@@ -1,10 +1,10 @@
 """Statistics, PDF extraction, comparisons, and on-disk result formats.
 
 Everything here consumes finished solver results, and this is the one
-module that knows how each result kind (GpcTrajectory, SampleEnsemble,
-AcResult) becomes an artifact: `stats_over_time` and
-`coefficients_payload` take any of them, and `write_json` writes every
-JSON file.  Moments come straight from orthonormal coefficients (mean =
+module that knows how each result kind (GpcTrajectory, SampleEnsemble)
+becomes an artifact: `stats_over_time` and `coefficients_payload` take
+either, and `write_json` writes every JSON file.  Complex coefficients are
+an AC run's phasors, over frequencies rather than times.  Moments come straight from orthonormal coefficients (mean =
 constant term, variance = sum of the squared rest); PDFs are estimated by
 sampling the polynomial expansion, which costs polynomial evaluations
 only.  CSV output is a long-format `time,state,mean,std` table printed
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasisSet, moments_from_coeffs
-from .solvers import AcResult, GpcTrajectory, SampleEnsemble
+from .solvers import GpcTrajectory, SampleEnsemble
 
 MIN_PDF_SAMPLES = 1000
 
@@ -59,25 +59,21 @@ class PdfEstimate:
     sample_mean: float
     sample_std: float
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.densities * np.diff(self.edges)))
-
 
 def stats_over_time(result, names=None) -> StatSeries:
     """Mean/std series of any result over its time, sweep or frequency axis.
 
     An AC sweep's phasors report the magnitude of the mean coefficient and
-    the RMS spread of the other coefficients; the full complex tensors go
-    to `coefficients_payload`.
+    the RMS of the other coefficients' magnitudes; the full complex tensors
+    go to `coefficients_payload`.
     """
     if isinstance(result, SampleEnsemble):
         times, mean, std = result.times, result.mean(), result.std()
     elif isinstance(result, GpcTrajectory):
-        times = result.times
-        mean, std = moments_from_coeffs(result.coeffs.transpose(1, 0, 2))
-    elif isinstance(result, AcResult):
-        times = result.freqs
-        mean, std = moments_from_coeffs(np.abs(result.coeffs).transpose(1, 0, 2))
+        times, coeffs = result.times, result.coeffs
+        if np.iscomplexobj(coeffs):
+            coeffs = np.abs(coeffs)
+        mean, std = moments_from_coeffs(coeffs.transpose(1, 0, 2))
     else:
         raise TypeError(f"cannot extract statistics from {type(result).__name__}")
     n = mean.shape[1]
@@ -262,10 +258,8 @@ def coefficients_payload(result, state_names=None) -> dict:
         "coefficients": _complex_safe(result.coeffs),
         "method": result.method,
     }
-    if isinstance(result, AcResult):
-        payload["frequencies"] = np.asarray(result.freqs, dtype=float).tolist()
-    else:
-        payload["times"] = np.asarray(result.times, dtype=float).tolist()
+    axis = "frequencies" if np.iscomplexobj(result.coeffs) else "times"
+    payload[axis] = np.asarray(result.times, dtype=float).tolist()
     if state_names is not None:
         payload["states"] = list(state_names)
     if result.nodes is not None:

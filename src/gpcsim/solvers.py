@@ -23,9 +23,12 @@ transient's t = 0 values; the nominal operating point that starts st and
 sg is the one-point case of the stacked problem, solved for the same B u.
 `_run` applies a `.tran tstop hmax` bound to every method's step.  st and
 sg keep adaptive step control, while sc/mc use a fixed grid so samples
-share time points.  An order left as None is DEFAULT_ORDER, and a Newton,
-step-control or scheme setting left as None reaches the engine as None,
-which fills in its defaults.
+share time points.  `_run` also runs `.ac`, for st alone: the collocated
+system linearized at the DC point with c = jω, solved once per frequency,
+so an AC result is a GpcTrajectory whose times are the frequencies and
+whose coefficients are complex phasors.  An order left as None is
+DEFAULT_ORDER, and a Newton, step-control or scheme setting left as None
+reaches the engine as None, which fills in its defaults.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import GpcBasisSet
+from .basis import GpcBasisSet, num_basis
 from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
@@ -48,12 +51,13 @@ from .engine import (
     transient_solve,
 )
 from .netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
-from .quadrature import check_grid_budget, gauss_rule, tensor_grid
+from .quadrature import GridBudgetError, check_grid_budget, gauss_rule, tensor_grid
 
 DEFAULT_ORDER = 2            # gPC total order when none is given
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
 LOCKSTEP_CHUNK = 128         # germ points per sc/mc lockstep batch; bounds its memory
 MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
+TABLE_BUDGET = 10**8         # most entries in a (basis size) x (grid nodes) table
 
 
 class MethodError(RuntimeError):
@@ -132,9 +136,6 @@ class SampleEnsemble:
         var = np.einsum("s,stn->tn", self.weights,
                         (self.solutions - mu[None]) ** 2)
         return np.sqrt(np.maximum(var, 0.0))
-
-    def standard_error(self) -> np.ndarray:
-        return self.std() / math.sqrt(self.n_samples)
 
 
 # --------------------------------------------------------------------------
@@ -325,14 +326,22 @@ class SGProblem:
 def _basis_for(circuit, order) -> GpcBasisSet:
     """The circuit's gPC basis of total order `order`, DEFAULT_ORDER if None.
 
-    Every expansion also needs the (order+1)^l Gauss grid, so its budget is
-    checked first: the basis lists C(order+l, l) index tuples, which a grid
-    over budget can make too many to hold.
+    Every expansion also needs the (order+1)^l Gauss grid and a table of
+    the K basis functions at its nodes (st's candidate scan, sg's (Q, K)
+    quadrature table, sc's projection), so both budgets are checked first:
+    the basis lists C(order+l, l) index tuples, which a grid over budget
+    can make too many to hold, and K·(order+1)^l over TABLE_BUDGET would
+    not fit in memory.  Since K ≤ (order+1)^l this also bounds st's K × K Φ.
     """
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to expand")
     order = DEFAULT_ORDER if order is None else order
     check_grid_budget(order + 1, circuit.l)
+    k, q = num_basis(order, circuit.l), (order + 1) ** circuit.l
+    if k * q > TABLE_BUDGET:
+        raise GridBudgetError(
+            f"basis of {k} functions at {q} grid nodes needs a {k * q}-entry "
+            f"table, over the budget of {TABLE_BUDGET}")
     return GpcBasisSet([p.dist for p in circuit.params], order)
 
 
@@ -351,25 +360,37 @@ def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
     return analysis.start + analysis.step * np.arange(count)
 
 
+def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
+    decades = math.log10(fstop / fstart)
+    count = max(int(math.floor(decades * points_per_decade + 1e-9)) + 1, 1)
+    freqs = fstart * 10.0 ** (np.arange(count) / points_per_decade)
+    return freqs[freqs <= fstop * (1 + 1e-12)]
+
+
 def _run(problem, analysis, label, newton, control=None, scheme=None,
          fixed_h=None) -> Trajectory:
-    """The DC, sweep and transient runner every method shares.
+    """The DC, sweep, transient and AC runner every method shares.
 
     The run builds no problem of its own and never changes the one it is
     given.  Every operating point is a level of one loop that solves for the
-    problem's stack of B u: a DC run is the single level at the sources' DC
-    values, a sweep sets the swept source at each level, and a transient
-    starts from the single level at the t = 0 waveform values, then caps
-    its step at the analysis card's hmax.  A level warm-starts from the one
-    before; the first starts from zero, or for st and sg from the nominal
-    operating point for the same B u.  The result's states are the
-    problem's unknowns at each time or sweep level.  Engine failures are
-    re-raised with "[method=<label>]".
+    problem's stack of B u: a DC or AC run is the single level at the
+    sources' DC values, a sweep sets the swept source at each level, and a
+    transient starts from the single level at the t = 0 waveform values,
+    then caps its step at the analysis card's hmax.  A level warm-starts
+    from the one before; the first starts from zero, or for st and sg from
+    the nominal operating point for the same B u.  An AC run, st only,
+    then linearizes the problem at that point with c = jω and solves each
+    frequency's small-signal system (G + jωC) y = B u_ac; these solves are
+    not counted.  The result's states are the problem's unknowns at each
+    time, sweep level or frequency.  Engine failures are re-raised with
+    "[method=<label>]".
     """
     circuit = problem.circuit
     tran = isinstance(analysis, TranAnalysis)
     sweep = isinstance(analysis, DcSweepAnalysis)
-    if not (tran or sweep or isinstance(analysis, DcAnalysis)):
+    ac = (isinstance(analysis, AcAnalysis) and isinstance(problem, STProblem)
+          and problem.basis is not None)
+    if not (tran or sweep or ac or isinstance(analysis, DcAnalysis)):
         raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
     levels = _sweep_levels(analysis) if sweep else np.zeros(1)
     u = circuit.source_vector(0.0) if tran else circuit.dc_source_vector()
@@ -404,6 +425,19 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
             _wrap_engine_error(exc, label)
         traj.stats.merge(stats)
         return traj
+    if ac:
+        ev = problem.eval(rows[0], 0.0)
+        rhs = problem.stack(circuit.b_matrix @ circuit.ac_source_vector())
+        levels = frequency_grid(analysis.fstart, analysis.fstop,
+                                analysis.points_per_decade)
+        rows = []
+        for freq in levels:
+            try:
+                rows.append(ev.linearize(1j * (2.0 * math.pi * freq)).solve(rhs))
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"[method={label}] singular small-signal system at node "
+                    f"{_singular_block(ev.blocks)}, f={freq:g} Hz") from None
     empty = np.zeros(0)
     return Trajectory(times=levels, states=np.array(rows), h_history=empty,
                       lte_history=empty, est_history=empty, stats=stats)
@@ -422,7 +456,10 @@ def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None
 
 def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
              scheme=None, fixed_h=None):
-    """Stochastic testing: collocated intrusive solve with decoupled updates."""
+    """Stochastic testing: collocated intrusive solve with decoupled updates.
+
+    The one method that also runs an AcAnalysis card.
+    """
     basis = _basis_for(circuit, order)
     kwargs = {} if beta is None else {"beta": beta}
     node_set = select_testing_nodes(basis, _gauss_grid(circuit, basis.order), **kwargs)
@@ -547,80 +584,14 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
 
 
 # --------------------------------------------------------------------------
-# AC small-signal
-# --------------------------------------------------------------------------
-
-@dataclass
-class AcResult:
-    freqs: np.ndarray
-    coeffs: np.ndarray           # (F, K, n) complex
-    basis: GpcBasisSet
-    nodes: TestingNodeSet
-    stats: SolveStats | None = None
-
-    method = "st"
-    failures = 0
-
-    @property
-    def node_count(self) -> int:
-        return self.basis.size
-
-    @property
-    def time_points(self) -> int:
-        return len(self.freqs)
-
-
-def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
-    decades = math.log10(fstop / fstart)
-    count = max(int(math.floor(decades * points_per_decade + 1e-9)) + 1, 1)
-    freqs = fstart * 10.0 ** (np.arange(count) / points_per_decade)
-    return freqs[freqs <= fstop * (1 + 1e-12)]
-
-
-def ac_solve(circuit, order, freqs, beta=None, newton=None):
-    """Frequency sweep of the linearization around the stochastic DC point.
-
-    The st problem linearized at the DC coefficients with c = jw gives each
-    testing node its own small-signal system (G + jwC) y = B u_ac; its
-    decoupled solve maps the nodal solutions back to coefficients.
-    `freqs` is either an explicit frequency array or an AC analysis card.
-    """
-    dc = st_solve(circuit, order, DcAnalysis(), beta=beta, newton=newton)
-    basis, nodes = dc.basis, dc.nodes
-    k = basis.size
-    problem = STProblem(circuit, basis, nodes)
-    ev = problem.eval(dc.coeffs[-1].ravel(), 0.0)
-    rhs = problem.stack(circuit.b_matrix @ circuit.ac_source_vector())
-
-    if isinstance(freqs, AcAnalysis):
-        freqs = frequency_grid(freqs.fstart, freqs.fstop,
-                               freqs.points_per_decade)
-    else:
-        freqs = np.asarray(freqs, dtype=float)
-    coeffs = np.empty((len(freqs), k, circuit.n), dtype=complex)
-    for i, freq in enumerate(freqs):
-        lin = ev.linearize(1j * (2.0 * math.pi * freq))
-        try:
-            coeffs[i] = lin.solve(rhs).reshape(k, -1)
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"singular small-signal system at node {_singular_block(ev.blocks)}, "
-                f"f={freq:g} Hz") from None
-    return AcResult(freqs=freqs, coeffs=coeffs, basis=basis, nodes=nodes,
-                    stats=dc.stats)
-
-
-# --------------------------------------------------------------------------
 # uniform front door used by the cli
 # --------------------------------------------------------------------------
 
 def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
                  n_samples=1000, newton=None, control=None, scheme=None,
                  fixed_h=None):
-    if isinstance(analysis, AcAnalysis):
-        if method != "st":
-            raise MethodError("ac analysis is implemented for the st method only")
-        return ac_solve(circuit, order, analysis, beta=beta, newton=newton)
+    if isinstance(analysis, AcAnalysis) and method != "st":
+        raise MethodError("ac analysis is implemented for the st method only")
     run = {"newton": newton, "scheme": scheme, "fixed_h": fixed_h}
     if method == "st":
         return st_solve(circuit, order, analysis, beta=beta, control=control, **run)

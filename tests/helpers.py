@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the package internals."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -8,6 +9,30 @@ import numpy as np
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
 from gpcsim.circuit import StochasticCircuit
 from gpcsim.solvers import STProblem
+
+
+# --------------------------------------------------------------------------
+# views of results the package itself never needs
+# --------------------------------------------------------------------------
+
+def standard_error(ensemble) -> np.ndarray:
+    """Standard error of a sample ensemble's mean, per time and state."""
+    return ensemble.std() / math.sqrt(ensemble.n_samples)
+
+
+def final(trajectory) -> np.ndarray:
+    """The last state of an engine trajectory."""
+    return trajectory.states[-1]
+
+
+def total_mass(pdf) -> float:
+    """Probability mass under a histogram density estimate."""
+    return float(np.sum(pdf.densities * np.diff(pdf.edges)))
+
+
+def eval_basis(basis, xi) -> np.ndarray:
+    """H(xi): the K basis values at a single germ point."""
+    return basis.eval_many(np.asarray(xi, dtype=float).reshape(1, -1))[0]
 
 
 def germ_moments(dist, n):

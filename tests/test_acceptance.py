@@ -14,9 +14,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import simpson_moment, st_residual
+from helpers import simpson_moment, st_residual, standard_error
 
 from gpcsim import (
+    AcAnalysis,
     Beta,
     DcAnalysis,
     DcSweepAnalysis,
@@ -26,7 +27,6 @@ from gpcsim import (
     StepControl,
     TranAnalysis,
     Uniform,
-    ac_solve,
     compare_methods,
     gauss_rule,
     load_circuit,
@@ -255,7 +255,7 @@ def test_criterion_09_monte_carlo_cross_check():
     st_std = np.sqrt(np.sum(st.coeffs[:, 1:, idx] ** 2, axis=1))
     mc_mean = mc.mean()[:, idx]
     mc_std = mc.std()[:, idx]
-    se = mc.standard_error()[:, idx]
+    se = standard_error(mc)[:, idx]
 
     assert np.all(np.abs(st_mean - mc_mean) <= 3.0 * se)
     assert np.all(np.abs(st_std - mc_std) <= 0.05 * mc_std)
@@ -328,7 +328,7 @@ def test_criterion_12_ac_gain_pdf():
     start = time.perf_counter()
     circuit = shipped("rc_uniform.cir")
     f0 = 1.0 / (2.0 * math.pi * 1000.0 * 1e-6)   # nominal corner frequency
-    res = ac_solve(circuit, 6, np.array([f0]))
+    res = st_solve(circuit, 6, AcAnalysis(f0, f0, 1))
     idx = circuit.state_names.index("v(2)")
     coeffs = res.coeffs[0, :, idx]
 

@@ -2,8 +2,8 @@
 
 The recurrence tables are checked against an exact-rational Gram-Schmidt
 oracle built from closed-form germ moments, and basis evaluation is
-cross-checked against numpy.polynomial / scipy.special implementations that
-share no code with the package.
+cross-checked against numpy.polynomial implementations that share no code
+with the package.
 """
 
 import math
@@ -22,7 +22,6 @@ from gpcsim.basis import (
     RandomParameter,
     Uniform,
     build_index_set,
-    eval_basis,
     moments_from_coeffs,
     num_basis,
     univariate_recurrence,
@@ -38,7 +37,7 @@ FAMILIES = [
 ]
 
 
-from helpers import germ_moments
+from helpers import eval_basis, germ_moments
 
 
 # ---------------------------------------------------------------------------

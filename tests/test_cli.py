@@ -140,6 +140,33 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert "materialization budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["st", "sg"])
+    def test_basis_table_over_budget_is_4(self, tmp_path, capsys, method):
+        # 31^4 nodes pass the grid budget, but K = 46,376 basis functions at
+        # each of them would take a 16 GiB Φ (st) or a 319 GiB table (sg)
+        start = time.perf_counter()
+        assert run_cli("dc", "cs_amp.cir", "--method", method, "--order", "30",
+                       "--out", str(tmp_path)) == 4
+        assert time.perf_counter() - start < 2.0
+        assert "over the budget" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("card, flags", [
+        (".tran 2m", ("--fixed-step", "1e-30")),
+        (".tran 2m 1e-30", ("--method", "st")),
+        (".tran 2m 1e-30", ("--method", "mc")),
+    ])
+    def test_step_cap_out_of_reach_is_2(self, tmp_path, capsys, card, flags):
+        # 2e27 steps would never finish
+        netlist = tmp_path / "rc.cir"
+        netlist.write_text("* rc low-pass\nv1 1 0 sin(0 1 1k)\n"
+                           f"r1 1 2 dist=uniform(900,1100)\nc1 2 0 1u\n{card}\n")
+        start = time.perf_counter()
+        assert run_cli("tran", str(netlist), *flags, "--out", str(tmp_path)) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "steps to reach" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_selection_failure_is_5(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SelectionError(12, 35, 1e-6)

@@ -16,7 +16,7 @@ from gpcsim.engine import (
     newton_solve,
     transient_solve,
 )
-from helpers import CircuitProblem, DenseEval
+from helpers import CircuitProblem, DenseEval, final
 
 XI0 = np.zeros(0)
 
@@ -150,7 +150,7 @@ def final_error(scheme, nsteps, t_end=1e-3):
     prob = rc_problem()
     x0 = np.zeros(3)
     traj = transient_solve(prob, x0, t_end, scheme=scheme, fixed_h=t_end / nsteps)
-    return abs(traj.final[1] - rc_exact(t_end))
+    return abs(final(traj)[1] - rc_exact(t_end))
 
 
 @pytest.mark.parametrize("scheme,target", [("be", 2.0), ("tr", 4.0), ("gear2", 4.0)])
@@ -181,7 +181,7 @@ def test_adaptive_tracks_exact_solution():
     traj = transient_solve(prob, np.zeros(3), 1e-3, scheme="gear2",
                            control=StepControl(h_init=1e-8, lte_tol=1e-4))
     want = rc_exact(traj.times[-1])
-    assert traj.final[1] == pytest.approx(want, abs=2e-4)
+    assert final(traj)[1] == pytest.approx(want, abs=2e-4)
     assert traj.stats.steps_accepted == len(traj.h_history)
 
 
@@ -225,7 +225,7 @@ def test_stiff_adaptive_beats_fixed_grid():
     n_fixed_equivalent = 1.0 / traj.h_history.min()
     assert n_adaptive * 10 <= n_fixed_equivalent
     # slow node charges through r1 + r2, so tau = 2 s
-    assert traj.final[2] == pytest.approx(1.0 - math.exp(-0.5), abs=0.01)
+    assert final(traj)[2] == pytest.approx(1.0 - math.exp(-0.5), abs=0.01)
 
 
 class FailingAfter:
@@ -282,6 +282,23 @@ def test_argument_validation():
             with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
                 NewtonConfig(**{field: bad})
     NewtonConfig(abstol=0.0, reltol=0.0)
+
+
+def test_step_cap_out_of_reach_is_refused(monkeypatch):
+    # 2**-10 s in steps of at most 2**-14 s: exactly 16 steps, no rounding
+    monkeypatch.setattr(engine, "MAX_STEPS", 16)
+    prob = rc_problem()
+    t_end = 2.0 ** -10
+    assert len(transient_solve(prob, np.zeros(3), t_end, fixed_h=2.0 ** -14).times) == 17
+    transient_solve(prob, np.zeros(3), t_end, control=StepControl(h_max=2.0 ** -14))
+    with pytest.raises(ValueError, match="over 16 steps"):
+        transient_solve(prob, np.zeros(3), t_end, fixed_h=2.0 ** -15)
+    with pytest.raises(ValueError, match="over 16 steps"):
+        transient_solve(prob, np.zeros(3), t_end, control=StepControl(h_max=2.0 ** -15))
+    # the smaller of the fixed step and h_max is the cap
+    with pytest.raises(ValueError, match="over 16 steps"):
+        transient_solve(prob, np.zeros(3), t_end, fixed_h=2.0 ** -14,
+                        control=StepControl(h_max=2.0 ** -15))
 
 
 def test_hmax_honored():

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform, eval_basis
+from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform
 from gpcsim.quadrature import (
     GridBudgetError,
     gauss_rule,
     tensor_grid,
 )
-from helpers import germ_moments, simpson_moment
+from helpers import eval_basis, germ_moments, simpson_moment
 
 FAMILIES = [Gaussian(), Uniform(), Gamma(1.0), Gamma(2.5), Beta(2.0, 3.0), Beta(1.0, 1.0)]
 

@@ -25,7 +25,6 @@ from gpcsim.solvers import (
     GermPoints,
     MethodError,
     STProblem,
-    ac_solve,
     frequency_grid,
     mc_solve,
     run_analysis,
@@ -34,7 +33,7 @@ from gpcsim.solvers import (
     st_decoupled_linear_step,
     st_solve,
 )
-from helpers import CircuitProblem, st_residual
+from helpers import CircuitProblem, st_residual, standard_error
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -471,7 +470,7 @@ class TestMcSolve:
         v = 3.0 * 1000.0 / (1000.0 + 1000.0 + 100.0 * xg)
         mean_ref = float(np.dot(wg / 2.0, v))
         std_ref = math.sqrt(float(np.dot(wg / 2.0, v * v)) - mean_ref**2)
-        se = ens.standard_error()[0, 1]
+        se = standard_error(ens)[0, 1]
         assert abs(ens.mean()[0, 1] - mean_ref) < 3.0 * se
         assert abs(ens.std()[0, 1] - std_ref) / std_ref < 0.1
 
@@ -572,9 +571,9 @@ r1 1 2 dist=uniform(999.9999999,1000.0000001)
 c1 2 0 1u
 .ac 10 1meg 10
 """)
-        res = ac_solve(circuit, 0, AcAnalysis(10.0, 1e6, 10))
+        res = st_solve(circuit, 0, AcAnalysis(10.0, 1e6, 10))
         gains = res.coeffs[:, 0, 1]
-        want = 1.0 / np.sqrt(1.0 + (2 * np.pi * res.freqs * 1e-3) ** 2)
+        want = 1.0 / np.sqrt(1.0 + (2 * np.pi * res.times * 1e-3) ** 2)
         np.testing.assert_allclose(np.abs(gains), want, rtol=1e-9)
 
     def test_uniform_r_gain_expansion_matches_analytic(self):
@@ -584,9 +583,9 @@ r1 1 2 dist=uniform(900,1100)
 c1 2 0 1u
 .ac 159.154943 159.154943 1
 """)
-        res = ac_solve(circuit, 6, AcAnalysis(159.154943, 159.154943, 1))
-        assert len(res.freqs) == 1
-        w = 2 * math.pi * res.freqs[0]
+        res = st_solve(circuit, 6, AcAnalysis(159.154943, 159.154943, 1))
+        assert len(res.times) == 1
+        w = 2 * math.pi * res.times[0]
         # reconstruct the complex gain at a few germ points and compare
         for xi in (-0.9, -0.3, 0.2, 0.8):
             h = np.array([legendre_orthonormal(j, xi) for j in range(7)])
@@ -612,7 +611,7 @@ r2 b 0 {r2!r}
         circuit = load_circuit(template.format(r2=-r1))
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"singular small-signal system at node {m}, f=10 Hz"):
-            ac_solve(circuit, 2, np.array([10.0, 1e3]))
+            st_solve(circuit, 2, AcAnalysis(10.0, 1e3, 1))
 
     def test_frequency_grid_shape(self):
         f = frequency_grid(10.0, 1000.0, 2)
@@ -624,6 +623,16 @@ r2 b 0 {r2!r}
         circuit = load_circuit(RC_UNIFORM)
         with pytest.raises(MethodError, match="st method only"):
             run_analysis(circuit, "sg", 2, AcAnalysis(10.0, 100.0, 2))
+
+    @pytest.mark.parametrize("solve", [
+        lambda circuit, card: sg_solve(circuit, 2, card),
+        lambda circuit, card: sc_solve(circuit, 2, card),
+        lambda circuit, card: mc_solve(circuit, 5, 1, card),
+    ], ids=["sg", "sc", "mc"])
+    def test_library_refuses_other_methods(self, solve):
+        circuit = load_circuit(RC_UNIFORM)
+        with pytest.raises(MethodError, match="unsupported analysis"):
+            solve(circuit, AcAnalysis(10.0, 100.0, 2))
 
 
 # --------------------------------------------------------------------------
