@@ -1,11 +1,13 @@
 """Testing-node selection for stochastic collocation of intrusive solvers.
 
-From the (p+1)^l tensor candidates we keep exactly K = num_basis(p, l)
-nodes: candidates are scanned in descending product-weight order and one is
-accepted when its basis-value vector H(xi) keeps a large enough component
-orthogonal to the span of the already accepted vectors.  The scan evaluates
-the basis K candidates at a time, so it holds O(K^2) basis values however
-many candidates it visits.  The accepted rows form the square collocation
+From a candidate Grid we keep exactly K = num_basis(p, l) nodes.  The
+solvers hand it the (p+1)^l tensor Gauss grid, but the scan reads only the
+grid's nodes and weights, so any candidate set will do.  Candidates are
+scanned in descending weight order and one is accepted when its
+basis-value vector H(xi) keeps a large enough component orthogonal to the
+span of the already accepted vectors.  The scan evaluates the basis K
+candidates at a time, so it holds O(K^2) basis values however many
+candidates it visits.  The accepted rows form the square collocation
 matrix Phi with Phi[m, k] = H_k(xi^m), whose inverse maps stacked per-node
 solution values back to gPC coefficients.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasisSet, num_basis
-from .quadrature import TensorGrid
+from .quadrature import Grid
 
 DEFAULT_BETA = 1e-2
 MAX_BETA_RETRIES = 6
@@ -103,7 +105,7 @@ def _scan(basis: GpcBasisSet, candidates, order, beta: float, needed: int):
     return accepted
 
 
-def select_testing_nodes(basis: GpcBasisSet, grid: TensorGrid,
+def select_testing_nodes(basis: GpcBasisSet, grid: Grid,
                          beta: float = DEFAULT_BETA) -> TestingNodeSet:
     """Pick K candidate nodes, largest weight first, keeping Phi well conditioned.
 
@@ -111,18 +113,13 @@ def select_testing_nodes(basis: GpcBasisSet, grid: TensorGrid,
     the selection is deterministic.  If a pass accepts fewer than K nodes
     the threshold beta is halved and the scan restarts, at most
     MAX_BETA_RETRIES times, after which a SelectionError reports the count reached.
+    A grid whose points do not match the basis dimension raises ValueError
+    from the basis evaluation.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if grid.dim != basis.dim:
-        raise ValueError(f"grid has {grid.dim} dimensions, basis has {basis.dim}")
-    if grid.n_hat != basis.order + 1:
-        raise ValueError(
-            f"candidate grid must use n_hat = p+1 = {basis.order + 1} points, got {grid.n_hat}"
-        )
-    weights = grid.all_weights()
-    candidates = grid.all_nodes()
-    order = np.argsort(-np.abs(weights), kind="stable")
+    candidates = grid.nodes
+    order = np.argsort(-np.abs(grid.weights), kind="stable")
     needed = basis.size
 
     accepted: list[int] = []

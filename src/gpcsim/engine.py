@@ -12,10 +12,8 @@ problem exposes
 
 where linearize(c) factors c*dq + df and returns something with solve(rhs).
 That solve is the only linear-algebra hook; block-structured problems
-substitute their own.  dc_solve solves f(x) = s for the s it is given, or
-for source(0.0), a transient's starting point, when given none; the
-solvers hand every DC solve its s, so only direct callers use that
-fallback.
+substitute their own.  dc_solve solves f(x) = s for the s it is given;
+only transients call source(t).
 
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
@@ -171,15 +169,12 @@ class DcResult:
     stats: SolveStats
 
 
-def dc_solve(problem, config: NewtonConfig | None = None, x0=None,
-             source=None) -> DcResult:
-    """Operating point: f(x) = source, problem.source(0.0) when None.
-    Direct Newton first, then a 10-step ramp of that source from zero if
-    the cold start diverges."""
+def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
+             source) -> DcResult:
+    """Operating point: f(x) = source.  Direct Newton first, then a
+    10-step ramp of that source from zero if the cold start diverges."""
     config = config or NewtonConfig()
     stats = SolveStats()
-    if source is None:
-        source = problem.source(0.0)
     zeros = np.zeros(problem.size)
     hist = zeros
     x = np.array(x0, dtype=float) if x0 is not None else zeros.copy()

@@ -287,9 +287,7 @@ class SGProblem:
     basis: GpcBasisSet
 
     def __post_init__(self):
-        grid = _gauss_grid(self.circuit, self.basis.order)
-        self.points = grid.all_nodes()
-        self.weights = grid.all_weights()
+        self.points, self.weights = _gauss_grid(self.circuit, self.basis.order)
         self.hmat = self.basis.eval_many(self.points)        # (Q, K)
         self.wh = self.weights[:, None] * self.hmat
 
@@ -525,9 +523,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
     projection."""
     basis = _basis_for(circuit, order)
-    grid = _gauss_grid(circuit, basis.order)
-    points = grid.all_nodes()
-    weights = grid.all_weights()
+    points, weights = _gauss_grid(circuit, basis.order)
 
     times, sols, errors, stats = _sample_runs(circuit, points, analysis, newton,
                                               scheme, fixed_h, "sc")
@@ -538,7 +534,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     coeffs = np.einsum("s,sk,stn->tkn", weights, hmat, sols)
     ensemble = SampleEnsemble(
         samples=points, weights=weights, times=times, solutions=sols,
-        n_samples=grid.npoints, method="sc")
+        n_samples=len(points), method="sc")
     return GpcTrajectory(
         times=times, coeffs=coeffs, basis=basis, nodes=None, method="sc",
         stats=stats, ensemble=ensemble)
@@ -590,8 +586,6 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
 def run_analysis(circuit, method, order, analysis, *, beta=None, seed=0,
                  n_samples=1000, newton=None, control=None, scheme=None,
                  fixed_h=None):
-    if isinstance(analysis, AcAnalysis) and method != "st":
-        raise MethodError("ac analysis is implemented for the st method only")
     run = {"newton": newton, "scheme": scheme, "fixed_h": fixed_h}
     if method == "st":
         return st_solve(circuit, order, analysis, beta=beta, control=control, **run)

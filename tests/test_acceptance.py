@@ -77,7 +77,7 @@ def test_criterion_01_basis_and_run_counts():
         germs = TABLE_II_GERMS if l == 4 else TABLE_III_GERMS
         for p, want in zip(range(1, 7), expected):
             grid = tensor_grid([gauss_rule(d, p + 1) for d in germs])
-            assert grid.npoints == want == (p + 1) ** l
+            assert len(grid.weights) == want == (p + 1) ** l
     assert time.perf_counter() - start < 1.0
 
 
@@ -88,8 +88,8 @@ def test_criterion_02_orthonormality():
     for dists in trios:
         basis = GpcBasisSet(dists, 6)
         grid = tensor_grid([gauss_rule(d, 7) for d in dists])
-        h = basis.eval_many(grid.all_nodes())
-        gram = (grid.all_weights()[:, None] * h).T @ h
+        h = basis.eval_many(grid.nodes)
+        gram = (grid.weights[:, None] * h).T @ h
         assert np.abs(gram - np.eye(basis.size)).max() < 1e-8
     assert time.perf_counter() - start < 10.0
 

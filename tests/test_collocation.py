@@ -78,14 +78,14 @@ def test_nodes_are_distinct_grid_members():
     for j, node in zip(sel.node_indices, sel.nodes):
         assert tuple(node) not in seen
         seen.add(tuple(node))
-        assert np.array_equal(grid.all_nodes()[j], node)
+        assert np.array_equal(grid.nodes[j], node)
 
 
 def test_scan_visits_descending_weights():
     basis = GpcBasisSet([Gaussian(), Uniform()], 3)
     grid = make_grid(basis.dists, 3)
     sel = select_testing_nodes(basis, grid)
-    w = grid.all_weights()
+    w = grid.weights
     # every accepted node's weight is >= the weight of any candidate that was
     # never reached because the scan stopped at K acceptances
     reached = np.sort(np.abs(w))[::-1][: len(w)]
@@ -98,8 +98,8 @@ def per_candidate_scan(basis, grid, beta, max_retries=MAX_BETA_RETRIES):
     """Reference selection: the greedy scan with one basis evaluation per
     candidate.  Returns the accepted linear indices, their basis rows and
     the beta that succeeded."""
-    candidates = grid.all_nodes()
-    order = np.argsort(-np.abs(grid.all_weights()), kind="stable")
+    candidates = grid.nodes
+    order = np.argsort(-np.abs(grid.weights), kind="stable")
     k = basis.size
     for attempt in range(max_retries + 1):
         cur_beta = beta * 0.5**attempt
@@ -141,6 +141,20 @@ def test_blocked_scan_matches_per_candidate_reference(dists, p, beta):
     assert sel.beta_used == beta_used
     if beta == 0.9:
         assert beta_used < beta
+
+
+def test_selection_from_a_finer_candidate_grid():
+    # the scan takes any candidate grid, here p+2 points per dimension
+    dists, p = [Gaussian(), Uniform()], 2
+    basis = GpcBasisSet(dists, p)
+    grid = make_grid(dists, p + 1)
+    sel = select_testing_nodes(basis, grid)
+    assert sel.count == basis.size == 6
+    assert len({tuple(node) for node in sel.nodes}) == 6
+    np.testing.assert_array_equal(sel.nodes, grid.nodes[sel.node_indices])
+    assert np.all(np.diff(grid.weights[sel.node_indices]) <= 0)
+    phi, _, _ = build_phi(basis, sel.nodes)
+    np.testing.assert_array_equal(phi, sel.phi)
 
 
 def test_rank_grows_with_each_acceptance():
@@ -212,8 +226,6 @@ def test_argument_validation():
         select_testing_nodes(basis, grid, beta=0.0)
     with pytest.raises(ValueError):
         select_testing_nodes(basis, grid, beta=1.0)
-    with pytest.raises(ValueError):
-        select_testing_nodes(basis, make_grid([Gaussian()], 3), beta=0.1)
     with pytest.raises(ValueError):
         select_testing_nodes(GpcBasisSet([Gaussian(), Gaussian()], 2), grid)
     with pytest.raises(ValueError):

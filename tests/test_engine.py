@@ -102,7 +102,8 @@ def test_newton_reports_iteration_limit(monkeypatch):
 
 def test_divider_operating_point():
     circuit = load_circuit("v1 top 0 dc 3\nr1 top mid 1k\nr2 mid 0 1k\n")
-    res = dc_solve(CircuitProblem(circuit, XI0))
+    prob = CircuitProblem(circuit, XI0)
+    res = dc_solve(prob, source=prob.source(0.0))
     assert not res.homotopy_used
     assert np.allclose(res.x[:2], [3.0, 1.5])
     assert res.x[2] == pytest.approx(-1.5e-3)
@@ -110,7 +111,8 @@ def test_divider_operating_point():
 
 def test_diode_clamp_matches_bisection():
     circuit = load_circuit("v1 a 0 dc 1\nr1 a b 1k\nd1 b 0 is=1e-14 temp=300\n")
-    res = dc_solve(CircuitProblem(circuit, XI0))
+    prob = CircuitProblem(circuit, XI0)
+    res = dc_solve(prob, source=prob.source(0.0))
     vt = 1.380649e-23 * 300.0 / 1.602176634e-19
 
     def mismatch(v):
@@ -131,7 +133,7 @@ def test_homotopy_rescues_cold_start(monkeypatch):
     # source ramp walks the solution out instead
     monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 8)
     prob = ScalarProblem(np.sinh, np.cosh, 20.0)
-    res = dc_solve(prob, NewtonConfig())
+    res = dc_solve(prob, NewtonConfig(), source=prob.source(0.0))
     assert res.homotopy_used
     assert res.x[0] == pytest.approx(math.asinh(20.0), rel=1e-10)
 
@@ -139,7 +141,7 @@ def test_homotopy_rescues_cold_start(monkeypatch):
 def test_dc_failure_raises():
     prob = ScalarProblem(lambda v: v * v + 1.0, lambda v: 2 * v, 0.0)
     with pytest.raises(DcConvergenceError):
-        dc_solve(prob)
+        dc_solve(prob, source=prob.source(0.0))
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,8 @@ def test_one_point_rule_is_the_mean():
 @pytest.mark.parametrize("n_hat", range(1, 9))
 def test_rule_exactness_against_exact_moments(dist, n_hat):
     r = gauss_rule(dist, n_hat)
+    assert r.nodes.shape == r.weights.shape == (n_hat,)
+    assert not (r.nodes.flags.writeable or r.weights.flags.writeable)
     assert abs(r.weights.sum() - 1.0) < 1e-12
     assert np.all(r.weights > 0)
     moments = germ_moments(dist, 2 * n_hat - 1)
@@ -93,9 +95,11 @@ def _grid(dists, n_hat):
 
 
 def test_grid_sizes():
-    assert _grid([Gaussian()] * 2, 4).npoints == 16
-    assert _grid([Gaussian()] * 3, 4).npoints == 64
-    assert _grid([Gaussian(), Uniform(), Gamma(2.0), Beta(2.0, 2.0)], 4).npoints == 256
+    assert len(_grid([Gaussian()] * 2, 4).weights) == 16
+    assert len(_grid([Gaussian()] * 3, 4).weights) == 64
+    grid = _grid([Gaussian(), Uniform(), Gamma(2.0), Beta(2.0, 2.0)], 4)
+    assert len(grid.weights) == 256
+    assert grid.nodes.shape == (256, 4)
 
 
 def test_grid_requires_matching_point_counts():
@@ -104,35 +108,33 @@ def test_grid_requires_matching_point_counts():
 
 
 def test_index_round_trip_and_mixed_radix_relation():
-    grid = _grid([Gaussian(), Uniform(), Gamma(1.5)], 3)
     n_hat = 3
-    nodes = grid.all_nodes()
-    weights = grid.all_weights()
+    rules = [gauss_rule(d, n_hat) for d in (Gaussian(), Uniform(), Gamma(1.5))]
+    nodes, weights = tensor_grid(rules)
     seen = []
     # every one-based digit column I(:, j), in any order
-    for col in product(range(1, n_hat + 1), repeat=grid.dim):
+    for col in product(range(1, n_hat + 1), repeat=len(rules)):
         # one-based mixed-radix linearization of the digit column
-        j = 1 + sum(n_hat ** k * (col[k] - 1) for k in range(grid.dim))
+        j = 1 + sum(n_hat ** k * (col[k] - 1) for k in range(len(rules)))
         seen.append(j)
         # row j is the per-dimension product the column says it is
         w = 1.0
-        for k in range(grid.dim):
-            assert nodes[j - 1, k] == grid.rules[k].nodes[col[k] - 1]
-            w *= grid.rules[k].weights[col[k] - 1]
+        for k, rule in enumerate(rules):
+            assert nodes[j - 1, k] == rule.nodes[col[k] - 1]
+            w *= rule.weights[col[k] - 1]
         assert weights[j - 1] == pytest.approx(w, rel=1e-15)
-    assert sorted(seen) == list(range(1, grid.npoints + 1))
+    assert sorted(seen) == list(range(1, len(weights) + 1))
 
 
 def test_materialized_views_match_streamed_access():
     # the streamed reference is itertools.product, which varies its last
     # factor fastest: over the reversed rules it walks the grid with
     # dimension 0 least significant, one point at a time
-    grid = _grid([Uniform(), Gamma(2.0)], 4)
-    nodes = grid.all_nodes()
-    weights = grid.all_weights()
+    rules = [gauss_rule(d, 4) for d in (Uniform(), Gamma(2.0))]
+    nodes, weights = tensor_grid(rules)
     assert nodes.shape == (16, 2)
     for j, pairs in enumerate(product(*[list(zip(r.nodes, r.weights))
-                                        for r in reversed(grid.rules)])):
+                                        for r in reversed(rules)])):
         assert np.array_equal(nodes[j], [node for node, _ in reversed(pairs)])
         assert weights[j] == pytest.approx(math.prod(w for _, w in pairs), rel=1e-15)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -140,12 +142,8 @@ def test_materialized_views_match_streamed_access():
 
 
 def test_enumeration_budget():
-    grid = _grid([Gaussian()] * 8, 7)  # 7^8 > 5.7e6 nodes, over the 10**6 budget
-    assert grid.npoints == 7**8
-    with pytest.raises(GridBudgetError):
-        grid.all_weights()
-    with pytest.raises(GridBudgetError):
-        grid.all_nodes()
+    with pytest.raises(GridBudgetError, match=f"{7**8} nodes"):
+        _grid([Gaussian()] * 8, 7)  # 7^8 > 5.7e6 nodes, over the 10**6 budget
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,11 +153,9 @@ def test_enumeration_budget():
     l=st.integers(1, 3),
 )
 def test_tensor_weight_positivity(n_hat, fam, l):
-    grid = _grid([fam] * l, n_hat)
-    if grid.npoints <= 4096:
-        w = grid.all_weights()
-        assert np.all(w > 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    w = _grid([fam] * l, n_hat).weights
+    assert np.all(w > 0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def test_tensor_weight_positivity(n_hat, fam, l):
 
 def test_integrate_constant_is_one():
     grid = _grid([Gaussian(), Beta(2.0, 5.0)], 3)
-    total = grid.all_weights() @ np.ones(grid.npoints)
+    total = grid.weights @ np.ones(len(grid.weights))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -177,15 +173,15 @@ def test_integrate_orthonormal_pairs():
     p = 3
     basis = GpcBasisSet(dists, p)
     grid = _grid(dists, p + 1)
-    h = np.array([eval_basis(basis, xi) for xi in grid.all_nodes()])
-    gram = np.einsum("j,jk,jm->km", grid.all_weights(), h, h)
+    h = np.array([eval_basis(basis, xi) for xi in grid.nodes])
+    gram = np.einsum("j,jk,jm->km", grid.weights, h, h)
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-10
 
 
 def test_integrate_gaussian_fourth_moment_product():
     grid = _grid([Gaussian(), Gaussian()], 3)
-    xi = grid.all_nodes()
-    val = grid.all_weights() @ (xi[:, 0] ** 2 * xi[:, 1] ** 2)
+    xi = grid.nodes
+    val = grid.weights @ (xi[:, 0] ** 2 * xi[:, 1] ** 2)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -194,6 +190,6 @@ def test_mixed_family_gram_is_identity():
     p = 4
     basis = GpcBasisSet(dists, p)
     grid = _grid(dists, p + 1)
-    phi = basis.eval_many(grid.all_nodes())
-    gram = phi.T @ (grid.all_weights()[:, None] * phi)
+    phi = basis.eval_many(grid.nodes)
+    gram = phi.T @ (grid.weights[:, None] * phi)
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-9

@@ -324,8 +324,10 @@ class TestDegenerateEquivalence:
         is the dense reference solve bit for bit, iteration counts included."""
         circuit = load_circuit((resources.files("gpcsim") / "netlists" / name).read_text())
         xi = circuit.nominal_germ()
-        dense = dc_solve(CircuitProblem(circuit, xi))
-        stacked = dc_solve(STProblem(circuit, None, GermPoints(xi[None])))
+        one = CircuitProblem(circuit, xi)
+        dense = dc_solve(one, source=one.source(0.0))
+        stacked_problem = STProblem(circuit, None, GermPoints(xi[None]))
+        stacked = dc_solve(stacked_problem, source=stacked_problem.source(0.0))
         np.testing.assert_array_equal(stacked.x, dense.x)
         assert stacked.iterations == dense.iterations
         assert stacked.homotopy_used == dense.homotopy_used
@@ -335,7 +337,8 @@ class TestDegenerateEquivalence:
 
     def test_dc_all_methods_identical(self):
         circuit = load_circuit(DIODE)
-        nominal = dc_solve(CircuitProblem(circuit, circuit.nominal_germ())).x
+        one = CircuitProblem(circuit, circuit.nominal_germ())
+        nominal = dc_solve(one, source=one.source(0.0)).x
         st = st_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
         sg = sg_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
         sc = sc_solve(circuit, 0, DcAnalysis()).coeffs[0, 0]
@@ -457,7 +460,8 @@ class TestMcSolve:
 
     def test_single_sample_is_nominal_run(self):
         circuit = load_circuit(DIODE)
-        nominal = dc_solve(CircuitProblem(circuit, circuit.nominal_germ())).x
+        one = CircuitProblem(circuit, circuit.nominal_germ())
+        nominal = dc_solve(one, source=one.source(0.0)).x
         ens = mc_solve(circuit, 1, 0, DcAnalysis())
         np.testing.assert_allclose(ens.solutions[0, 0], nominal, atol=1e-12)
         assert ens.seed is None                      # draws nothing
@@ -499,8 +503,11 @@ class TestMcSolve:
         assert len(bad) == ens.failures == 3
         assert len(set(bad // 16)) == 3          # three different chunks
         np.testing.assert_array_equal(ens.samples[:, 0], xi[ok])
-        alone = np.array([dc_solve(CircuitProblem(circuit, np.array([v])), newton).x
-                          for v in xi[ok]])
+        alone = []
+        for v in xi[ok]:
+            one = CircuitProblem(circuit, np.array([v]))
+            alone.append(dc_solve(one, newton, source=one.source(0.0)).x)
+        alone = np.array(alone)
         assert np.abs(ens.solutions[:, 0, :] - alone).max() < 1e-9
 
     def test_rejects_empty_request(self):
@@ -619,16 +626,12 @@ r2 b 0 {r2!r}
             f, 10.0 ** np.array([1, 1.5, 2, 2.5, 3]), rtol=1e-12)
         assert frequency_grid(5.0, 5.0, 7).tolist() == [5.0]
 
-    def test_rejects_other_methods(self):
-        circuit = load_circuit(RC_UNIFORM)
-        with pytest.raises(MethodError, match="st method only"):
-            run_analysis(circuit, "sg", 2, AcAnalysis(10.0, 100.0, 2))
-
     @pytest.mark.parametrize("solve", [
         lambda circuit, card: sg_solve(circuit, 2, card),
         lambda circuit, card: sc_solve(circuit, 2, card),
         lambda circuit, card: mc_solve(circuit, 5, 1, card),
-    ], ids=["sg", "sc", "mc"])
+        lambda circuit, card: run_analysis(circuit, "sg", 2, card),
+    ], ids=["sg", "sc", "mc", "run_analysis"])
     def test_library_refuses_other_methods(self, solve):
         circuit = load_circuit(RC_UNIFORM)
         with pytest.raises(MethodError, match="unsupported analysis"):
