@@ -10,10 +10,12 @@ DeviceKernel is compiled from those specs on the first evaluation and
 cached on the circuit, with its memo of the parameters at the last germ
 points.  Nothing copies or changes a circuit after assembly: a DC sweep
 sets each level in the source vector it hands the solver.  `eval_qf` is
-the only device-evaluation path: every method calls it once per Newton
-iteration with all of its points, and a deterministic solve, such as the
-nominal operating point, calls it with one.  A 1-D (x, xi) call is the
-M = 1 case with unbatched shapes.
+the only device-evaluation path: every method calls it with all of its
+points once per distinct Newton iterate (a solve seeded with an earlier
+solution reuses that solution's evaluation), and a deterministic solve,
+such as the nominal operating point, calls it with one.  It takes no time:
+an evaluation holds at any time point.  A 1-D (x, xi) call is the M = 1
+case with unbatched shapes.
 """
 
 from __future__ import annotations

@@ -7,13 +7,25 @@ the same integrator drives it and the coupled spectral systems alike.  A
 problem exposes
 
     size                 -> state dimension
-    eval(x, t)           -> object with .q, .f and .linearize(c)
+    eval(x)              -> object with .q, .f and .linearize(c)
     source(t)            -> s(t)
 
 where linearize(c) factors c*dq + df and returns something with solve(rhs).
 That solve is the only linear-algebra hook; block-structured problems
 substitute their own.  dc_solve solves f(x) = s for the s it is given;
-only transients call source(t).
+only transients call source(t), the one place time enters.
+
+An evaluation depends on x alone, so it holds at any time point and for
+any source.  newton_solve, dc_solve and transient_solve each take the
+evaluation of their seed state as `x0_eval` and do not evaluate that state
+again, and every converged solve returns the evaluation at its solution.
+Callers hand that on: a transient step is seeded with the last accepted
+state and its evaluation (also when the step is retried), a homotopy ramp
+step with the previous step's, and `solvers._run` threads each operating
+point's evaluation into the next sweep level, the transient start and the
+AC linearization.  The device layer therefore runs once per distinct
+state; SolveStats.device_evals counts those calls, and residual_evals the
+residual checks, which include the ones made on a handed-in evaluation.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
@@ -32,7 +44,7 @@ StepControl or scheme with its default; callers pass None through.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,18 +104,15 @@ class StepControl:
 class SolveStats:
     newton_iterations: int = 0
     residual_evals: int = 0
+    device_evals: int = 0      # problem.eval calls
     linear_solves: int = 0
     linear_solve_time: float = 0.0
     steps_accepted: int = 0
     steps_rejected: int = 0
 
     def merge(self, other: "SolveStats"):
-        self.newton_iterations += other.newton_iterations
-        self.residual_evals += other.residual_evals
-        self.linear_solves += other.linear_solves
-        self.linear_solve_time += other.linear_solve_time
-        self.steps_accepted += other.steps_accepted
-        self.steps_rejected += other.steps_rejected
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 # --------------------------------------------------------------------------
@@ -120,21 +129,25 @@ class NewtonResult:
     eval: object = None   # problem evaluation at x when converged
 
 
-def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
-                 stats: SolveStats | None = None) -> NewtonResult:
+def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
+                 stats: SolveStats | None = None, *, x0_eval=None) -> NewtonResult:
     """Solve c*q(x) + f(x) + history = source by Newton.
 
     Convergence is judged on the residual alone, checked before every
-    update, so a linear system converges in exactly one iteration.
+    update, so a linear system converges in exactly one iteration.  x0_eval,
+    the evaluation at x0 if the caller has it, stands in for iteration 0's.
     """
     x = np.array(x0, dtype=float)
     stats = stats if stats is not None else SolveStats()
     last_norm = np.inf
+    ev = x0_eval
     for it in range(NEWTON_MAX_ITER + 1):
-        try:
-            ev = problem.eval(x, t)
-        except EvalOverflowError as exc:
-            return NewtonResult(x, False, it, last_norm, failure=str(exc))
+        if ev is None:
+            stats.device_evals += 1
+            try:
+                ev = problem.eval(x)
+            except EvalOverflowError as exc:
+                return NewtonResult(x, False, it, last_norm, failure=str(exc))
         stats.residual_evals += 1
         resid = c * ev.q + ev.f + history - source
         last_norm = float(np.abs(resid).max()) if resid.size else 0.0
@@ -152,6 +165,7 @@ def newton_solve(problem, x0, t, c, history, source, config: NewtonConfig,
         if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, last_norm, failure="non-finite update")
         x = x + dx
+        ev = None
         stats.newton_iterations += 1
     return NewtonResult(x, False, NEWTON_MAX_ITER, last_norm,
                         failure="iteration limit reached")
@@ -167,32 +181,34 @@ class DcResult:
     iterations: int
     homotopy_used: bool
     stats: SolveStats
+    eval: object          # problem evaluation at x
 
 
 def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
-             source) -> DcResult:
-    """Operating point: f(x) = source.  Direct Newton first, then a
-    10-step ramp of that source from zero if the cold start diverges."""
+             source, x0_eval=None) -> DcResult:
+    """Operating point: f(x) = source.  Direct Newton first, from x0 (with
+    its evaluation x0_eval if given), then a 10-step ramp of that source
+    from zero if that start diverges."""
     config = config or NewtonConfig()
     stats = SolveStats()
     zeros = np.zeros(problem.size)
     hist = zeros
     x = np.array(x0, dtype=float) if x0 is not None else zeros.copy()
-    res = newton_solve(problem, x, 0.0, 0.0, hist, source, config, stats)
+    res = newton_solve(problem, x, 0.0, hist, source, config, stats, x0_eval=x0_eval)
     if res.converged:
-        return DcResult(res.x, res.iterations, False, stats)
-    x = zeros.copy()
+        return DcResult(res.x, res.iterations, False, stats, res.eval)
+    x, ev = zeros.copy(), None
     total = res.iterations
     for k in range(1, HOMOTOPY_STEPS + 1):
         lam = k / HOMOTOPY_STEPS
-        res = newton_solve(problem, x, 0.0, 0.0, hist, lam * source, config, stats)
+        res = newton_solve(problem, x, 0.0, hist, lam * source, config, stats, x0_eval=ev)
         total += res.iterations
         if not res.converged:
             raise DcConvergenceError(
                 f"operating point failed at source ramp {lam:.1f}: {res.failure or 'no convergence'}"
             )
-        x = res.x
-    return DcResult(x, total, True, stats)
+        x, ev = res.x, res.eval
+    return DcResult(x, total, True, stats, ev)
 
 
 # --------------------------------------------------------------------------
@@ -251,17 +267,19 @@ def _corrector_constant(scheme, h, gaps, startup):
 def transient_solve(problem, x0, t_end, scheme=None,
                     newton: NewtonConfig | None = None,
                     control: StepControl | None = None,
-                    fixed_h=None) -> Trajectory:
+                    fixed_h=None, *, x0_eval=None) -> Trajectory:
     """Integrate dq/dt + f = s(t) from a consistent initial state at t = 0.
 
-    Adaptive by default; `fixed_h` forces a uniform grid with no error
-    control.  Newton starts every step from the last accepted state, and
-    only the adaptive error estimate extrapolates the predictor.  Seeding
-    Newton at the predictor instead is unsafe: a solve that starts there can
-    stop at iteration 0, and then the corrector-minus-predictor estimate
-    reads 0 and accepts the step unchecked.  Seeded that way, the st p=5
-    trapezoid run of rc_uniform at lte_tol 1e-10 ends in a time step
-    underflow.
+    x0_eval is the evaluation at x0, such as the one its operating point
+    solve returned; x0 is evaluated only when it is None.  Adaptive by
+    default; `fixed_h` forces a uniform grid with no error control.  Newton
+    starts every step, and every retry of a rejected one, from the last
+    accepted state and its evaluation, and only the adaptive error estimate
+    extrapolates the predictor.  Seeding Newton at the predictor instead is
+    unsafe: a solve that starts there can stop at iteration 0, and then the
+    corrector-minus-predictor estimate reads 0 and accepts the step
+    unchecked.  Seeded that way, the st p=5 trapezoid run of rc_uniform at
+    lte_tol 1e-10 ends in a time step underflow.
     """
     scheme = scheme or SCHEMES[0]
     if scheme not in SCHEMES:
@@ -284,9 +302,12 @@ def transient_solve(problem, x0, t_end, scheme=None,
     lte_log: list[float] = []
     est_log: list[float] = []
 
-    ev0 = problem.eval(x, t)
-    q_prev = ev0.q
-    qdot_prev = problem.source(t) - ev0.f   # consistent: dq/dt = s - f
+    ev = x0_eval   # the evaluation at x, the last accepted state
+    if ev is None:
+        stats.device_evals += 1
+        ev = problem.eval(x)
+    q_prev = ev.q
+    qdot_prev = problem.source(t) - ev.f   # consistent: dq/dt = s - f
     q_prev2 = None
 
     adaptive = fixed_h is None
@@ -315,7 +336,7 @@ def transient_solve(problem, x0, t_end, scheme=None,
             hist = a1 * q_prev + a2 * q_prev2
 
         src_new = problem.source(t_new)
-        res = newton_solve(problem, states[-1], t_new, c, hist, src_new, newton, stats)
+        res = newton_solve(problem, x, c, hist, src_new, newton, stats, x0_eval=ev)
 
         ratio = est = 0.0
         if res.converged and adaptive and len(times) > 1:
@@ -342,11 +363,11 @@ def transient_solve(problem, x0, t_end, scheme=None,
         est_log.append(est)
 
         # accept
-        ev_new = res.eval
+        ev = res.eval
         if scheme == "tr":
-            qdot_prev = src_new - ev_new.f
+            qdot_prev = src_new - ev.f
         q_prev2 = q_prev
-        q_prev = ev_new.q
+        q_prev = ev.q
         t = t_new
         x = res.x
         times.append(t)

@@ -228,6 +228,7 @@ class _Parser:
         self.analyses = []
         self.title = ""
         self._pending_refs = []  # (line, col, name, holder)
+        self._sweep_sources = []  # (line, col, name) of each .dcsweep source
 
     def error(self, line, col, msg):
         self.diags.append(Diagnostic(line, col, msg))
@@ -436,6 +437,7 @@ class _Parser:
                 self.error(line, args[2][1], ".dcsweep stop must not be below start")
                 return None
             self.analyses.append(DcSweepAnalysis(args[0][0], start, stop, step))
+            self._sweep_sources.append((line, args[0][1], args[0][0]))
             return None
         if word == ".tran":
             if len(args) not in (1, 2):
@@ -542,12 +544,10 @@ class _Parser:
             if node != "0" and count < 2:
                 dev = next(d for d in self.devices if node in d.nodes)
                 self.error(dev.line, 1, f"node {node!r} is connected to only one terminal")
-        for an in self.analyses:
-            if isinstance(an, DcSweepAnalysis):
-                src = next((d for d in self.devices if d.name == an.source), None)
-                if src is None or src.kind not in ("V", "I"):
-                    line = 1
-                    self.error(line, 1, f".dcsweep source {an.source!r} is not a V/I source")
+        for line, col, name in self._sweep_sources:
+            src = next((d for d in self.devices if d.name == name), None)
+            if src is None or src.kind not in ("V", "I"):
+                self.error(line, col, f".dcsweep source {name!r} is not a V/I source")
 
 
 def parse_netlist(text: str) -> Netlist:

@@ -12,8 +12,10 @@ how coefficients are obtained:
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
 
-Every method makes one batched device evaluation per Newton iteration, at
-its K nodes, Q quadrature points, or a chunk of germ points.  sc and mc
+Every method makes one batched device evaluation per distinct Newton
+iterate, at its K nodes, Q quadrature points, or a chunk of germ points: a
+solve seeded with an earlier solve's solution reuses that solve's
+evaluation (see `engine`), so a converged state is evaluated once.  sc and mc
 solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
 one block-diagonal stacked problem, which is st with Φ = I.  All methods
 run DC, sweeps and transients through one function, `_run`, on a problem
@@ -225,7 +227,7 @@ class STProblem:
     def size(self) -> int:
         return self.circuit.n * len(self.nodes.nodes)
 
-    def eval(self, X, t):
+    def eval(self, X):
         n = self.circuit.n
         states = X.reshape(-1, n)
         if self.nodes.phi is not None:
@@ -295,7 +297,7 @@ class SGProblem:
     def size(self) -> int:
         return self.circuit.n * self.basis.size
 
-    def eval(self, X, t):
+    def eval(self, X):
         n = self.circuit.n
         k = self.basis.size
         states = self.hmat @ X.reshape(k, n)                 # (Q, n)
@@ -376,12 +378,14 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     transient starts from the single level at the t = 0 waveform values,
     then caps its step at the analysis card's hmax.  A level warm-starts
     from the one before; the first starts from zero, or for st and sg from
-    the nominal operating point for the same B u.  An AC run, st only,
-    then linearizes the problem at that point with c = jω and solves each
-    frequency's small-signal system (G + jωC) y = B u_ac; these solves are
-    not counted.  The result's states are the problem's unknowns at each
-    time, sweep level or frequency.  Engine failures are re-raised with
-    "[method=<label>]".
+    the nominal operating point for the same B u.  Each operating point's
+    evaluation goes on with it: into the next level's solve, the transient
+    start, or the AC linearization, so no state the run has solved is
+    evaluated again.  An AC run, st only, linearizes the problem at the
+    operating point with c = jω and solves each frequency's small-signal
+    system (G + jωC) y = B u_ac; these solves are not counted.  The
+    result's states are the problem's unknowns at each time, sweep level
+    or frequency.  Engine failures are re-raised with "[method=<label>]".
     """
     circuit = problem.circuit
     tran = isinstance(analysis, TranAnalysis)
@@ -394,11 +398,12 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     u = circuit.source_vector(0.0) if tran else circuit.dc_source_vector()
     stats = SolveStats()
     rows = []
+    res = None
     for level in levels:
         if sweep:
             u[circuit.source_names.index(analysis.source)] = level
         s = circuit.b_matrix @ u
-        x0 = rows[-1] if rows else None
+        x0, x0_eval = (res.x, res.eval) if res is not None else (None, None)
         if x0 is None and problem.basis is not None:
             x0 = np.zeros(problem.size)
             try:
@@ -406,7 +411,8 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
             except DcConvergenceError as exc:
                 _wrap_engine_error(exc, f"{label} nominal init")
         try:
-            res = dc_solve(problem, newton, x0=x0, source=problem.stack(s))
+            res = dc_solve(problem, newton, x0=x0, source=problem.stack(s),
+                           x0_eval=x0_eval)
         except DcConvergenceError as exc:
             _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}"
                                if sweep else label)
@@ -417,14 +423,15 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
             control = (StepControl(h_max=analysis.hmax) if control is None
                        else replace(control, h_max=analysis.hmax))
         try:
-            traj = transient_solve(problem, rows[0], analysis.tstop, scheme=scheme,
-                                   newton=newton, control=control, fixed_h=fixed_h)
+            traj = transient_solve(problem, res.x, analysis.tstop, scheme=scheme,
+                                   newton=newton, control=control, fixed_h=fixed_h,
+                                   x0_eval=res.eval)
         except TransientError as exc:
             _wrap_engine_error(exc, label)
         traj.stats.merge(stats)
         return traj
     if ac:
-        ev = problem.eval(rows[0], 0.0)
+        ev = res.eval
         rhs = problem.stack(circuit.b_matrix @ circuit.ac_source_vector())
         levels = frequency_grid(analysis.fstart, analysis.fstop,
                                 analysis.points_per_decade)

@@ -126,7 +126,7 @@ class CircuitProblem:
     def size(self) -> int:
         return self.circuit.n
 
-    def eval(self, x, t):
+    def eval(self, x):
         ev = self.circuit.eval_qf(x, self.xi)
         return DenseEval(ev.q, ev.f, ev.dq, ev.df)
 
@@ -142,7 +142,7 @@ def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndar
     full transient residual at one step.
     """
     problem = STProblem(circuit, basis, nodes)
-    ev = problem.eval(np.asarray(X, dtype=float), t)
+    ev = problem.eval(np.asarray(X, dtype=float))
     r = c * ev.q + ev.f - problem.source(t)
     if history is not None:
         r = r + history

@@ -138,7 +138,7 @@ def test_criterion_05_decoupling_identity():
             X = dc.coeffs[0].ravel() + 0.05 * rng.standard_normal(n * k)
 
             problem = STProblem(circuit, basis, nodes)
-            ev = problem.eval(X, 0.0)
+            ev = problem.eval(X)
             resid = st_residual(circuit, basis, nodes, X)
 
             # dense coupled Jacobian: blockdiag of nodal Jacobians times

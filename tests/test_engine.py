@@ -28,7 +28,7 @@ class ScalarProblem:
         self.f, self.df, self.s = f, df, s
         self.size = 1
 
-    def eval(self, x, t):
+    def eval(self, x):
         v = float(x[0])
         return DenseEval(np.zeros(1), np.array([self.f(v)]),
                          np.zeros((1, 1)), np.array([[self.df(v)]]))
@@ -71,7 +71,7 @@ def test_linear_converges_in_one_iteration():
     circuit = load_circuit("v1 top 0 dc 3\nr1 top mid 1k\nr2 mid 0 1k\n")
     problem = CircuitProblem(circuit, XI0)
     stats = SolveStats()
-    res = newton_solve(problem, np.zeros(3), 0.0, 0.0, np.zeros(3),
+    res = newton_solve(problem, np.zeros(3), 0.0, np.zeros(3),
                        problem.source(0.0), NewtonConfig(), stats)
     assert res.converged
     assert res.iterations == 1
@@ -80,7 +80,7 @@ def test_linear_converges_in_one_iteration():
 
 def test_quadratic_root_in_few_iterations():
     prob = ScalarProblem(lambda v: v * v, lambda v: 2 * v, 4.0)
-    res = newton_solve(prob, np.array([1.0]), 0.0, 0.0, np.zeros(1),
+    res = newton_solve(prob, np.array([1.0]), 0.0, np.zeros(1),
                        prob.source(0.0), NewtonConfig())
     assert res.converged
     assert res.iterations <= 6
@@ -90,7 +90,7 @@ def test_quadratic_root_in_few_iterations():
 def test_newton_reports_iteration_limit(monkeypatch):
     monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 25)
     prob = ScalarProblem(lambda v: v * v * v - 2 * v + 2, lambda v: 3 * v * v - 2, 0.0)
-    res = newton_solve(prob, np.array([0.0]), 0.0, 0.0, np.zeros(1),
+    res = newton_solve(prob, np.array([0.0]), 0.0, np.zeros(1),
                        prob.source(0.0), NewtonConfig())
     assert not res.converged  # the classic 0 <-> 1 Newton cycle
     assert "limit" in res.failure
@@ -136,6 +136,17 @@ def test_homotopy_rescues_cold_start(monkeypatch):
     res = dc_solve(prob, NewtonConfig(), source=prob.source(0.0))
     assert res.homotopy_used
     assert res.x[0] == pytest.approx(math.asinh(20.0), rel=1e-10)
+
+
+def test_homotopy_hands_on_each_ramp_step_evaluation(monkeypatch):
+    # every ramp step after the first starts from the previous step's
+    # solution with its evaluation, and the result carries the lambda = 1 one
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 8)
+    prob = ScalarProblem(np.sinh, np.cosh, 20.0)
+    res = dc_solve(prob, NewtonConfig(), source=prob.source(0.0))
+    assert res.homotopy_used
+    assert res.stats.device_evals == res.stats.residual_evals - (engine.HOMOTOPY_STEPS - 1)
+    assert res.eval.f[0] == prob.eval(res.x).f[0]
 
 
 def test_dc_failure_raises():
@@ -231,20 +242,26 @@ def test_stiff_adaptive_beats_fixed_grid():
 
 
 class FailingAfter:
-    """Wraps a problem; evaluations past a cutoff time blow up."""
+    """Wraps a problem; evaluations blow up while the solve is past a cutoff.
+
+    An evaluation carries no time, so the time is the one the source was
+    last asked for: the engine asks for s(t) before it solves at t.
+    """
 
     def __init__(self, inner, t_fail):
         self.inner, self.t_fail = inner, t_fail
         self.size = inner.size
+        self.t = 0.0
 
-    def eval(self, x, t):
-        if t > self.t_fail:
+    def eval(self, x):
+        if self.t > self.t_fail:
             from gpcsim.circuit import EvalOverflowError
 
             raise EvalOverflowError("synthetic overflow")
-        return self.inner.eval(x, t)
+        return self.inner.eval(x)
 
     def source(self, t):
+        self.t = t
         return self.inner.source(t)
 
 

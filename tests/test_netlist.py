@@ -214,6 +214,17 @@ def test_dcsweep_source_must_exist():
     assert net.analyses == [DcSweepAnalysis("v1", 0.0, 1.0, 0.1)]
 
 
+def test_bad_dcsweep_source_flagged_at_its_token():
+    text = "* title\nv1 a 0 1\nr1 a 0 1k\n\n  .dcsweep   vx 0 1 0.1\n.dcsweep r1 0 1 0.1\n"
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(text)
+    missing, resistor = err.value.diagnostics
+    assert (missing.line, missing.col) == (5, 14)
+    assert "'vx' is not a V/I source" in missing.message
+    assert (resistor.line, resistor.col) == (6, 10)
+    assert "'r1' is not a V/I source" in resistor.message
+
+
 def test_duplicate_names_flagged():
     with pytest.raises(NetlistError, match="duplicate device name 'r1'"):
         parse_netlist("v1 a 0 1\nr1 a 0 1\nr1 a 0 2\n")

@@ -8,6 +8,7 @@ spectral method must reproduce the same coefficients.
 """
 
 import math
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -16,7 +17,7 @@ from numpy.polynomial import hermite_e, legendre
 
 from gpcsim import engine, solvers
 from gpcsim.basis import GpcBasisSet
-from gpcsim.circuit import load_circuit
+from gpcsim.circuit import StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
 from gpcsim.engine import NewtonConfig, StepControl, dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
@@ -564,6 +565,121 @@ class TestTransientOracle:
         assert run.stats.newton_iterations < run.stats.steps_accepted / 10
         np.testing.assert_allclose(run.coeffs[:, 0], tight.coeffs[:, 0],
                                    rtol=0, atol=4e-7)
+
+
+# --------------------------------------------------------------------------
+# device evaluation reuse
+# --------------------------------------------------------------------------
+
+def shipped_circuit(name):
+    return load_circuit((resources.files("gpcsim") / "netlists" / name).read_text())
+
+
+def _device_key(problem, x):
+    """The bytes eval_qf sees for problem.eval(x): nodal states and germs."""
+    states = np.asarray(x, dtype=float).reshape(-1, problem.circuit.n)
+    if problem.nodes.phi is not None:
+        states = problem.nodes.phi @ states
+    return states.tobytes(), problem.nodes.nodes.tobytes()
+
+
+class TestEvaluationReuse:
+    """A solve handed the evaluation of its start state never evaluates that
+    state again, and the runs hand one on wherever they have it."""
+
+    @pytest.fixture
+    def device_log(self, monkeypatch):
+        """Counts of eval_qf calls by argument bytes (`calls`), the states
+        some solve was handed with their evaluation (`handed`) and how often
+        one was handed on (`handings`), and the calls made at a state after
+        it was handed on (`again`)."""
+        log = {"calls": Counter(), "handed": set(), "handings": 0, "again": []}
+        eval_qf = StochasticCircuit.eval_qf
+        newton_solve = engine.newton_solve
+        transient_solve = solvers.transient_solve
+
+        def spy_eval_qf(circuit, x, xi):
+            key = (np.asarray(x, dtype=float).tobytes(), np.asarray(xi, dtype=float).tobytes())
+            log["calls"][key] += 1
+            if key in log["handed"]:
+                log["again"].append(key)
+            return eval_qf(circuit, x, xi)
+
+        def hand(problem, x0, x0_eval):
+            if x0_eval is not None:
+                log["handed"].add(_device_key(problem, x0))
+                log["handings"] += 1
+
+        def spy_newton(problem, x0, *args, x0_eval=None, **kwargs):
+            hand(problem, x0, x0_eval)
+            return newton_solve(problem, x0, *args, x0_eval=x0_eval, **kwargs)
+
+        def spy_transient(problem, x0, *args, x0_eval=None, **kwargs):
+            hand(problem, x0, x0_eval)
+            return transient_solve(problem, x0, *args, x0_eval=x0_eval, **kwargs)
+
+        monkeypatch.setattr(StochasticCircuit, "eval_qf", spy_eval_qf)
+        monkeypatch.setattr(engine, "newton_solve", spy_newton)
+        monkeypatch.setattr(solvers, "transient_solve", spy_transient)
+        return log
+
+    def test_st_transient_never_evaluates_a_handed_state(self, device_log):
+        """Every step and every retry of the sram6t transient starts from the
+        last accepted state with its evaluation, as does the transient's
+        start from the DC point, so the device layer runs less often than
+        the residual is checked.  A later step try can still replay an
+        earlier one bit for bit (same seed, step and source) and so repeat
+        its iterates; those are new solves, not handed states."""
+        circuit = shipped_circuit("sram6t.cir")
+        (tran,) = [a for a in circuit.analyses if isinstance(a, TranAnalysis)]
+        traj = st_solve(circuit, 2, tran)
+        stats = traj.stats
+        assert stats.steps_rejected > 0
+        assert stats.device_evals < stats.residual_evals
+        assert device_log["again"] == []
+        # every handed state came from the device layer, so the keys match
+        assert device_log["handed"] <= set(device_log["calls"])
+        # one per step try, and the DC point to the transient's start
+        assert device_log["handings"] == stats.steps_accepted + stats.steps_rejected + 1
+
+    def test_mc_sweep_evaluates_each_state_once(self, device_log):
+        """Each lockstep chunk's sweep levels warm-start with the level
+        before and its evaluation: no (state, germ) bytes reach the device
+        layer twice."""
+        circuit = shipped_circuit("cs_amp.cir")
+        sweep = next(a for a in circuit.analyses if isinstance(a, DcSweepAnalysis))
+        ens = mc_solve(circuit, 2000, 1, sweep)
+        assert ens.failures == 0
+        calls = device_log["calls"]
+        assert len(calls) == ens.stats.device_evals
+        assert max(calls.values()) == 1
+        # every level after the first of every chunk is handed its seed
+        chunks = math.ceil(2000 / solvers.LOCKSTEP_CHUNK)
+        assert device_log["handings"] == (len(ens.times) - 1) * chunks
+        assert len(device_log["handed"]) == device_log["handings"]
+
+    def test_ac_linearizes_the_dc_evaluation(self, device_log):
+        """An st AC run reaches the device layer exactly as often as the DC
+        run of its operating point: the linearization reuses its evaluation."""
+        circuit = shipped_circuit("lna.cir")
+        dc, ac = (next(a for a in circuit.analyses if isinstance(a, kind))
+                  for kind in (DcAnalysis, AcAnalysis))
+        st_solve(circuit, 2, dc)
+        dc_calls = sum(device_log["calls"].values())
+        st_solve(circuit, 2, ac)
+        assert sum(device_log["calls"].values()) == 2 * dc_calls
+
+    def test_linear_transient_evaluates_once_per_solve(self):
+        """A linear circuit converges after one update per solve, and each
+        update is followed by one evaluation; with every seed's evaluation
+        handed on, the one other evaluation is the operating point's start,
+        which nothing hands in."""
+        circuit = shipped_circuit("rc_uniform.cir")
+        basis, nodes = select_for(circuit, 2)
+        tran = next(a for a in circuit.analyses if isinstance(a, TranAnalysis))
+        stats = solvers._run(STProblem(circuit, basis, nodes), tran, "st", None).stats
+        assert stats.steps_accepted > 100
+        assert stats.device_evals == stats.linear_solves + 1
 
 
 # --------------------------------------------------------------------------
