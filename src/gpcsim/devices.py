@@ -242,7 +242,7 @@ class DeviceKernel:
 
     A call keeps a one-entry memo: the shape and bytes of the germ points
     it was given, and each group's parameter-stage arrays at them.  The
-    methods hold their K testing nodes, grid points or sample chunk fixed
+    methods hold their K testing nodes, grid points or sample batch fixed
     over a whole run, so every Newton iteration after the first reuses it.
     A call hits the memo only when its xi has the memo's shape and the same
     bytes, so the memo cannot go stale, also when a caller changes its xi

@@ -13,11 +13,12 @@ how coefficients are obtained:
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
 
 Every method makes one batched device evaluation per distinct Newton
-iterate, at its K nodes, Q quadrature points, or a chunk of germ points: a
+iterate, at its K nodes, Q quadrature points, or a batch of germ points: a
 solve seeded with an earlier solve's solution reuses that solve's
 evaluation (see `engine`), so a converged state is evaluated once.  sc and mc
-solve their points in lockstep: chunks of up to LOCKSTEP_CHUNK points form
-one block-diagonal stacked problem, which is st with Φ = I.  All methods
+solve their points in lockstep: near-equal batches of about LOCKSTEP_ENTRIES
+Jacobian entries, and at least LOCKSTEP_CHUNK points, form one
+block-diagonal stacked problem, which is st with Φ = I.  All methods
 run DC, sweeps and transients through one function, `_run`, on a problem
 built once per run and never changed.  Every DC solve of a run takes the
 problem's `stack` of B u, with u the sources' DC values, a sweep level or a
@@ -45,6 +46,7 @@ from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
     DcConvergenceError,
+    DcResult,
     SolveStats,
     StepControl,
     TransientError,
@@ -57,7 +59,8 @@ from .quadrature import GridBudgetError, check_grid_budget, gauss_rule, tensor_g
 
 DEFAULT_ORDER = 2            # gPC total order when none is given
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
-LOCKSTEP_CHUNK = 128         # germ points per sc/mc lockstep batch; bounds its memory
+LOCKSTEP_CHUNK = 128         # fewest germ points in a full sc/mc lockstep batch
+LOCKSTEP_ENTRIES = 2**15     # Jacobian entries (points x n^2) that size larger batches
 MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
 TABLE_BUDGET = 10**8         # most entries in a (basis size) x (grid nodes) table
 
@@ -345,10 +348,10 @@ def _basis_for(circuit, order) -> GpcBasisSet:
     return GpcBasisSet([p.dist for p in circuit.params], order)
 
 
-def _nominal_dc(circuit, newton, s) -> np.ndarray:
+def _nominal_dc(circuit, newton, s) -> DcResult:
     """The operating point at the mean germ for the right-hand side s."""
     nominal = GermPoints(circuit.nominal_germ()[None])
-    return dc_solve(STProblem(circuit, None, nominal), newton, source=s).x
+    return dc_solve(STProblem(circuit, None, nominal), newton, source=s)
 
 
 def _wrap_engine_error(exc, label):
@@ -378,10 +381,10 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     transient starts from the single level at the t = 0 waveform values,
     then caps its step at the analysis card's hmax.  A level warm-starts
     from the one before; the first starts from zero, or for st and sg from
-    the nominal operating point for the same B u.  Each operating point's
-    evaluation goes on with it: into the next level's solve, the transient
-    start, or the AC linearization, so no state the run has solved is
-    evaluated again.  An AC run, st only, linearizes the problem at the
+    the nominal operating point for the same B u, whose counters join the
+    run's.  Each operating point's evaluation goes on with it: into the
+    next level's solve, the transient start, or the AC linearization, so no
+    state the run has solved is evaluated again.  An AC run, st only, linearizes the problem at the
     operating point with c = jω and solves each frequency's small-signal
     system (G + jωC) y = B u_ac; these solves are not counted.  The
     result's states are the problem's unknowns at each time, sweep level
@@ -407,9 +410,11 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
         if x0 is None and problem.basis is not None:
             x0 = np.zeros(problem.size)
             try:
-                x0[:circuit.n] = _nominal_dc(circuit, newton, s)
+                nominal = _nominal_dc(circuit, newton, s)
             except DcConvergenceError as exc:
                 _wrap_engine_error(exc, f"{label} nominal init")
+            x0[:circuit.n] = nominal.x
+            stats.merge(nominal.stats)
         try:
             res = dc_solve(problem, newton, x0=x0, source=problem.stack(s),
                            x0_eval=x0_eval)
@@ -482,15 +487,28 @@ def sg_solve(circuit, order, analysis, newton=None, control=None,
         newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
 
 
-def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
-    """Deterministic runs at every germ point, LOCKSTEP_CHUNK points at a time.
+def _lockstep_batches(count, n) -> list[np.ndarray]:
+    """Index-ordered, near-equal batches of `count` germ points for an
+    n-state circuit, as few as hold at most `size` points each: size =
+    LOCKSTEP_ENTRIES // n² keeps a batch's (size, n, n) Jacobian stack near
+    LOCKSTEP_ENTRIES entries, but is never under LOCKSTEP_CHUNK."""
+    size = max(LOCKSTEP_CHUNK, LOCKSTEP_ENTRIES // n**2)
+    return np.array_split(np.arange(count), -(-count // size))
 
-    Each chunk is one block-diagonal stacked problem (STProblem with Φ = I)
-    run through `_run` from a cold start, on a fixed transient
-    grid shared by every point.  A chunk that fails is retried one point at
-    a time, so a failure stays with its own point.  Returns the times, the
-    (S, T, n) solutions (NaN rows where a point failed), {point: error} and
-    the merged counters.
+
+def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method,
+                 tolerated):
+    """Deterministic runs at every germ point, one lockstep batch at a time.
+
+    Each batch of `_lockstep_batches` is one block-diagonal stacked problem
+    (STProblem with Φ = I) run through `_run` from a cold start, on a fixed
+    transient grid shared by every point.  A batch that fails is split in
+    two and each half retried the same way, lower half first, down to
+    single points, so a failure stays with its own point.  Batches run in
+    index order, so failures are found in index order; the failure that
+    takes their count past `tolerated` is raised at once, with the rest of
+    the points unsolved.  Returns the times, the (S, T, n) solutions (NaN
+    rows where a point failed), {point: error} and the merged counters.
     """
     if isinstance(analysis, TranAnalysis) and fixed_h is None:
         fixed_h = analysis.tstop / DEFAULT_FIXED_STEPS
@@ -499,30 +517,35 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method):
     times = sols = None
     errors = {}
 
-    def solve(idx, label):
+    def solve(idx) -> bool:
         nonlocal times, sols
+        label = method if len(idx) > 1 else (
+            f"{method} node {idx[0]} xi={np.array2string(points[idx[0]], precision=4)}")
         problem = STProblem(circuit, None, GermPoints(points[idx]))
-        traj = _run(problem, analysis, label, newton, scheme=scheme, fixed_h=fixed_h)
+        try:
+            traj = _run(problem, analysis, label, newton, scheme=scheme,
+                        fixed_h=fixed_h)
+        except (DcConvergenceError, TransientError) as exc:
+            if len(idx) == 1:
+                errors[int(idx[0])] = exc
+                if len(errors) > tolerated:
+                    raise
+            return False
         if sols is None:
             times = traj.times
             sols = np.full((len(points), len(times), n), np.nan)
         sols[idx] = traj.states.reshape(len(times), len(idx), n).transpose(1, 0, 2)
         stats.merge(traj.stats)
+        return True
 
-    for start in range(0, len(points), LOCKSTEP_CHUNK):
-        chunk = np.arange(start, min(start + LOCKSTEP_CHUNK, len(points)))
-        if len(chunk) > 1:
-            try:
-                solve(chunk, method)
-                continue
-            except (DcConvergenceError, TransientError):
-                pass
-        for s in chunk:
-            label = f"{method} node {s} xi={np.array2string(points[s], precision=4)}"
-            try:
-                solve(chunk[s - start:s - start + 1], label)
-            except (DcConvergenceError, TransientError) as exc:
-                errors[int(s)] = exc
+    def bisect(idx):
+        if not solve(idx) and len(idx) > 1:
+            half = (len(idx) + 1) // 2
+            bisect(idx[:half])
+            bisect(idx[half:])
+
+    for batch in _lockstep_batches(len(points), n):
+        bisect(batch)
     return times, sols, errors, stats
 
 
@@ -532,10 +555,8 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     basis = _basis_for(circuit, order)
     points, weights = _gauss_grid(circuit, basis.order)
 
-    times, sols, errors, stats = _sample_runs(circuit, points, analysis, newton,
-                                              scheme, fixed_h, "sc")
-    if errors:
-        raise errors[min(errors)]
+    times, sols, _, stats = _sample_runs(circuit, points, analysis, newton,
+                                         scheme, fixed_h, "sc", tolerated=0)
 
     hmat = basis.eval_many(points)                    # (S, K)
     coeffs = np.einsum("s,sk,stn->tkn", weights, hmat, sols)
@@ -552,8 +573,8 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
     """Plain Monte Carlo: seeded draws, deterministic runs in lockstep.
 
     A single sample is the nominal run: the mean point, no draw, no seed.
-    A sample whose own run fails is dropped and counted; more than
-    MAX_FAILURE_FRACTION of them aborts the run.
+    A sample whose own run fails is dropped and counted; the failure that
+    makes more than MAX_FAILURE_FRACTION of them aborts the run at once.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -566,12 +587,15 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
         cols = [p.dist.sample(rng, n_samples) for p in circuit.params]
         samples = np.column_stack(cols)
 
-    times, sols, errors, stats = _sample_runs(circuit, samples, analysis, newton,
-                                              scheme, fixed_h, "mc")
+    tolerated = math.floor(MAX_FAILURE_FRACTION * n_samples)
+    try:
+        times, sols, errors, stats = _sample_runs(
+            circuit, samples, analysis, newton, scheme, fixed_h, "mc",
+            tolerated=tolerated)
+    except (DcConvergenceError, TransientError) as exc:
+        raise MethodError(f"{tolerated + 1}/{n_samples} samples failed "
+                          f"(> {MAX_FAILURE_FRACTION:.0%})") from exc
     failures = len(errors)
-    if failures > MAX_FAILURE_FRACTION * n_samples:
-        raise MethodError(
-            f"{failures}/{n_samples} samples failed (> {MAX_FAILURE_FRACTION:.0%})")
     good = [s for s in range(n_samples) if s not in errors]
     kept = len(good)
     return SampleEnsemble(

@@ -134,6 +134,25 @@ class CircuitProblem:
         return self.circuit.b_matrix @ self.circuit.source_vector(t)
 
 
+def inverter_chain(stages) -> str:
+    """Netlist of a CMOS inverter chain whose stages share three germs: one
+    nmos width, one pmos width and one load capacitance.  It is driven by a
+    10 ns pulse, and the state is the input, the supply and every stage's
+    output plus two source currents, n = stages + 4 (n = 24 at 20 stages)."""
+    lines = [f"* {stages}-stage inverter chain, shared width and load germs",
+             ".param wn dist=gauss(2u,0.1u)",
+             ".param wp dist=gauss(4u,0.2u)",
+             ".param cl dist=uniform(9f,11f)",
+             "vdd vdd 0 dc 1.8",
+             "vin s0 0 pulse(0 1.8 1n 0.1n 0.1n 4n 10n)"]
+    for k in range(1, stages + 1):
+        lines += [f"mn{k} s{k} s{k - 1} 0 type=nmos w=dist=wn l=0.2u kp=200u vt0=0.4",
+                  f"mp{k} s{k} s{k - 1} vdd type=pmos w=dist=wp l=0.2u kp=100u vt0=0.4",
+                  f"c{k} s{k} 0 dist=cl"]
+    lines += [".dc", ".tran 10n"]
+    return "\n".join(lines) + "\n"
+
+
 def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndarray:
     """Collocated residual, block m = c·q(x̂(ξᵐ)) + f(x̂(ξᵐ)) + hist − B u(t).
 

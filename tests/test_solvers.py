@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e, legendre
 
-from gpcsim import engine, solvers
+from gpcsim import cli, engine, solvers
 from gpcsim.basis import GpcBasisSet
 from gpcsim.circuit import StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
@@ -34,7 +34,7 @@ from gpcsim.solvers import (
     st_decoupled_linear_step,
     st_solve,
 )
-from helpers import CircuitProblem, st_residual, standard_error
+from helpers import CircuitProblem, inverter_chain, st_residual, standard_error
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -334,7 +334,8 @@ class TestDegenerateEquivalence:
         assert stacked.homotopy_used == dense.homotopy_used
         assert stacked.stats.linear_solves == dense.stats.linear_solves
         np.testing.assert_array_equal(solvers._nominal_dc(
-            circuit, NewtonConfig(), circuit.b_matrix @ circuit.source_vector(0.0)), dense.x)
+            circuit, NewtonConfig(), circuit.b_matrix @ circuit.source_vector(0.0)).x,
+            dense.x)
 
     def test_dc_all_methods_identical(self):
         circuit = load_circuit(DIODE)
@@ -449,6 +450,75 @@ class TestScSolve:
 # Monte Carlo specifics
 # --------------------------------------------------------------------------
 
+@pytest.fixture
+def run_log(monkeypatch):
+    """(germ points, succeeded) for every lockstep `_run` call, in order."""
+    log = []
+    run = solvers._run
+
+    def spy(problem, *args, **kwargs):
+        try:
+            out = run(problem, *args, **kwargs)
+        except (engine.DcConvergenceError, engine.TransientError):
+            log.append((problem.nodes.nodes.copy(), False))
+            raise
+        log.append((problem.nodes.nodes.copy(), True))
+        return out
+
+    monkeypatch.setattr(solvers, "_run", spy)
+    return log
+
+
+class TestLockstepBatches:
+    """sc/mc batches hold about LOCKSTEP_ENTRIES Jacobian entries, and a
+    failing batch is halved until its failures stand alone."""
+
+    def test_plan_covers_every_point_in_near_equal_batches(self):
+        for n in (1, 3, 6, 16, 17, 24, 80):
+            cap = max(128, 2**15 // n**2)
+            for count in (1, 127, 128, 129, 667, 2000, 10000):
+                batches = solvers._lockstep_batches(count, n)
+                np.testing.assert_array_equal(np.concatenate(batches), np.arange(count))
+                sizes = [len(b) for b in batches]
+                assert len(batches) == math.ceil(count / cap), (n, count)
+                assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1, (n, count)
+
+    def test_plan_sizes(self):
+        assert [len(b) for b in solvers._lockstep_batches(2000, 6)] == [667, 667, 666]
+        chain = load_circuit(inverter_chain(20))
+        assert chain.n == 24
+        assert [len(b) for b in solvers._lockstep_batches(1280, chain.n)] == [128] * 10
+
+    @pytest.mark.parametrize("size,bad", [(2, 1), (5, 0), (200, 0), (200, 77),
+                                          (200, 199), (667, 400)])
+    def test_one_failing_draw_costs_a_bisection(self, run_log, size, bad):
+        """A batch with one draw that has no operating point takes at most
+        1 + 2·ceil(log2 M) runs, and the failure is charged to that draw."""
+        circuit = load_circuit(NEGATIVE_R)
+        points = np.linspace(-2.0, 2.0, size)[:, None]
+        points[bad] = -3.0                      # r1 = -200 ohm
+        _, sols, errors, _ = solvers._sample_runs(
+            circuit, points, DcAnalysis(), None, None, None, "mc", tolerated=1)
+        assert list(errors) == [bad]
+        assert f"mc node {bad} xi=[-3.]" in str(errors[bad])
+        assert len(run_log) <= 1 + 2 * math.ceil(math.log2(size))
+        assert np.isnan(sols[bad]).all()
+        assert np.isfinite(np.delete(sols, bad, axis=0)).all()
+
+    def test_mc_artifacts_do_not_depend_on_batch_size(self, tmp_path, monkeypatch):
+        """cs_amp's 2000-sample sweep writes the same bytes in three batches
+        as in 128-point ones."""
+        argv = ["dcsweep", "cs_amp.cir", "--method", "mc", "--samples", "2000",
+                "--seed", "1", "--out"]
+        assert cli.main(argv + [str(tmp_path / "planned")]) == 0
+        monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", 128)
+        monkeypatch.setattr(solvers, "LOCKSTEP_ENTRIES", 0)
+        assert cli.main(argv + [str(tmp_path / "fixed")]) == 0
+        for name in ("stats.csv", "coefficients.json"):
+            assert ((tmp_path / "planned" / name).read_bytes()
+                    == (tmp_path / "fixed" / name).read_bytes()), name
+
+
 class TestMcSolve:
     def test_seed_determinism(self):
         circuit = load_circuit(DIVIDER)
@@ -479,18 +549,43 @@ class TestMcSolve:
         assert abs(ens.mean()[0, 1] - mean_ref) < 3.0 * se
         assert abs(ens.std()[0, 1] - std_ref) / std_ref < 0.1
 
-    def test_failure_budget_aborts(self, monkeypatch):
+    def test_failure_budget_aborts(self, monkeypatch, run_log):
+        """Every sample fails and 1 % of 20 tolerates none, so the run stops
+        at sample 0's own failure: the batch is halved down to it and no
+        other point is tried alone."""
         monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 0)
         circuit = load_circuit(DIODE)
-        with pytest.raises(MethodError, match="samples failed"):
+        with pytest.raises(MethodError, match="^1/20 samples failed"):
             mc_solve(circuit, 20, 0, DcAnalysis(),
                      newton=NewtonConfig(abstol=1e-30, reltol=1e-30))
+        assert [len(points) for points, _ in run_log] == [20, 10, 5, 3, 2, 1]
+        assert not any(ok for _, ok in run_log)
+
+    def test_failure_budget_stops_at_the_first_failure_over_it(self, run_log):
+        """Three of 200 draws leave no operating point and 1 % tolerates
+        two: the third failure ends the run, with its own solve the last."""
+        circuit = load_circuit(NEGATIVE_R)
+        seed, count = 4, 200
+        xi = circuit.params[0].dist.sample(np.random.default_rng(seed), count)
+        bad = np.flatnonzero(1000.0 + 400.0 * xi <= 0.0)
+        assert len(bad) == 3
+        with pytest.raises(MethodError, match="^3/200 samples failed"):
+            mc_solve(circuit, count, seed, DcAnalysis())
+        alone = [points[0, 0] for points, ok in run_log if len(points) == 1 and not ok]
+        np.testing.assert_array_equal(alone, xi[bad])
+        last, ok = run_log[-1]
+        assert not ok and last.tolist() == [[xi[bad[2]]]]
+        # points past the third failure were tried only in failing batches
+        later = xi[bad[2] + 1:]
+        assert not any(ok and np.isin(points[:, 0], later).any()
+                       for points, ok in run_log)
 
     def test_lockstep_failures_stay_with_their_samples(self, monkeypatch):
         """Draws that push r1 below zero leave no operating point; only they
         fail, and every other sample matches its own one-point solve, in
-        clean chunks and in chunks that had to be retried point by point."""
+        clean batches and in batches that had to be split."""
         monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", 16)
+        monkeypatch.setattr(solvers, "LOCKSTEP_ENTRIES", 0)
         monkeypatch.setattr(solvers, "MAX_FAILURE_FRACTION", 0.1)
         circuit = load_circuit(NEGATIVE_R)
         # tight enough that both routes sit at the same root to ~1e-11 V
@@ -502,7 +597,9 @@ class TestMcSolve:
         ok = 1000.0 + 400.0 * xi > 0.0
         bad = np.flatnonzero(~ok)
         assert len(bad) == ens.failures == 3
-        assert len(set(bad // 16)) == 3          # three different chunks
+        batches = solvers._lockstep_batches(count, circuit.n)
+        batch_of = np.concatenate([np.full(len(b), i) for i, b in enumerate(batches)])
+        assert len(set(batch_of[bad])) == 3      # three different batches
         np.testing.assert_array_equal(ens.samples[:, 0], xi[ok])
         alone = []
         for v in xi[ok]:
@@ -642,8 +739,22 @@ class TestEvaluationReuse:
         # one per step try, and the DC point to the transient's start
         assert device_log["handings"] == stats.steps_accepted + stats.steps_rejected + 1
 
+    @pytest.mark.parametrize("method,name,kind", [
+        ("st", "sram6t.cir", TranAnalysis), ("sg", "cs_amp.cir", DcSweepAnalysis)])
+    def test_device_evals_counts_every_evaluation(self, monkeypatch, method, name, kind):
+        """The manifest's device_evals counts every eval_qf call of the run,
+        the nominal operating point's included."""
+        calls = []
+        eval_qf = StochasticCircuit.eval_qf
+        monkeypatch.setattr(StochasticCircuit, "eval_qf",
+                            lambda *args: calls.append(1) or eval_qf(*args))
+        circuit = shipped_circuit(name)
+        analysis = next(a for a in circuit.analyses if isinstance(a, kind))
+        stats = run_analysis(circuit, method, 2, analysis).stats
+        assert len(calls) == stats.device_evals
+
     def test_mc_sweep_evaluates_each_state_once(self, device_log):
-        """Each lockstep chunk's sweep levels warm-start with the level
+        """Each lockstep batch's sweep levels warm-start with the level
         before and its evaluation: no (state, germ) bytes reach the device
         layer twice."""
         circuit = shipped_circuit("cs_amp.cir")
@@ -653,9 +764,9 @@ class TestEvaluationReuse:
         calls = device_log["calls"]
         assert len(calls) == ens.stats.device_evals
         assert max(calls.values()) == 1
-        # every level after the first of every chunk is handed its seed
-        chunks = math.ceil(2000 / solvers.LOCKSTEP_CHUNK)
-        assert device_log["handings"] == (len(ens.times) - 1) * chunks
+        # every level after the first of every batch is handed its seed
+        batches = len(solvers._lockstep_batches(2000, circuit.n))
+        assert device_log["handings"] == (len(ens.times) - 1) * batches
         assert len(device_log["handed"]) == device_log["handings"]
 
     def test_ac_linearizes_the_dc_evaluation(self, device_log):
@@ -672,14 +783,16 @@ class TestEvaluationReuse:
     def test_linear_transient_evaluates_once_per_solve(self):
         """A linear circuit converges after one update per solve, and each
         update is followed by one evaluation; with every seed's evaluation
-        handed on, the one other evaluation is the operating point's start,
-        which nothing hands in."""
+        handed on, the two other evaluations are the starts of the two
+        operating points, which nothing hands in: the nominal one, whose
+        zero source converges at its zero start without an update, and the
+        collocated one it seeds."""
         circuit = shipped_circuit("rc_uniform.cir")
         basis, nodes = select_for(circuit, 2)
         tran = next(a for a in circuit.analyses if isinstance(a, TranAnalysis))
         stats = solvers._run(STProblem(circuit, basis, nodes), tran, "st", None).stats
         assert stats.steps_accepted > 100
-        assert stats.device_evals == stats.linear_solves + 1
+        assert stats.device_evals == stats.linear_solves + 2
 
 
 # --------------------------------------------------------------------------
