@@ -5,11 +5,14 @@ form.  State ordering is node voltages in order of first appearance, then
 inductor currents, then voltage-source currents.  B is deterministic; all
 randomness enters through device parameters bound to germ components.
 
-Assembly records one DeviceSpec per device and nothing more.  The batched
-DeviceKernel is compiled from those specs on the first evaluation and
-cached on the circuit, with its memo of the parameters at the last germ
-points.  Nothing copies or changes a circuit after assembly: a DC sweep
-sets each level in the source vector it hands the solver.  `eval_qf` is
+Assembly reads every card through `devices.MODEL_KEYS`, so a device kind,
+key or `type=` the table does not list is refused here, for parsed and
+hand-built netlists alike, with the card's line.  It records one
+DeviceSpec per device and nothing more.  The batched DeviceKernel is
+compiled from those specs on the first evaluation and cached on the
+circuit, with its memo of the parameters at the last germ points.
+Nothing copies or changes a circuit after assembly: a DC sweep sets each
+level in the source vector it hands the solver.  `eval_qf` is
 the only device-evaluation path: every method calls it with all of its
 points once per distinct Newton iterate (a solve seeded with an earlier
 solution reuses that solution's evaluation), and a deterministic solve,
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import RandomParameter
-from .devices import T_NOMINAL, DeviceKernel, DeviceSpec
+from .devices import MODEL_KEYS, DeviceKernel, DeviceSpec
 from .netlist import Netlist, parse_netlist
 
 GROUND = "0"
@@ -129,33 +132,33 @@ def _require(cond, msg):
         raise CircuitError(msg)
 
 
-def _as_param(value, germ_of, owner, key):
-    """(base, scale, germ): value = base + scale * xi[germ], germ -1 if fixed."""
-    if isinstance(value, RandomParameter):
-        return (value.shift, value.scale, germ_of(value))
-    if value is None:
-        raise CircuitError(f"{owner}: missing value for {key}")
-    return (float(value), 0.0, -1)
-
-
-def _model_params(dev, defaults, germ_of):
-    """One (base, scale, germ) triple per key of `defaults`, in that order."""
-    out = []
+def _bindings(dev):
+    """A card's values in its class's MODEL_KEYS order, defaults filled in,
+    and its polarity; a kind, key or type the table does not list is refused."""
+    where = f"line {dev.line}: {dev.name}"
+    if dev.kind not in MODEL_KEYS:
+        raise CircuitError(f"{where}: unknown device kind {dev.kind!r}")
+    defaults, types = MODEL_KEYS[dev.kind]
+    given = dict(dev.params)
+    if dev.value is not None:
+        given["value"] = dev.value
+    polarity = 1.0
+    if types:
+        name = given.pop("type", next(iter(types)))
+        if name not in types:
+            raise CircuitError(f"{where}: type={name} is not one of {', '.join(types)}")
+        polarity = types[name]
+    for key in given:
+        if key not in defaults:
+            raise CircuitError(f"{where}: unknown key {key!r}; "
+                               f"{dev.kind} cards take {', '.join(defaults) or 'no keys'}")
+    values = []
     for key, default in defaults.items():
-        value = dev.params.get(key, default)
+        value = given.get(key, default)
         if value is None:
-            raise CircuitError(f"{dev.name}: parameter {key!r} is required")
-        out.append(_as_param(value, germ_of, dev.name, key))
-    return tuple(out)
-
-
-# model parameter keys and defaults, in the order the device models take them
-_MOS_DEFAULTS = {
-    "vt0": 0.5, "kp": 2e-5, "w": 10e-6, "l": 1e-6,
-    "lambda": 0.0, "temp": T_NOMINAL, "tnom": T_NOMINAL,
-}
-_DIODE_DEFAULTS = {"is": 1e-14, "n": 1.0, "temp": T_NOMINAL}
-_BJT_DEFAULTS = {"is": 1e-16, "bf": 100.0, "br": 1.0, "temp": T_NOMINAL}
+            raise CircuitError(f"{where}: {key!r} is required")
+        values.append(value)
+    return values, polarity
 
 
 def assemble(netlist: Netlist) -> StochasticCircuit:
@@ -215,33 +218,15 @@ def assemble(netlist: Netlist) -> StochasticCircuit:
             b[c, col] = 1.0
 
     for dev in netlist.devices:
+        values, polarity = _bindings(dev)
+        if dev.kind == "I":
+            continue  # enters only through B u
         pins = tuple(node(nm) for nm in dev.nodes)
-        if dev.kind in ("R", "C"):
-            specs.append(DeviceSpec(dev.kind, pins, (
-                _as_param(dev.value, germ_of, dev.name, "value"),)))
-        elif dev.kind == "L":
-            specs.append(DeviceSpec("L", pins + (branch_of[dev.name],), (
-                _as_param(dev.value, germ_of, dev.name, "value"),)))
-        elif dev.kind == "V":
-            specs.append(DeviceSpec("V", pins + (branch_of[dev.name],)))
-        elif dev.kind == "I":
-            pass  # enters only through B u
-        elif dev.kind == "D":
-            specs.append(DeviceSpec("D", pins, _model_params(dev, _DIODE_DEFAULTS, germ_of)))
-        elif dev.kind == "M":
-            mtype = dev.params.get("type", "nmos")
-            _require(mtype in ("nmos", "pmos"),
-                     f"{dev.name}: type must be nmos or pmos, got {mtype!r}")
-            specs.append(DeviceSpec("M", pins, _model_params(dev, _MOS_DEFAULTS, germ_of),
-                                    1.0 if mtype == "nmos" else -1.0))
-        elif dev.kind == "Q":
-            qtype = dev.params.get("type", "npn")
-            _require(qtype in ("npn", "pnp"),
-                     f"{dev.name}: type must be npn or pnp, got {qtype!r}")
-            specs.append(DeviceSpec("Q", pins, _model_params(dev, _BJT_DEFAULTS, germ_of),
-                                    1.0 if qtype == "npn" else -1.0))
-        else:  # pragma: no cover - parser restricts kinds
-            raise CircuitError(f"unsupported device kind {dev.kind!r}")
+        if dev.name in branch_of:
+            pins += (branch_of[dev.name],)
+        params = tuple((v.shift, v.scale, germ_of(v)) if isinstance(v, RandomParameter)
+                       else (float(v), 0.0, -1) for v in values)
+        specs.append(DeviceSpec(dev.kind, pins, params, polarity))
 
     structural = _structural_warnings(netlist, node_names)
     for msg in structural:

@@ -6,7 +6,9 @@ Ebers-Moll bipolar.  Every junction exponential goes through `limexp`, which
 continues linearly past a fixed argument so Newton never sees an overflow
 from a wild intermediate iterate.
 
-Assembly records each device as a `DeviceSpec`: its state columns and its
+`MODEL_KEYS` is the one list of the keys each class takes on its card, with
+their defaults and the `type=` names.  Assembly reads every card through it
+and records each device as a `DeviceSpec`: its state columns and its
 parameters as affine functions base + scale * xi[germ] of the germ.
 `DeviceKernel` groups the specs by class into index arrays (terminals and
 germ columns, one row per device) and precomputes scatter matrices that
@@ -57,22 +59,22 @@ class DeviceSpec(NamedTuple):
     """One assembled device.
 
     pins are state columns, -1 for ground; L and V append their branch
-    current column.  params holds one (base, scale, germ) triple per model
-    parameter in the class's order, germ -1 for a constant.
+    current column.  params holds one (base, scale, germ) triple per key of
+    the class's `MODEL_KEYS` entry, in that order, germ -1 for a constant.
     """
 
     kind: str
     pins: tuple
     params: tuple = ()
-    polarity: float = 1.0   # -1 for pmos and pnp
+    polarity: float = 1.0   # of the card's `type=` name, from MODEL_KEYS
 
 
 # --------------------------------------------------------------------------
 # model equations on (M, D) arrays: v[k] is the k-th terminal's state.  Each
-# class splits into a parameter stage, which maps the raw parameters to the
-# arrays its equations read and depends on the germ only, and the equations
-# proper, which get that tuple as d and return {output: [value arrays]} in
-# the order of the class's scatter templates
+# class splits into a parameter stage, which maps the raw parameters, in
+# its MODEL_KEYS order, to the arrays its equations read and depends on the
+# germ only, and the equations proper, which get that tuple as d and return
+# {output: [value arrays]} in the order of the class's scatter templates
 # --------------------------------------------------------------------------
 
 def _resistor_params(p):
@@ -193,6 +195,22 @@ _MODELS = {
     "M": (_mosfet_params, _mosfet, {"f": [[(0, 1.0), (2, -1.0)]],
                                     "df": [[(0, c, 1.0), (2, c, -1.0)] for c in range(3)]}),
     "Q": (_bjt_params, _bjt, {"f": [[(r, 1.0)] for r in range(3)], "df": _THREE_BY_THREE}),
+}
+
+# class -> (the keys a card may bind, with their defaults in the order the
+# parameter stage takes them, None where the card must give a value; the
+# `type=` names with their polarities, the default first).  Assembly reads
+# every card through this table and refuses anything it does not list.
+MODEL_KEYS = {
+    "R": ({"value": None}, {}),
+    "C": ({"value": None}, {}),
+    "L": ({"value": None}, {}),
+    "V": ({}, {}),
+    "I": ({}, {}),
+    "D": ({"is": 1e-14, "n": 1.0, "temp": T_NOMINAL}, {}),
+    "M": ({"vt0": 0.5, "kp": 2e-5, "w": 10e-6, "l": 1e-6, "lambda": 0.0,
+           "temp": T_NOMINAL, "tnom": T_NOMINAL}, {"nmos": 1.0, "pmos": -1.0}),
+    "Q": ({"is": 1e-16, "bf": 100.0, "br": 1.0, "temp": T_NOMINAL}, {"npn": 1.0, "pnp": -1.0}),
 }
 
 # constant incidence of the branch equations, (row, col, sign) on pins

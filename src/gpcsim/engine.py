@@ -246,9 +246,7 @@ def _predict(times, states, t_new, max_points):
 
 
 def _predictor_constant(h, gaps, order):
-    """Magnitude of the extrapolation error coefficient for `order` points."""
-    if order == 1:
-        return h
+    """Magnitude of the extrapolation error coefficient for `order` >= 2 points."""
     if order == 2:
         return h * (h + gaps[0]) / 2.0
     return h * (h + gaps[0]) * (h + gaps[0] + gaps[1]) / 6.0

@@ -7,6 +7,12 @@ usual suffixes (f, p, n, u, m, k, meg, g, t) or stochastic bindings written
 `.param` declaration.  Supported analyses: `.dc`, `.dcsweep <src> <start>
 <stop> <step>`, `.tran <tstop> [hmax]`, `.ac <fstart> <fstop> <pts/decade>`.
 
+The cards up to `.end` are read `.param` lines first, so a `dist=<name>`
+reference resolves where its card is read, also to a `.param` further
+down, and every reference to one name is the same germ.  A key may appear
+once per card; which keys a device takes is `devices.MODEL_KEYS`'s to say
+and assembly's to check.
+
 Parsing never stops at the first problem: all diagnostics are collected and
 raised together with line/column positions.
 """
@@ -227,7 +233,6 @@ class _Parser:
         self.params: dict[str, RandomParameter] = {}
         self.analyses = []
         self.title = ""
-        self._pending_refs = []  # (line, col, name, holder)
         self._sweep_sources = []  # (line, col, name) of each .dcsweep source
 
     def error(self, line, col, msg):
@@ -269,7 +274,8 @@ class _Parser:
             return None
 
     def parse_binding(self, tok, line, col, owner):
-        """A number, an inline dist=kind(...), or a dist=<param> reference."""
+        """A number, an inline dist=kind(...), or a dist=<param> reference,
+        which resolves at once: every .param line is read before any other."""
         if tok.startswith("dist="):
             spec = tok[5:]
             m = _DIST_CALL_RE.match(spec)
@@ -278,9 +284,9 @@ class _Parser:
                 args = [a for a in re.split(r"[,\s]+", argstr.strip()) if a]
                 return self.make_distribution(kind, args, line, col, owner)
             if _IDENT_RE.match(spec):
-                holder = {"value": None}
-                self._pending_refs.append((line, col, spec, holder))
-                return holder  # resolved to a RandomParameter after .param scan
+                if spec not in self.params:
+                    self.error(line, col, f"dist= references undeclared parameter {spec!r}")
+                return self.params.get(spec)
             self.error(line, col, f"malformed dist= expression {tok!r}")
             return None
         try:
@@ -382,13 +388,18 @@ class _Parser:
             return
         nodes = tuple(t[0] for t in toks[:n_nodes])
         params = {}
+        seen = set()
         for tok, col in toks[n_nodes:]:
             if "=" not in tok:
                 self.error(line, col, f"{name}: expected key=value, got {tok!r}")
                 continue
             key, _, valstr = tok.partition("=")
+            if key in seen:
+                self.error(line, col, f"{name}: key {key!r} given twice")
+                continue
+            seen.add(key)
             if key == "type":
-                params[key] = valstr  # model flavor, e.g. nmos/pmos/npn/pnp
+                params[key] = valstr  # the model's flavor, checked at assembly
                 continue
             binding = self.parse_binding(valstr, line, col, f"{name}.{key}")
             if binding is not None:
@@ -402,8 +413,6 @@ class _Parser:
     def parse_directive(self, toks, line):
         word = toks[0][0]
         args = toks[1:]
-        if word == ".end":
-            return "stop"
         if word == ".param":
             if len(args) != 2:
                 self.error(line, toks[0][1], ".param takes <name> dist=<spec>")
@@ -412,11 +421,13 @@ class _Parser:
             if pname in self.params:
                 self.error(line, args[0][1], f"duplicate parameter {pname!r}")
                 return None
-            binding = self.parse_binding(args[1][0], line, args[1][1], pname)
-            if isinstance(binding, RandomParameter):
+            spec, col = args[1]
+            if not (spec.startswith("dist=") and _DIST_CALL_RE.match(spec[5:])):
+                self.error(line, col, ".param requires a dist=<kind>(...) spec")
+                return None
+            binding = self.parse_binding(spec, line, col, pname)
+            if binding is not None:
                 self.params[pname] = binding
-            elif binding is not None:
-                self.error(line, args[1][1], ".param requires a dist=<kind>(...) spec")
             return None
         if word == ".dc":
             self.analyses.append(DcAnalysis())
@@ -477,6 +488,7 @@ class _Parser:
     # -- driver ------------------------------------------------------------
 
     def run(self) -> Netlist:
+        cards = []
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             line = raw.split("*", 1)[0] if not raw.lstrip().startswith("*") else ""
             if raw.lstrip().startswith("*") and not self.title:
@@ -486,10 +498,14 @@ class _Parser:
             toks = _split_outside_parens(line.lower())
             if not toks:
                 continue
+            if toks[0][0] == ".end":
+                break
+            cards.append((lineno, toks))
+        # .param lines first (a stable sort), so every reference resolves when read
+        for lineno, toks in sorted(cards, key=lambda card: card[1][0][0] != ".param"):
             head, col = toks[0]
             if head.startswith("."):
-                if self.parse_directive(toks, lineno) == "stop":
-                    break
+                self.parse_directive(toks, lineno)
                 continue
             letter = head[0]
             if letter not in DEVICE_LETTERS:
@@ -509,26 +525,10 @@ class _Parser:
                 self.parse_three_terminal("M", head, body, lineno, 3)
             elif letter == "q":
                 self.parse_three_terminal("Q", head, body, lineno, 3)
-        self.resolve_references()
         self.validate()
         if self.diags:
             raise NetlistError(self.diags)
         return Netlist(self.title, self.devices, self.params, self.analyses)
-
-    def resolve_references(self):
-        for line, col, name, holder in self._pending_refs:
-            par = self.params.get(name)
-            if par is None:
-                self.error(line, col, f"dist= references undeclared parameter {name!r}")
-            else:
-                holder["value"] = par
-        # swap holder dicts for their resolved parameters
-        for dev in self.devices:
-            if isinstance(dev.value, dict):
-                dev.value = dev.value["value"]
-            for key, binding in list(dev.params.items()):
-                if isinstance(binding, dict):
-                    dev.params[key] = binding["value"]
 
     def validate(self):
         if not self.devices:

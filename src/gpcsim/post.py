@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,15 +97,6 @@ def sample_expansion(basis: GpcBasisSet, coeffs, n_samples: int, seed):
     return basis.eval_many(pts) @ coeffs
 
 
-def freedman_diaconis_bins(samples) -> int:
-    q75, q25 = np.percentile(samples, [75, 25])
-    width = 2.0 * (q75 - q25) * len(samples) ** (-1.0 / 3.0)
-    if width <= 0.0:
-        return 1
-    span = float(samples.max() - samples.min())
-    return max(int(math.ceil(span / width)), 1)
-
-
 def pdf_of_expansion(basis: GpcBasisSet, coeffs, n_samples=10000, seed=0,
                      bins=None) -> PdfEstimate:
     """Histogram density of the expansion's value distribution.
@@ -132,8 +122,8 @@ def pdf_of_expansion(basis: GpcBasisSet, coeffs, n_samples=10000, seed=0,
         densities = np.array([1.0 / (edges[1] - edges[0])])
         return PdfEstimate(int(n_samples), edges, densities, mean, std)
 
-    nbins = bins if bins is not None else freedman_diaconis_bins(samples)
-    densities, edges = np.histogram(samples, bins=nbins, density=True)
+    densities, edges = np.histogram(samples, bins="fd" if bins is None else bins,
+                                    density=True)
     return PdfEstimate(int(n_samples), edges, densities, mean, std)
 
 

@@ -19,7 +19,7 @@ from gpcsim.devices import (
     limexp,
     thermal_voltage,
 )
-from gpcsim.netlist import Netlist, parse_netlist
+from gpcsim.netlist import DeviceCard, Netlist, parse_netlist
 
 VRC_TEXT = """\
 * series v-r-c
@@ -349,3 +349,111 @@ def test_germ_continuity_of_eval():
     vals = [c.eval_qf(x, np.array([s])).f[2] for s in xs]
     steps = np.abs(np.diff(vals))
     assert steps.max() < 5e-5  # bounded increments along the sweep
+
+
+# --------------------------------------------------------------------------
+# card keys: every key reaches its model slot, anything unlisted is refused
+# --------------------------------------------------------------------------
+
+def _diode_closed_form(p, v):
+    vt = thermal_voltage(p["temp"])
+    return [p["is"] * (math.exp(v[0] / (p["n"] * vt)) - 1.0) + GMIN * v[0]]
+
+
+def _mosfet_closed_form(p, v):
+    # saturation: vds = 2 V stays above every overdrive below
+    vd, vg = v
+    vth = abs(p["vt0"]) - 1e-3 * (p["temp"] - p["tnom"])
+    beta = p["kp"] * p["w"] / p["l"]
+    return [0.5 * beta * (vg - vth) ** 2 * (1.0 + p["lambda"] * vd) + GMIN * vd, 0.0]
+
+
+def _bjt_closed_form(p, v):
+    # both junctions conduct, so br and bf each move a current
+    vc, vb = v
+    vt = thermal_voltage(p["temp"])
+    ef, er = math.exp(vb / vt), math.exp((vb - vc) / vt)
+    ibc = p["is"] * (er - 1.0) / p["br"] + GMIN * (vb - vc)
+    ibe = p["is"] * (ef - 1.0) / p["bf"] + GMIN * vb
+    return [p["is"] * (ef - er) - ibc, ibe + ibc]
+
+
+# per class: a test bench with the card last, the bias of its first nodes,
+# the closed form of the currents into those nodes, the defaults written out on their own
+# and one non-default value per key
+KEY_CASES = {
+    "D": ("v1 a 0 0.6\nd1 a 0 {card}\n", [0.6], _diode_closed_form,
+          {"is": 1e-14, "n": 1.0, "temp": 300.0},
+          {"is": 1e-12, "n": 1.5, "temp": 350.0}),
+    "M": ("v1 d 0 2\nv2 g 0 1.5\nm1 d g 0 {card}\n", [2.0, 1.5], _mosfet_closed_form,
+          {"vt0": 0.5, "kp": 2e-5, "w": 10e-6, "l": 1e-6, "lambda": 0.0,
+           "temp": 300.0, "tnom": 300.0},
+          {"vt0": 0.7, "kp": 5e-5, "w": 20e-6, "l": 2e-6, "lambda": 0.05,
+           "temp": 350.0, "tnom": 250.0}),
+    "Q": ("v1 c 0 0.1\nv2 b 0 0.65\nq1 c b 0 {card}\n", [0.1, 0.65], _bjt_closed_form,
+          {"is": 1e-16, "bf": 100.0, "br": 1.0, "temp": 300.0},
+          {"is": 1e-15, "bf": 50.0, "br": 5.0, "temp": 350.0}),
+}
+
+
+def _currents(kind, card):
+    bench, bias, *_ = KEY_CASES[kind]
+    c = load_circuit(bench.format(card=card))
+    x = np.zeros(c.n)
+    x[:len(bias)] = bias
+    return c.eval_qf(x, np.zeros(0)).f[:len(bias)]
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, case in KEY_CASES.items()
+                                       for key in case[4]])
+def test_each_model_key_moves_its_closed_form(kind, key):
+    _, bias, form, defaults, changed = KEY_CASES[kind]
+    value = changed[key]
+    got = _currents(kind, f"{key}={value!r}")
+    want = form({**defaults, key: value}, bias)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert not np.allclose(got, form(defaults, bias), rtol=1e-6, atol=0)
+
+
+def test_default_card_matches_closed_form_and_untyped_is_n():
+    for kind, (_, bias, form, defaults, _) in KEY_CASES.items():
+        np.testing.assert_allclose(_currents(kind, ""), form(defaults, bias),
+                                   rtol=1e-9, atol=0)
+    np.testing.assert_array_equal(_currents("M", ""), _currents("M", "type=nmos"))
+    np.testing.assert_array_equal(_currents("Q", ""), _currents("Q", "type=npn"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v1 d 0 2\nm1 d d 0 vto=0.4\n", "line 2: m1: unknown key 'vto'"),
+    ("v1 a 0 1\nd1 a 0 type=npn\n", "line 2: d1: unknown key 'type'"),
+    ("v1 d 0 2\nm1 d d 0 type=nfet\n", "line 2: m1: type=nfet is not one of nmos, pmos"),
+    ("v1 c 0 2\nq1 c c 0 type=nmos\n", "line 2: q1: type=nmos is not one of npn, pnp"),
+])
+def test_unlisted_key_or_type_refused(text, message):
+    with pytest.raises(CircuitError, match=f"^{message}"):
+        load_circuit(text)
+
+
+def test_hand_built_cards_checked_like_parsed_ones():
+    def build(*extra):
+        return Netlist("", [DeviceCard("V", "v1", ("a", "0"), dc=1.0, line=1), *extra],
+                       {}, [])
+
+    assemble(build(DeviceCard("R", "r1", ("a", "0"), value=1e3, line=2)))
+    for card, message in [
+        (DeviceCard("X", "x1", ("a", "0"), line=2), "line 2: x1: unknown device kind 'X'"),
+        (DeviceCard("R", "r1", ("a", "0"), line=3), "line 3: r1: 'value' is required"),
+        (DeviceCard("R", "r1", ("a", "0"), value=1e3, params={"tc1": 1e-3}, line=4),
+         "line 4: r1: unknown key 'tc1'"),
+        (DeviceCard("D", "d1", ("a", "0"), value=1e-14), "line 0: d1: unknown key 'value'"),
+    ]:
+        with pytest.raises(CircuitError, match=f"^{message}"):
+            assemble(build(card))
+
+
+def test_param_declared_below_its_use_is_one_germ():
+    c = load_circuit("v1 a 0 1\nr1 a b dist=rr\nr2 b 0 dist=rr\n"
+                     ".param rr dist=uniform(900, 1100)\n")
+    assert c.l == 1
+    assert c.eval_qf(np.array([1.0, 0.5, 0.0]), np.array([1.0])).df[1, 1] == \
+        pytest.approx(2.0 / 1100.0)

@@ -5,6 +5,7 @@ are observable without spawning interpreters.
 """
 
 import json
+import math
 import sys
 import time
 import warnings
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gpcsim import cli
+from gpcsim import cli, solvers
 from gpcsim.cli import main, report_costs, resolve_netlist
 from gpcsim.collocation import SelectionError
 from gpcsim.engine import DcConvergenceError, NewtonConfig, TransientError
@@ -165,6 +166,30 @@ class TestExitCodes:
         assert run_cli("tran", str(netlist), *flags, "--out", str(tmp_path)) == 2
         assert time.perf_counter() - start < 2.0
         assert "steps to reach" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("vt0=", "vto=", "line 8: m1: unknown key 'vto'"),
+        ("rs s 0", "d1 s 0 type=npn\nrs s 0", "line 7: d1: unknown key 'type'"),
+        ("w=20u", "w=1u w=50u", "line 8, col 34: m1: key 'w' given twice"),
+    ], ids=["vto", "diode-type", "w-twice"])
+    def test_misspelt_mistyped_or_repeated_key_is_2(self, tmp_path, capsys, old, new,
+                                                     message):
+        netlist = tmp_path / "cs_amp.cir"
+        netlist.write_text(resolve_netlist("cs_amp.cir").read_text().replace(old, new, 1))
+        out = tmp_path / "out"
+        assert run_cli("dcsweep", str(netlist), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_engine_transient_failure_is_4_and_names_the_method(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def boom(*args, **kwargs):
+            raise TransientError("step size collapsed at t=1e-6")
+
+        monkeypatch.setattr(solvers, "transient_solve", boom)
+        assert run_cli("tran", "rc_uniform.cir", "--out", str(tmp_path)) == 4
+        assert "[method=st] step size collapsed" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_selection_failure_is_5(self, tmp_path, monkeypatch):
@@ -344,6 +369,17 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert err.count("node 'c' has no DC path") == 1
         assert "warning: node 'c' has no DC path" in err
+
+    def test_dc_without_a_dc_card_solves_the_operating_point(self, tmp_path):
+        netlist = tmp_path / "rc.cir"
+        netlist.write_text("* rc, transient card only\nv1 1 0 dc 1\n"
+                           "r1 1 2 dist=uniform(900,1100)\nr2 2 0 1k\n.tran 1m\n")
+        assert run_cli("dc", str(netlist), "--out", str(tmp_path)) == 0
+        stats = read_stats_csv(tmp_path / "stats.csv")
+        assert stats.times.tolist() == [0.0]
+        # E[1k / (1k + R)] for R uniform on [900, 1100]
+        mean = stats.mean[0, stats.names.index("v(2)")]
+        assert mean == pytest.approx(5.0 * math.log(2100.0 / 1900.0), rel=1e-4)
 
     def test_shipped_netlist_resolution(self):
         text = resolve_netlist("cs_amp.cir").read_text()

@@ -104,6 +104,22 @@ def test_param_declaration_and_reference():
     assert net.device("r2").value is par
 
 
+def test_param_after_end_ignored():
+    net = parse_netlist("v1 a 0 1\nr1 a 0 1k\n.end\n.param p dist=uniform(0, 1)\n")
+    assert net.params == {}
+    with pytest.raises(NetlistError, match="undeclared parameter 'p'"):
+        parse_netlist("v1 a 0 1\nr1 a 0 dist=p\n.end\n.param p dist=uniform(0, 1)\n")
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_param_may_not_reference_a_param(order):
+    decl = ".param b dist=uniform(0, 1)\n"
+    text = "v1 x 0 1\nr1 x 0 dist=a\n.param a dist=b\n"
+    text = decl + text if order == "before" else text + decl
+    with pytest.raises(NetlistError, match="param requires a dist=<kind>"):
+        parse_netlist(text)
+
+
 def test_inline_distribution_kinds():
     net = parse_netlist(
         """
@@ -236,6 +252,18 @@ def test_duplicate_names_flagged():
 def test_undeclared_reference_flagged():
     with pytest.raises(NetlistError, match="undeclared parameter 'missing'"):
         parse_netlist("v1 a 0 1\nr1 a 0 dist=missing\n")
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(".param p dist=uniform(0, 1)\nv1 a 0 1\nr1 a 0  dist=missing\n")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col) == (3, 9)
+
+
+def test_key_given_twice_flagged():
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("v1 d 0 2\nm1 d d 0 w=1u w=50u\n")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col) == (2, 15)
+    assert diag.message == "m1: key 'w' given twice"
 
 
 def test_bad_distributions_flagged():

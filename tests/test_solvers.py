@@ -908,6 +908,8 @@ r1 1 0 1k
 """)
         with pytest.raises(MethodError, match="no random parameters"):
             run_analysis(fixed, "st", 2, DcAnalysis())
+        with pytest.raises(MethodError, match="nothing to sample"):
+            mc_solve(fixed, 5, 1, DcAnalysis())
 
 
 class TestDcSourceValue:
