@@ -155,7 +155,7 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float,
         "seed": result.seed if args.method == "mc" else None,
         "scheme": args.scheme,
         "fixed_step": args.fixed_step,
-        "time_points": result.time_points,
+        "time_points": len(result.times),
         "failures": result.failures,
         "wall_time_s": wall,
         "write_time_s": write_time,

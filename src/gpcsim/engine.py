@@ -124,7 +124,6 @@ class NewtonResult:
     x: np.ndarray
     converged: bool
     iterations: int
-    residual_norm: float
     failure: str = ""
     eval: object = None   # problem evaluation at x when converged
 
@@ -139,7 +138,6 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
     """
     x = np.array(x0, dtype=float)
     stats = stats if stats is not None else SolveStats()
-    last_norm = np.inf
     ev = x0_eval
     for it in range(NEWTON_MAX_ITER + 1):
         if ev is None:
@@ -147,12 +145,12 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
             try:
                 ev = problem.eval(x)
             except EvalOverflowError as exc:
-                return NewtonResult(x, False, it, last_norm, failure=str(exc))
+                return NewtonResult(x, False, it, failure=str(exc))
         stats.residual_evals += 1
         resid = c * ev.q + ev.f + history - source
-        last_norm = float(np.abs(resid).max()) if resid.size else 0.0
-        if last_norm <= config.abstol + config.reltol * float(np.abs(x).max() if x.size else 0.0):
-            return NewtonResult(x, True, it, last_norm, eval=ev)
+        norm = float(np.abs(resid).max()) if resid.size else 0.0
+        if norm <= config.abstol + config.reltol * float(np.abs(x).max() if x.size else 0.0):
+            return NewtonResult(x, True, it, eval=ev)
         if it == NEWTON_MAX_ITER:
             break
         try:
@@ -161,14 +159,13 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
             stats.linear_solve_time += time.perf_counter() - tic
             stats.linear_solves += 1
         except np.linalg.LinAlgError as exc:
-            return NewtonResult(x, False, it, last_norm, failure=f"singular jacobian: {exc}")
+            return NewtonResult(x, False, it, failure=f"singular jacobian: {exc}")
         if not np.isfinite(dx).all():
-            return NewtonResult(x, False, it, last_norm, failure="non-finite update")
+            return NewtonResult(x, False, it, failure="non-finite update")
         x = x + dx
         ev = None
         stats.newton_iterations += 1
-    return NewtonResult(x, False, NEWTON_MAX_ITER, last_norm,
-                        failure="iteration limit reached")
+    return NewtonResult(x, False, NEWTON_MAX_ITER, failure="iteration limit reached")
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +214,13 @@ def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
 
 @dataclass
 class Trajectory:
+    """A run's states at each time, sweep level or frequency, with the
+    accepted step sizes and error estimates of a transient (empty for the
+    other analyses) and the run's counters."""
+
     times: np.ndarray          # (nsteps+1,)
     states: np.ndarray         # (nsteps+1, n)
     h_history: np.ndarray      # accepted step sizes, (nsteps,)
-    lte_history: np.ndarray    # max scaled error ratio per accepted step
     est_history: np.ndarray    # max unscaled error estimate per accepted step
     stats: SolveStats
 
@@ -295,9 +295,8 @@ def transient_solve(problem, x0, t_end, scheme=None,
     x = np.array(x0, dtype=float)
     t = 0.0
     times = [t]
-    states = [x.copy()]
+    states = [x]
     accepted_h: list[float] = []
-    lte_log: list[float] = []
     est_log: list[float] = []
 
     ev = x0_eval   # the evaluation at x, the last accepted state
@@ -357,7 +356,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
                 raise TransientError(
                     f"time step underflow at t={t:.6g}: h={h:.3g} < h_min")
             continue
-        lte_log.append(ratio)
         est_log.append(est)
 
         # accept
@@ -369,7 +367,7 @@ def transient_solve(problem, x0, t_end, scheme=None,
         t = t_new
         x = res.x
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
         accepted_h.append(h)
         stats.steps_accepted += 1
 
@@ -386,7 +384,6 @@ def transient_solve(problem, x0, t_end, scheme=None,
         times=np.array(times),
         states=np.array(states),
         h_history=np.array(accepted_h),
-        lte_history=np.array(lte_log),
         est_history=np.array(est_log),
         stats=stats,
     )

@@ -316,6 +316,16 @@ class _Parser:
         waveform = None
         dc = None
         ac = 0.0
+        seen = set()
+
+        def first(field, col) -> bool:
+            """Whether the card gives `field` here for the first time."""
+            if field in seen:
+                self.error(line, col, f"{name}: {field} given twice")
+                return False
+            seen.add(field)
+            return True
+
         rest = toks[2:]
         i = 0
         while i < len(rest):
@@ -325,26 +335,31 @@ class _Parser:
                 if i + 1 >= len(rest):
                     self.error(line, col, f"{tok} needs a value")
                     break
-                try:
-                    val = parse_number(rest[i + 1][0])
-                    if tok == "dc":
-                        dc = val
-                    else:
-                        ac = val
-                except ValueError as exc:
-                    self.error(line, rest[i + 1][1], str(exc))
+                if first("dc level" if tok == "dc" else "ac magnitude", col):
+                    try:
+                        val = parse_number(rest[i + 1][0])
+                        if tok == "dc":
+                            dc = val
+                        else:
+                            ac = val
+                    except ValueError as exc:
+                        self.error(line, rest[i + 1][1], str(exc))
                 i += 2
                 continue
             if m:
-                wave_kind, argstr = m.group(1), m.group(2)
-                args = [a for a in re.split(r"[,\s]+", argstr.strip()) if a]
-                waveform = self.parse_waveform(wave_kind, args, line, col, name)
+                if first("waveform", col):
+                    wave_kind, argstr = m.group(1), m.group(2)
+                    args = [a for a in re.split(r"[,\s]+", argstr.strip()) if a]
+                    waveform = self.parse_waveform(wave_kind, args, line, col, name)
                 i += 1
                 continue
             try:
-                dc = parse_number(tok)  # bare number means a DC level
+                val = parse_number(tok)  # bare number means a DC level
             except ValueError:
                 self.error(line, col, f"{name}: unrecognized source field {tok!r}")
+            else:
+                if first("dc level", col):
+                    dc = val
             i += 1
         self.devices.append(
             DeviceCard(kind=kind, name=name, nodes=nodes, waveform=waveform,
@@ -496,8 +511,6 @@ class _Parser:
             if not line.strip():
                 continue
             toks = _split_outside_parens(line.lower())
-            if not toks:
-                continue
             if toks[0][0] == ".end":
                 break
             cards.append((lineno, toks))

@@ -227,11 +227,11 @@ def _complex_safe(arr):
 
 def coefficients_payload(result, state_names=None) -> dict:
     """JSON-ready dict of a result: the coefficient tensor with its basis
-    provenance, or a sample ensemble's moments with its seed and failures."""
+    provenance, or an mc run's moments with its seed and failures."""
     if isinstance(result, SampleEnsemble):
         return {
             "method": result.method,
-            "n_samples": result.n_samples,
+            "n_samples": len(result.samples),
             "failures": result.failures,
             "seed": result.seed,
             "states": None if state_names is None else list(state_names),

@@ -73,23 +73,26 @@ class MethodError(RuntimeError):
 # results
 # --------------------------------------------------------------------------
 
-# Every result exposes basis, nodes, stats, failures, node_count and
-# time_points, which the run manifest records; post turns each kind into
-# its stats.csv and coefficients.json.
+# Every result exposes times, basis, nodes, stats, failures and node_count,
+# which the run manifest records; post turns each kind into its stats.csv
+# and coefficients.json.
 
 @dataclass
 class GpcTrajectory:
-    """Coefficient history: coeffs[i] is the (K, n) block matrix at times[i]."""
+    """Coefficient history: coeffs[i] is the (K, n) block matrix at times[i].
+
+    node_count is the deterministic solves per time point: K for st and sg,
+    the tensor grid for sc.
+    """
 
     times: np.ndarray
     coeffs: np.ndarray               # (T, K, n)
     basis: GpcBasisSet
     nodes: TestingNodeSet | None
     method: str
+    node_count: int
     h_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lte_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     stats: SolveStats | None = None
-    ensemble: "SampleEnsemble | None" = None   # sc keeps its per-node runs
 
     failures = 0                     # an expansion drops no sample
 
@@ -97,48 +100,38 @@ class GpcTrajectory:
         if np.any(np.diff(self.times) <= 0) and len(self.times) > 1:
             raise ValueError("trajectory times must increase strictly")
 
-    @property
-    def node_count(self) -> int:
-        """Deterministic solves per time point: K for st/sg, the grid for sc."""
-        return self.basis.size if self.ensemble is None else self.ensemble.node_count
-
-    @property
-    def time_points(self) -> int:
-        return len(self.times)
-
 
 @dataclass
 class SampleEnsemble:
-    """Per-sample solutions on a shared time grid."""
+    """mc's result: the kept samples' solutions on a shared time grid, with
+    moments taken under uniform weights."""
 
-    samples: np.ndarray       # (S, l) germ draws
-    weights: np.ndarray       # quadrature weights or uniform 1/S
+    samples: np.ndarray       # (S, l) germ draws that solved
     times: np.ndarray         # (T,)
     solutions: np.ndarray     # (S, T, n)
-    n_samples: int
     failures: int = 0
-    method: str = "mc"
     stats: SolveStats | None = None
-    seed: int | None = None          # the mc draw's seed; None for sc nodes
+    seed: int | None = None          # the draw's seed; None for the mean point
 
+    method = "mc"
     basis = None                     # moments only, no expansion
     nodes = None
 
     @property
     def node_count(self) -> int:
         """Points solved, failed ones included."""
-        return self.n_samples + self.failures
+        return len(self.samples) + self.failures
 
-    @property
-    def time_points(self) -> int:
-        return len(self.times)
+    def _weights(self) -> np.ndarray:
+        kept = len(self.samples)
+        return np.full(kept, 1.0 / kept)
 
     def mean(self) -> np.ndarray:
-        return np.einsum("s,stn->tn", self.weights, self.solutions)
+        return np.einsum("s,stn->tn", self._weights(), self.solutions)
 
     def std(self) -> np.ndarray:
         mu = self.mean()
-        var = np.einsum("s,stn->tn", self.weights,
+        var = np.einsum("s,stn->tn", self._weights(),
                         (self.solutions - mu[None]) ** 2)
         return np.sqrt(np.maximum(var, 0.0))
 
@@ -450,7 +443,7 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
                     f"{_singular_block(ev.blocks)}, f={freq:g} Hz") from None
     empty = np.zeros(0)
     return Trajectory(times=levels, states=np.array(rows), h_history=empty,
-                      lte_history=empty, est_history=empty, stats=stats)
+                      est_history=empty, stats=stats)
 
 
 def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None,
@@ -461,7 +454,7 @@ def _intrusive_solve(problem, nodes, analysis, method, newton=None, control=None
         times=run.times,
         coeffs=run.states.reshape(len(run.times), problem.basis.size, -1),
         basis=problem.basis, nodes=nodes, method=method,
-        h_history=run.h_history, lte_history=run.lte_history, stats=run.stats)
+        node_count=problem.basis.size, h_history=run.h_history, stats=run.stats)
 
 
 def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
@@ -560,12 +553,9 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
 
     hmat = basis.eval_many(points)                    # (S, K)
     coeffs = np.einsum("s,sk,stn->tkn", weights, hmat, sols)
-    ensemble = SampleEnsemble(
-        samples=points, weights=weights, times=times, solutions=sols,
-        n_samples=len(points), method="sc")
     return GpcTrajectory(
         times=times, coeffs=coeffs, basis=basis, nodes=None, method="sc",
-        stats=stats, ensemble=ensemble)
+        node_count=len(points), stats=stats)
 
 
 def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
@@ -595,17 +585,12 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
     except (DcConvergenceError, TransientError) as exc:
         raise MethodError(f"{tolerated + 1}/{n_samples} samples failed "
                           f"(> {MAX_FAILURE_FRACTION:.0%})") from exc
-    failures = len(errors)
     good = [s for s in range(n_samples) if s not in errors]
-    kept = len(good)
     return SampleEnsemble(
         samples=samples[good],
-        weights=np.full(kept, 1.0 / kept),
         times=times,
         solutions=sols[good],
-        n_samples=kept,
-        failures=failures,
-        method="mc",
+        failures=len(errors),
         stats=stats,
         seed=None if n_samples == 1 else seed)
 

@@ -17,7 +17,7 @@ from gpcsim.solvers import STProblem
 
 def standard_error(ensemble) -> np.ndarray:
     """Standard error of a sample ensemble's mean, per time and state."""
-    return ensemble.std() / math.sqrt(ensemble.n_samples)
+    return ensemble.std() / math.sqrt(len(ensemble.samples))
 
 
 def final(trajectory) -> np.ndarray:

@@ -172,7 +172,11 @@ class TestExitCodes:
         ("vt0=", "vto=", "line 8: m1: unknown key 'vto'"),
         ("rs s 0", "d1 s 0 type=npn\nrs s 0", "line 7: d1: unknown key 'type'"),
         ("w=20u", "w=1u w=50u", "line 8, col 34: m1: key 'w' given twice"),
-    ], ids=["vto", "diode-type", "w-twice"])
+        ("dc 0.9", "dc 1 dc 2 3 sin(0 1 1k) pulse(0 1 0 1n 1n 5n 10n)",
+         "line 5, col 15: vin: dc level given twice\n"
+         "  line 5, col 20: vin: dc level given twice\n"
+         "  line 5, col 34: vin: waveform given twice"),
+    ], ids=["vto", "diode-type", "w-twice", "source-fields-twice"])
     def test_misspelt_mistyped_or_repeated_key_is_2(self, tmp_path, capsys, old, new,
                                                      message):
         netlist = tmp_path / "cs_amp.cir"

@@ -1,7 +1,8 @@
-"""The README's table of device keys against the table assembly reads.
+"""The README's tables against the tables the code reads.
 
 A key added to a device class, a changed default or a new `type=` name
-fails here until the README's "Netlist format" table says the same.
+fails here until the README's "Netlist format" table says the same, and
+a new run flag or a changed reader until its run-flag table does.
 """
 
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gpcsim.cli import _FLAG_READERS
 from gpcsim.devices import MODEL_KEYS
 from gpcsim.netlist import parse_number
 
@@ -42,3 +44,23 @@ def test_readme_key_table_matches_the_device_table():
         assert doc_types == list(types), kind
         # the default flavor runs the equations as written, the other mirrored
         assert list(types.values()) in ([], [1.0, -1.0]), kind
+
+
+def readme_flag_table():
+    """{flag: (methods, analyses)} from the README, keyed as argparse names."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| flag | methods | analyses |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flags, methods, analyses = (re.findall(r"`([^`]+)`", cell)
+                                    for cell in line.strip("|").split("|"))
+        for flag in flags:
+            table[flag.removeprefix("--").replace("-", "_")] = (tuple(methods),
+                                                               tuple(analyses))
+    return table
+
+
+def test_readme_flag_table_matches_the_flag_readers():
+    assert readme_flag_table() == _FLAG_READERS

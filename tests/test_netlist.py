@@ -266,6 +266,20 @@ def test_key_given_twice_flagged():
     assert diag.message == "m1: key 'w' given twice"
 
 
+def test_source_field_given_twice_flagged():
+    """A second DC level (a bare number is one), ac magnitude or waveform on
+    a V/I card is refused at its own token."""
+    card = "v1 a 0 dc 1 dc 2 3 sin(0 1 1k) pulse(0 1 0 1n 1n 5n 10n) ac 1 ac 2"
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(f"{card}\nr1 a 0 1\n")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (1, 13, "v1: dc level given twice"),
+        (1, 18, "v1: dc level given twice"),
+        (1, 32, "v1: waveform given twice"),
+        (1, 63, "v1: ac magnitude given twice"),
+    ]
+
+
 def test_bad_distributions_flagged():
     for spec in ["dist=gauss(1)", "dist=gauss(1,0)", "dist=uniform(2,1)",
                  "dist=beta(0,1,0,1)", "dist=gamma(-1,0,1)", "dist=heavy(1,2)"]:

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from gpcsim.basis import GpcBasisSet, Gaussian, Uniform
 from gpcsim.circuit import load_circuit
+from gpcsim.engine import dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, TranAnalysis
 from gpcsim.post import (
     PdfEstimate,
@@ -27,8 +28,9 @@ from gpcsim.post import (
     write_json,
     write_stats_csv,
 )
+from gpcsim.quadrature import gauss_rule, tensor_grid
 from gpcsim.solvers import mc_solve, sc_solve, sg_solve, st_solve
-from helpers import standard_error, total_mass
+from helpers import CircuitProblem, standard_error, total_mass
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -91,12 +93,17 @@ class TestStatsOverTime:
         assert s.std[0, 1] == pytest.approx(ref.std[0, 1], rel=0.15)
 
     def test_sc_quadrature_weights_used(self):
+        """sc's mean is the quadrature-weighted mean of one-point solves at
+        the tensor Gauss nodes."""
         circuit = load_circuit(DIVIDER)
         traj = sc_solve(circuit, 4, DcAnalysis())
-        from_coeffs = stats_over_time(traj)
-        from_ensemble = stats_over_time(traj.ensemble)
-        assert from_coeffs.mean[0, 1] == pytest.approx(
-            from_ensemble.mean[0, 1], rel=1e-9)
+        grid = tensor_grid([gauss_rule(p.dist, 5) for p in circuit.params])
+        node_v2 = []
+        for xi in grid.nodes:
+            one = CircuitProblem(circuit, xi)
+            node_v2.append(dc_solve(one, source=one.source(0.0)).x[1])
+        assert stats_over_time(traj).mean[0, 1] == pytest.approx(
+            float(grid.weights @ np.array(node_v2)), rel=1e-9)
 
     def test_ac_sweep_magnitude_and_spread(self):
         """Phasor statistics: |c_0| and the RMS of the other coefficients."""

@@ -419,8 +419,7 @@ class TestScSolve:
     def test_node_count_and_weights(self):
         circuit = load_circuit(POLY2)
         traj = sc_solve(circuit, 2, DcAnalysis())
-        assert traj.ensemble.n_samples == 9     # (p+1)^l = 3^2
-        assert traj.ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert traj.node_count == 9     # (p+1)^l = 3^2
 
     def test_agrees_with_st_on_polynomial_circuit(self):
         circuit = load_circuit(POLY2)
@@ -441,9 +440,8 @@ class TestScSolve:
     def test_shared_transient_grid(self):
         circuit = load_circuit(RC_UNIFORM)
         traj = sc_solve(circuit, 1, TranAnalysis(1e-4), fixed_h=1e-6)
-        assert traj.ensemble.solutions.shape[0] == 2
+        assert traj.node_count == 2
         assert len(traj.times) == 101
-        np.testing.assert_array_equal(traj.times, traj.ensemble.times)
 
 
 # --------------------------------------------------------------------------
@@ -894,6 +892,17 @@ c1 2 0 1p
                                   fixed_h=4e-9)
             assert len(result.times) == 21, method
             np.testing.assert_allclose(result.times, want, rtol=0, atol=1e-21)
+
+    def test_tran_hmax_joins_a_callers_step_control(self):
+        # the card's 2 us hmax binds where the caller's lte_tol 1e-4 would
+        # step up to 3 us, and the tighter tolerance still takes more steps
+        # than the default one under the same bound
+        circuit = load_circuit(RC_UNIFORM.replace(".tran 2m", ".tran 2m 2u"))
+        (analysis,) = circuit.analyses
+        tight = run_analysis(circuit, "st", 1, analysis, control=StepControl(lte_tol=1e-4))
+        default = run_analysis(circuit, "st", 1, analysis)
+        assert tight.h_history.max() <= 2e-6
+        assert len(tight.h_history) != len(default.h_history)
 
     def test_unknown_method(self):
         circuit = load_circuit(DIVIDER)
