@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .circuit import EvalOverflowError
+from .netlist import MAX_POINTS
 
 SCHEMES = ("be", "tr", "gear2")   # the first is the default
 HOMOTOPY_STEPS = 10
@@ -58,7 +59,7 @@ STEP_GROW = 2.0      # largest step growth after an accepted step
 STEP_SHRINK = 0.5    # step cut on a rejection; also the smallest shrink factor
 STEP_SAFETY = 0.9    # margin on the error-optimal step
 LTE_FLOOR = 1e-3     # absolute floor mixed into the per-state error scale
-MAX_STEPS = 10**6    # most steps a transient's step cap may force
+MAX_STEPS = MAX_POINTS  # most steps a transient's step cap may force
 
 
 class EngineError(RuntimeError):
@@ -175,7 +176,6 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
 @dataclass
 class DcResult:
     x: np.ndarray
-    iterations: int
     homotopy_used: bool
     stats: SolveStats
     eval: object          # problem evaluation at x
@@ -188,24 +188,21 @@ def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
     from zero if that start diverges."""
     config = config or NewtonConfig()
     stats = SolveStats()
-    zeros = np.zeros(problem.size)
-    hist = zeros
+    zeros = np.zeros(problem.size)   # also the empty history of c = 0
     x = np.array(x0, dtype=float) if x0 is not None else zeros.copy()
-    res = newton_solve(problem, x, 0.0, hist, source, config, stats, x0_eval=x0_eval)
+    res = newton_solve(problem, x, 0.0, zeros, source, config, stats, x0_eval=x0_eval)
     if res.converged:
-        return DcResult(res.x, res.iterations, False, stats, res.eval)
+        return DcResult(res.x, False, stats, res.eval)
     x, ev = zeros.copy(), None
-    total = res.iterations
     for k in range(1, HOMOTOPY_STEPS + 1):
         lam = k / HOMOTOPY_STEPS
-        res = newton_solve(problem, x, 0.0, hist, lam * source, config, stats, x0_eval=ev)
-        total += res.iterations
+        res = newton_solve(problem, x, 0.0, zeros, lam * source, config, stats, x0_eval=ev)
         if not res.converged:
             raise DcConvergenceError(
                 f"operating point failed at source ramp {lam:.1f}: {res.failure or 'no convergence'}"
             )
         x, ev = res.x, res.eval
-    return DcResult(x, total, True, stats, ev)
+    return DcResult(x, True, stats, ev)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Element cards are `<name> <node...> <value|key=value...>`, keywords are case
 insensitive and `*` starts a comment.  Values are plain numbers with the
 usual suffixes (f, p, n, u, m, k, meg, g, t) or stochastic bindings written
 `dist=<kind>(<args>)` for an inline germ or `dist=<name>` to reference a
-`.param` declaration.  Supported analyses: `.dc`, `.dcsweep <src> <start>
-<stop> <step>`, `.tran <tstop> [hmax]`, `.ac <fstart> <fstop> <pts/decade>`.
+`.param` declaration.  ANALYSES and WAVEFORMS list the analysis cards and
+source waveforms with their usage; each card type checks its own values.
 
 The cards up to `.end` are read `.param` lines first, so a `dist=<name>`
 reference resolves where its card is read, also to a `.param` further
@@ -23,6 +23,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .basis import Beta, Gamma, Gaussian, RandomParameter, Uniform
 
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)(meg|k|m|u|n|p|f|g|t)?$")
@@ -31,6 +33,7 @@ _SUFFIX = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12,
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_.]*$")
 
 DEVICE_LETTERS = {"r", "c", "l", "v", "i", "d", "m", "q"}
+MAX_POINTS = 10**6   # most sweep levels or frequencies a card may ask for
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,20 @@ class NetlistError(ValueError):
                 len(self.diagnostics), "\n  ".join(str(d) for d in self.diagnostics)
             )
         )
+
+
+class CardValueError(ValueError):
+    """A card refuses one of its values; `arg` is that argument's position."""
+
+    def __init__(self, arg: int, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
+def _require(ok, arg, message):
+    """Refuse argument `arg` unless ok, which each rule words so a NaN fails."""
+    if not ok:
+        raise CardValueError(arg, message)
 
 
 def parse_number(text: str) -> float:
@@ -97,6 +114,11 @@ class PulseWave:
     width: float
     period: float
 
+    def __post_init__(self):
+        _require(self.rise > 0, 3, "rise/fall/period must be positive")
+        _require(self.fall > 0, 4, "rise/fall/period must be positive")
+        _require(self.period > 0, 6, "rise/fall/period must be positive")
+
     def value(self, t):
         if t < self.delay:
             return self.v1
@@ -116,6 +138,11 @@ class PulseWave:
 class PwlWave:
     times: tuple
     values: tuple
+
+    def __post_init__(self):
+        _require(len(self.times) == len(self.values) >= 2, 0, "takes (t1, v1, t2, v2, ...)")
+        for t1, t2 in zip(self.times, self.times[1:]):
+            _require(t2 > t1, 0, "times must increase")
 
     def value(self, t):
         ts, vs = self.times, self.values
@@ -166,11 +193,25 @@ class DcSweepAnalysis:
     stop: float
     step: float
 
+    def __post_init__(self):
+        _require(self.step > 0, 3, "step must be positive")
+        _require(self.stop >= self.start, 2, "stop must not be below start")
+        _require((self.stop - self.start) / self.step + 1e-9 < MAX_POINTS, 3,
+                 f"step makes over {MAX_POINTS} levels")
+
+    def levels(self) -> np.ndarray:
+        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        return self.start + self.step * np.arange(count)
+
 
 @dataclass(frozen=True)
 class TranAnalysis:
     tstop: float
     hmax: float | None = None
+
+    def __post_init__(self):
+        _require(self.tstop > 0, 0, "tstop must be positive")
+        _require(self.hmax is None or self.hmax > 0, 1, "hmax must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,6 +219,36 @@ class AcAnalysis:
     fstart: float
     fstop: float
     points_per_decade: int
+
+    def __post_init__(self):
+        ppd = self.points_per_decade
+        _require(self.fstart > 0, 0, "fstart must be positive")
+        _require(self.fstop >= self.fstart, 1, "fstop must not be below fstart")
+        _require(ppd >= 1 and ppd % 1 == 0, 2, "pts/decade must be a whole number >= 1")
+        _require(math.log10(self.fstop / self.fstart) * ppd + 1e-9 < MAX_POINTS, 2,
+                 f"pts/decade makes over {MAX_POINTS} frequencies")
+        object.__setattr__(self, "points_per_decade", int(ppd))
+
+    def frequencies(self) -> np.ndarray:
+        decades = math.log10(self.fstop / self.fstart)
+        count = int(math.floor(decades * self.points_per_decade + 1e-9)) + 1
+        freqs = self.fstart * 10.0 ** (np.arange(count) / self.points_per_decade)
+        return freqs[freqs <= self.fstop * (1 + 1e-12)]
+
+
+# the analysis cards and waveforms the parser reads, each with its usage and
+# fewest and most arguments; the card checks the values
+ANALYSES = {
+    ".dc": (DcAnalysis, "no arguments", 0, 0),
+    ".dcsweep": (DcSweepAnalysis, "<source> <start> <stop> <step>", 4, 4),
+    ".tran": (TranAnalysis, "<tstop> [hmax]", 1, 2),
+    ".ac": (AcAnalysis, "<fstart> <fstop> <points-per-decade>", 3, 3),
+}
+WAVEFORMS = {
+    "sin": (SinWave, "(offset, ampl, freq[, delay[, damping]])", 3, 5),
+    "pulse": (PulseWave, "(v1, v2, td, tr, tf, pw, per)", 7, 7),
+    "pwl": (PwlWave, "(t1, v1, t2, v2, ...)", 4, math.inf),
+}
 
 
 @dataclass
@@ -372,30 +443,20 @@ class _Parser:
         except ValueError as exc:
             self.error(line, col, f"{owner}: bad waveform argument: {exc}")
             return None
-        if kind == "sin":
-            if not 3 <= len(vals) <= 5:
-                self.error(line, col, f"{owner}: sin takes (offset, ampl, freq[, delay[, damping]])")
-                return None
-            return SinWave(*vals)
-        if kind == "pulse":
-            if len(vals) != 7:
-                self.error(line, col, f"{owner}: pulse takes (v1, v2, td, tr, tf, pw, per)")
-                return None
-            if vals[3] <= 0 or vals[4] <= 0 or vals[6] <= 0:
-                self.error(line, col, f"{owner}: pulse rise/fall/period must be positive")
-                return None
-            return PulseWave(*vals)
-        if kind == "pwl":
-            if len(vals) < 4 or len(vals) % 2:
-                self.error(line, col, f"{owner}: pwl takes (t1, v1, t2, v2, ...)")
-                return None
-            times = tuple(vals[0::2])
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                self.error(line, col, f"{owner}: pwl times must increase")
-                return None
-            return PwlWave(times, tuple(vals[1::2]))
-        self.error(line, col, f"{owner}: unknown waveform {kind!r}")
-        return None
+        if kind not in WAVEFORMS:
+            self.error(line, col, f"{owner}: unknown waveform {kind!r}")
+            return None
+        wave, usage, fewest, most = WAVEFORMS[kind]
+        if not fewest <= len(vals) <= most:
+            self.error(line, col, f"{owner}: {kind} takes {usage}")
+            return None
+        try:
+            if wave is PwlWave:   # pair the flat (t1, v1, t2, v2, ...) list
+                return PwlWave(tuple(vals[0::2]), tuple(vals[1::2]))
+            return wave(*vals)
+        except CardValueError as exc:
+            self.error(line, col, f"{owner}: {kind} {exc}")
+            return None
 
     def parse_three_terminal(self, kind, name, toks, line, n_nodes):
         if len(toks) < n_nodes:
@@ -444,70 +505,36 @@ class _Parser:
             if binding is not None:
                 self.params[pname] = binding
             return None
-        if word == ".dc":
-            self.analyses.append(DcAnalysis())
+        if word not in ANALYSES:
+            self.error(line, toks[0][1], f"unknown directive {word!r}")
             return None
-        if word == ".dcsweep":
-            if len(args) != 4:
-                self.error(line, toks[0][1], ".dcsweep takes <source> <start> <stop> <step>")
-                return None
+        card, usage, fewest, most = ANALYSES[word]
+        if not fewest <= len(args) <= most:
+            self.error(line, toks[0][1], f"{word} takes {usage}")
+            return None
+        vals = []
+        for ftype, (tok, col) in zip(card.__annotations__.values(), args):   # field types
             try:
-                start, stop, step = (parse_number(a[0]) for a in args[1:])
+                vals.append(tok if ftype == "str" else parse_number(tok))
             except ValueError as exc:
-                self.error(line, args[1][1], str(exc))
+                self.error(line, col, str(exc))
                 return None
-            if step <= 0:
-                self.error(line, args[3][1], ".dcsweep step must be positive")
-                return None
-            if stop < start:
-                self.error(line, args[2][1], ".dcsweep stop must not be below start")
-                return None
-            self.analyses.append(DcSweepAnalysis(args[0][0], start, stop, step))
+        try:
+            self.analyses.append(card(*vals))
+        except CardValueError as exc:
+            self.error(line, args[exc.arg][1], f"{word} {exc}")
+            return None
+        if card is DcSweepAnalysis:
             self._sweep_sources.append((line, args[0][1], args[0][0]))
-            return None
-        if word == ".tran":
-            if len(args) not in (1, 2):
-                self.error(line, toks[0][1], ".tran takes <tstop> [hmax]")
-                return None
-            try:
-                tstop = parse_number(args[0][0])
-                hmax = parse_number(args[1][0]) if len(args) == 2 else None
-            except ValueError as exc:
-                self.error(line, args[0][1], str(exc))
-                return None
-            if tstop <= 0:
-                self.error(line, args[0][1], ".tran tstop must be positive")
-                return None
-            if hmax is not None and hmax <= 0:
-                self.error(line, args[1][1], ".tran hmax must be positive")
-                return None
-            self.analyses.append(TranAnalysis(tstop, hmax))
-            return None
-        if word == ".ac":
-            if len(args) != 3:
-                self.error(line, toks[0][1], ".ac takes <fstart> <fstop> <points-per-decade>")
-                return None
-            try:
-                fstart, fstop, ppd = (parse_number(a[0]) for a in args)
-            except ValueError as exc:
-                self.error(line, args[0][1], str(exc))
-                return None
-            if fstart <= 0 or fstop < fstart or ppd < 1:
-                self.error(line, args[0][1], ".ac needs 0 < fstart <= fstop and pts/decade >= 1")
-                return None
-            self.analyses.append(AcAnalysis(fstart, fstop, int(ppd)))
-            return None
-        self.error(line, toks[0][1], f"unknown directive {word!r}")
-        return None
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> Netlist:
         cards = []
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("*", 1)[0] if not raw.lstrip().startswith("*") else ""
-            if raw.lstrip().startswith("*") and not self.title:
+            if not self.title and raw.lstrip().startswith("*"):
                 self.title = raw.lstrip().lstrip("*").strip()
+            line = raw.split("*", 1)[0]
             if not line.strip():
                 continue
             toks = _split_outside_parens(line.lower())

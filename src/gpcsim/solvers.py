@@ -146,28 +146,26 @@ def _gauss_grid(circuit, order):
     return tensor_grid([gauss_rule(p.dist, order + 1) for p in circuit.params])
 
 
+@dataclass(slots=True, eq=False)
 class _StackedEvalST:
     """Residual pieces at all testing nodes plus the decoupled linear hook:
     linearize(c) forms the (K, n, n) blocks c·dq + df, and solve runs the
     two-stage update on them."""
 
-    __slots__ = ("q", "f", "dqs", "dfs", "phi_inv", "n", "blocks")
-
-    def __init__(self, q, f, dqs, dfs, phi_inv, n):
-        self.q = q
-        self.f = f
-        self.dqs = dqs            # (K, n, n)
-        self.dfs = dfs
-        self.phi_inv = phi_inv
-        self.n = n
+    q: np.ndarray
+    f: np.ndarray
+    dqs: np.ndarray           # (K, n, n)
+    dfs: np.ndarray
+    problem: STProblem
+    blocks: np.ndarray | None = None
 
     def linearize(self, c):
         self.blocks = c * self.dqs + self.dfs
         return self
 
     def solve(self, rhs):
-        return st_decoupled_linear_step(self.blocks, self.phi_inv,
-                                        -rhs.reshape(len(self.blocks), self.n))
+        return st_decoupled_linear_step(self.blocks, self.problem.nodes.phi_inv,
+                                        -rhs.reshape(len(self.blocks), -1))
 
 
 def _singular_block(jacs) -> int:
@@ -224,13 +222,11 @@ class STProblem:
         return self.circuit.n * len(self.nodes.nodes)
 
     def eval(self, X):
-        n = self.circuit.n
-        states = X.reshape(-1, n)
+        states = X.reshape(-1, self.circuit.n)
         if self.nodes.phi is not None:
             states = self.nodes.phi @ states
         ev = self.circuit.eval_qf(states, self.nodes.nodes)
-        return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev.dq, ev.df,
-                              self.nodes.phi_inv, n)
+        return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev.dq, ev.df, self)
 
     def stack(self, s):
         """A deterministic (n,) right-hand side, the same at every node."""
@@ -240,28 +236,23 @@ class STProblem:
         return self.stack(self.circuit.b_matrix @ self.circuit.source_vector(t))
 
 
+@dataclass(slots=True, eq=False)
 class _StackedEvalSG:
-    __slots__ = ("q", "f", "wh", "hmat", "point_dq", "point_df", "pattern", "n", "k")
-
-    def __init__(self, q, f, wh, hmat, point_dq, point_df, pattern, n, k):
-        self.q = q
-        self.f = f
-        self.wh = wh              # (Q, K) weighted basis values
-        self.hmat = hmat          # (Q, K) basis values
-        self.point_dq = point_dq  # (Q, n, n)
-        self.point_df = point_df
-        self.pattern = pattern    # (rows, cols) of the entries devices touch
-        self.n = n
-        self.k = k
+    q: np.ndarray
+    f: np.ndarray
+    point_dq: np.ndarray      # (Q, n, n)
+    point_df: np.ndarray
+    problem: SGProblem
 
     def linearize(self, c):
         # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q, one product over q
         # for the entries the devices touch; the rest of the matrix is zero
-        n, k = self.n, self.k
-        rows, cols = self.pattern
+        problem = self.problem
+        n, k = problem.circuit.n, problem.basis.size
+        rows, cols = problem.circuit.kernel.jacobian_pattern
         point_jac = c * self.point_dq[:, rows, cols] + self.point_df[:, rows, cols]
-        weighted = self.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
-        coupled = (self.wh.T @ weighted.reshape(len(self.hmat), -1)).reshape(k, k, -1)
+        weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
+        coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
         full = np.zeros((k, n, k, n))
         full[:, rows, :, cols] = coupled.transpose(2, 0, 1)
         return _SgSolve(full.reshape(n * k, n * k))
@@ -294,15 +285,11 @@ class SGProblem:
         return self.circuit.n * self.basis.size
 
     def eval(self, X):
-        n = self.circuit.n
-        k = self.basis.size
-        states = self.hmat @ X.reshape(k, n)                 # (Q, n)
+        states = self.hmat @ X.reshape(self.basis.size, -1)  # (Q, n)
         ev = self.circuit.eval_qf(states, self.points)
         q_proj = self.wh.T @ ev.q                            # (K, n)
         f_proj = self.wh.T @ ev.f
-        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), self.wh, self.hmat,
-                              ev.dq, ev.df, self.circuit.kernel.jacobian_pattern,
-                              n, k)
+        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), ev.dq, ev.df, self)
 
     def stack(self, s):
         """Projection of a deterministic (n,) right-hand side: only the
@@ -351,18 +338,6 @@ def _wrap_engine_error(exc, label):
     raise type(exc)(f"[method={label}] {exc}") from exc
 
 
-def _sweep_levels(analysis: DcSweepAnalysis) -> np.ndarray:
-    count = int(math.floor((analysis.stop - analysis.start) / analysis.step + 1e-9)) + 1
-    return analysis.start + analysis.step * np.arange(count)
-
-
-def frequency_grid(fstart, fstop, points_per_decade) -> np.ndarray:
-    decades = math.log10(fstop / fstart)
-    count = max(int(math.floor(decades * points_per_decade + 1e-9)) + 1, 1)
-    freqs = fstart * 10.0 ** (np.arange(count) / points_per_decade)
-    return freqs[freqs <= fstop * (1 + 1e-12)]
-
-
 def _run(problem, analysis, label, newton, control=None, scheme=None,
          fixed_h=None) -> Trajectory:
     """The DC, sweep, transient and AC runner every method shares.
@@ -390,7 +365,7 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
           and problem.basis is not None)
     if not (tran or sweep or ac or isinstance(analysis, DcAnalysis)):
         raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
-    levels = _sweep_levels(analysis) if sweep else np.zeros(1)
+    levels = analysis.levels() if sweep else np.zeros(1)
     u = circuit.source_vector(0.0) if tran else circuit.dc_source_vector()
     stats = SolveStats()
     rows = []
@@ -431,16 +406,14 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     if ac:
         ev = res.eval
         rhs = problem.stack(circuit.b_matrix @ circuit.ac_source_vector())
-        levels = frequency_grid(analysis.fstart, analysis.fstop,
-                                analysis.points_per_decade)
+        levels = analysis.frequencies()
         rows = []
         for freq in levels:
             try:
                 rows.append(ev.linearize(1j * (2.0 * math.pi * freq)).solve(rhs))
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"[method={label}] singular small-signal system at node "
-                    f"{_singular_block(ev.blocks)}, f={freq:g} Hz") from None
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"[method={label}] singular small-signal "
+                                            f"system at f={freq:g} Hz: {exc}") from None
     empty = np.zeros(0)
     return Trajectory(times=levels, states=np.array(rows), h_history=empty,
                       est_history=empty, stats=stats)

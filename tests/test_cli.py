@@ -186,6 +186,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("analysis, old, new, message", [
+        ("dc", ".dc\n", ".dc vin 0.7 1.5 0.1\n", "line 9, col 1: .dc takes no arguments"),
+        ("dcsweep", "1.5 0.1", "1.5 1e-12",
+         "line 12, col 22: .dcsweep step makes over 1000000 levels"),
+    ], ids=["dc-with-sweep-arguments", "sweep-over-the-point-budget"])
+    def test_refused_analysis_card_is_2(self, tmp_path, capsys, analysis, old, new,
+                                        message):
+        netlist = tmp_path / "cs_amp.cir"
+        text = resolve_netlist("cs_amp.cir").read_text()
+        assert old in text
+        netlist.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert run_cli(analysis, str(netlist), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_engine_transient_failure_is_4_and_names_the_method(self, tmp_path, capsys,
                                                                 monkeypatch):
         def boom(*args, **kwargs):

@@ -1,8 +1,9 @@
 """The README's tables against the tables the code reads.
 
 A key added to a device class, a changed default or a new `type=` name
-fails here until the README's "Netlist format" table says the same, and
-a new run flag or a changed reader until its run-flag table does.
+fails here until the README's "Netlist format" table says the same, a
+new analysis card, waveform or usage until its card table does, and a
+new run flag or a changed reader until its run-flag table does.
 """
 
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from gpcsim.cli import _FLAG_READERS
 from gpcsim.devices import MODEL_KEYS
-from gpcsim.netlist import parse_number
+from gpcsim.netlist import ANALYSES, WAVEFORMS, parse_number
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,3 +65,21 @@ def readme_flag_table():
 
 def test_readme_flag_table_matches_the_flag_readers():
     assert readme_flag_table() == _FLAG_READERS
+
+
+def readme_card_table():
+    """{card or waveform: usage} from the README."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| Card | Arguments | Rules |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        card, usage, _ = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        table[card] = usage
+    return table
+
+
+def test_readme_card_table_matches_the_parser_tables():
+    parsed = {name: usage for name, (_, usage, *_) in {**ANALYSES, **WAVEFORMS}.items()}
+    assert readme_card_table() == parsed

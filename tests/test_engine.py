@@ -96,6 +96,15 @@ def test_newton_reports_iteration_limit(monkeypatch):
     assert "limit" in res.failure
 
 
+def test_newton_stops_on_a_non_finite_update():
+    # a pivot of 1e-320 is not singular, but the update overflows to -inf
+    prob = ScalarProblem(lambda v: 1.0, lambda v: 1e-320, 0.0)
+    res = newton_solve(prob, np.array([0.0]), 0.0, np.zeros(1),
+                       prob.source(0.0), NewtonConfig())
+    assert not res.converged
+    assert (res.failure, res.iterations, res.x.tolist()) == ("non-finite update", 0, [0.0])
+
+
 # --------------------------------------------------------------------------
 # DC operating point
 # --------------------------------------------------------------------------

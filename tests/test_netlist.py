@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
 from gpcsim.netlist import (
+    MAX_POINTS,
     AcAnalysis,
+    CardValueError,
     DcAnalysis,
     DcSweepAnalysis,
     NetlistError,
@@ -187,6 +189,13 @@ def test_waveforms():
     assert pwl.value(5e-3) == -1.0
 
 
+def test_source_with_neither_dc_nor_waveform_sits_at_zero():
+    net = parse_netlist("i1 0 b ac 1\nr1 b 0 1k\n")
+    src = net.device("i1")
+    assert (src.dc, src.waveform, src.ac_mag) == (None, None, 1.0)
+    assert src.dc_value() == 0.0
+
+
 def test_sin_damping_and_delay():
     net = parse_netlist("v1 a 0 sin(1 2 1k 1m 100)\nr1 a 0 1\n")
     w = net.device("v1").waveform
@@ -305,6 +314,104 @@ def test_analysis_argument_validation():
             parse_netlist(f"v1 a 0 1\nr1 a 0 1\n{line}\n")
 
 
+def test_analysis_card_diagnostics_name_the_argument_at_fault():
+    """Each card is checked in one order: its argument count at the
+    directive, then each number at its own token, then the card's rules at
+    the argument they refuse."""
+    cards = [".dc v1 0 1 0.1", ".ac 1 10 2.5", ".tran 1u x", ".dcsweep v1 0 1 x",
+             ".ac 1 10 1e999", ".tran -1m", ".tran 20n 0", ".dcsweep v1 0 1 -0.1",
+             ".ac 0 10 5", ".ac 10 1 5", ".tran", ".ac 1 10"]
+    text = "v1 a 0 1\nr1 a 0 1k\n" + "\n".join(cards) + "\n"
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(text)
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (3, 1, ".dc takes no arguments"),
+        (4, 10, ".ac pts/decade must be a whole number >= 1"),
+        (5, 10, "not a number: 'x'"),
+        (6, 17, "not a number: 'x'"),
+        (7, 10, "number out of range: '1e999'"),
+        (8, 7, ".tran tstop must be positive"),
+        (9, 11, ".tran hmax must be positive"),
+        (10, 17, ".dcsweep step must be positive"),
+        (11, 5, ".ac fstart must be positive"),
+        (12, 8, ".ac fstop must not be below fstart"),
+        (13, 1, ".tran takes <tstop> [hmax]"),
+        (14, 1, ".ac takes <fstart> <fstop> <points-per-decade>"),
+    ]
+
+
+def test_grid_over_the_point_budget_is_refused():
+    """A sweep or AC card may ask for MAX_POINTS points and no more; the
+    card counts them without building its grid."""
+    assert MAX_POINTS == 10**6
+    DcSweepAnalysis("v1", 0.0, 999999.0, 1.0)     # 10^6 levels, the last at stop
+    AcAnalysis(10.0, 100.0, 999999)               # 10^6 frequencies, 10 to 100 Hz
+    with pytest.raises(ValueError, match="step makes over 1000000 levels"):
+        DcSweepAnalysis("v1", 0.0, 1e6, 1.0)
+    with pytest.raises(ValueError, match="pts/decade makes over 1000000 frequencies"):
+        AcAnalysis(10.0, 100.0, 10**6)
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("vin a 0 1\nr1 a 0 1k\n.dcsweep vin 0.7 1.5 1e-12\n.ac 1 1g 1e12\n")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (3, 22, ".dcsweep step makes over 1000000 levels"),
+        (4, 10, ".ac pts/decade makes over 1000000 frequencies"),
+    ]
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, arg, message", [
+    (lambda: DcSweepAnalysis("v1", 0, 1, 0), 3, "step must be positive"),
+    (lambda: DcSweepAnalysis("v1", 0, 1, -0.1), 3, "step must be positive"),
+    (lambda: DcSweepAnalysis("v1", 0, 1, NAN), 3, "step must be positive"),
+    (lambda: DcSweepAnalysis("v1", 1, 0, 0.1), 2, "stop must not be below start"),
+    (lambda: DcSweepAnalysis("v1", NAN, 1, 0.1), 2, "stop must not be below start"),
+    (lambda: DcSweepAnalysis("v1", 0, NAN, 0.1), 2, "stop must not be below start"),
+    (lambda: DcSweepAnalysis("v1", 0, INF, 0.1), 3, "step makes over"),
+    (lambda: DcSweepAnalysis("v1", 0.7, 1.5, 1e-12), 3, "step makes over"),
+    (lambda: TranAnalysis(-1e-6), 0, "tstop must be positive"),
+    (lambda: TranAnalysis(0.0), 0, "tstop must be positive"),
+    (lambda: TranAnalysis(NAN), 0, "tstop must be positive"),
+    (lambda: TranAnalysis(1e-6, 0.0), 1, "hmax must be positive"),
+    (lambda: TranAnalysis(1e-6, -1e-9), 1, "hmax must be positive"),
+    (lambda: TranAnalysis(1e-6, NAN), 1, "hmax must be positive"),
+    (lambda: AcAnalysis(0, 10, 1), 0, "fstart must be positive"),
+    (lambda: AcAnalysis(-1, 10, 1), 0, "fstart must be positive"),
+    (lambda: AcAnalysis(NAN, 10, 1), 0, "fstart must be positive"),
+    (lambda: AcAnalysis(10, 1, 1), 1, "fstop must not be below fstart"),
+    (lambda: AcAnalysis(1, NAN, 1), 1, "fstop must not be below fstart"),
+    (lambda: AcAnalysis(1, 10, 0), 2, "whole number >= 1"),
+    (lambda: AcAnalysis(1, 10, 2.5), 2, "whole number >= 1"),
+    (lambda: AcAnalysis(1, 10, NAN), 2, "whole number >= 1"),
+    (lambda: AcAnalysis(1, 10, INF), 2, "whole number >= 1"),
+    (lambda: AcAnalysis(1, INF, 1), 2, "pts/decade makes over"),
+    (lambda: AcAnalysis(1, 1e9, 1e12), 2, "pts/decade makes over"),
+    (lambda: PulseWave(0, 1, 0, 0, 1e-9, 5e-9, 10e-9), 3, "rise/fall/period"),
+    (lambda: PulseWave(0, 1, 0, 1e-9, -1e-9, 5e-9, 10e-9), 4, "rise/fall/period"),
+    (lambda: PulseWave(0, 1, 0, 1e-9, 1e-9, 5e-9, 0), 6, "rise/fall/period"),
+    (lambda: PulseWave(0, 1, 0, NAN, 1e-9, 5e-9, 10e-9), 3, "rise/fall/period"),
+    (lambda: PwlWave((1e-9, 0.0), (0.0, 1.0)), 0, "times must increase"),
+    (lambda: PwlWave((0.0, 0.0), (0.0, 1.0)), 0, "times must increase"),
+    (lambda: PwlWave((0.0, NAN), (0.0, 1.0)), 0, "times must increase"),
+    (lambda: PwlWave((0.0,), (1.0,)), 0, "takes (t1, v1, t2, v2, ...)"),
+    (lambda: PwlWave((0.0, 1.0), (1.0,)), 0, "takes (t1, v1, t2, v2, ...)"),
+])
+def test_library_built_card_checks_its_values(build, arg, message):
+    """A card built in code refuses what its netlist line would, and names
+    the position of the argument at fault."""
+    with pytest.raises(CardValueError) as err:
+        build()
+    assert isinstance(err.value, ValueError)
+    assert err.value.arg == arg
+    assert message in str(err.value)
+
+
+def test_whole_points_per_decade_are_stored_as_int():
+    ac = AcAnalysis(1.0, 10.0, 10.0)
+    assert ac == AcAnalysis(1.0, 10.0, 10) and type(ac.points_per_decade) is int
+
+
 def test_reversed_dcsweep_flagged_at_stop_column():
     with pytest.raises(NetlistError) as err:
         parse_netlist("v1 a 0 1\nr1 a 0 1k\n.dcsweep v1 1 0 0.1\n")
@@ -335,7 +442,7 @@ _FUZZ_DISTS = st.sampled_from([
 _FUZZ_WAVES = st.sampled_from([
     "sin(0 1 1k)", "sin(0 1 1k 1u 10)", "sin()", "sin(0 1", "pulse(0 1 0 1n 1n 5n 10n)",
     "pulse(0 1 0 0 1n 5n 10n)", "pulse(0 1 0 1u)", "pwl(0 0 1n 1)", "pwl(0 0 0 1)",
-    "pwl(0 0 1n)", "tri(0 1 2)", "pwl(x 0 1n 1)",
+    "pwl(0 0 1n)", "tri(0 1 2)", "pwl(x 0 1n 1)", "pulse(0 1 0 1n 1n 5n 0)",
 ])
 _FUZZ_WORDS = st.sampled_from([
     "r1", "r2", "c1", "l1", "v1", "v2", "i1", "d1", "m1", "q1", "x9", ".dc",
@@ -350,7 +457,7 @@ _FUZZ_CARDS = st.sampled_from([
     ".param p dist=uniform(900,1100)", "d1 1 0 is=dist=gauss(1e-14,2e-15)",
     "m1 1 2 0 type=nmos w=dist=p", ".dcsweep v1 0 1 0.1", ".dcsweep v1 1 0 0.1",
     ".dcsweep v1 1.5 0.7 0.1", ".dcsweep i1 0 -1 0.5", ".tran 20n 1n", ".tran 20n 0",
-    ".ac 1 1meg 10", ".ac 1 10 1e999",
+    ".ac 1 1meg 10", ".ac 1 10 1e999", ".dc v1 0 1 0.1", ".ac 1 10 2.5",
 ])
 _FUZZ_LINES = st.one_of(
     _FUZZ_CARDS,
@@ -371,3 +478,14 @@ def test_any_text_parses_or_raises_netlist_error(text):
             assert an.start <= an.stop and an.step > 0
         if isinstance(an, TranAnalysis):
             assert an.tstop > 0 and (an.hmax is None or an.hmax > 0)
+        if isinstance(an, AcAnalysis):
+            assert 0 < an.fstart <= an.fstop
+            assert type(an.points_per_decade) is int and an.points_per_decade >= 1
+    for dev in net.devices:
+        wave = dev.waveform
+        assert wave is None or isinstance(wave, (SinWave, PulseWave, PwlWave))
+        if isinstance(wave, PulseWave):
+            assert wave.rise > 0 and wave.fall > 0 and wave.period > 0
+        if isinstance(wave, PwlWave):
+            assert len(wave.times) == len(wave.values) >= 2
+            assert all(t2 > t1 for t1, t2 in zip(wave.times, wave.times[1:]))
