@@ -117,6 +117,12 @@ class StochasticCircuit:
         return np.array([dev.dc_value() if dev.waveform is None
                          else dev.waveform.value(t) for dev in self._sources])
 
+    def breakpoints(self, t_end: float) -> np.ndarray:
+        """The sorted corners of every source waveform in (0, t_end)."""
+        return np.unique(np.concatenate(
+            [np.zeros(0)] + [dev.waveform.corners(t_end) for dev in self._sources
+                             if dev.waveform is not None]))
+
     def dc_source_vector(self) -> np.ndarray:
         return np.array([dev.dc_value() for dev in self._sources])
 

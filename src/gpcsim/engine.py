@@ -30,6 +30,9 @@ residual checks, which include the ones made on a handed-in evaluation.
 Time integration offers backward Euler, trapezoid, and a variable-step
 two-step BDF, all with predictor/corrector local-error control, or a fixed
 uniform step with none.  StepControl.h_max bounds the step in both modes.
+The adaptive mode, which st and sg use, lands a step on every source
+corner it is given (SPICE's breakpoints) and restarts integration there
+at first order with a short step; a fixed grid ignores the corners.
 A run whose step cap (h_max, or the fixed step) would need more than
 MAX_STEPS steps to reach t_end is refused with a ValueError before the
 first step, so a mistyped cap cannot run for days.
@@ -43,6 +46,7 @@ StepControl or scheme with its default; callers pass None through.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, fields
 
@@ -222,11 +226,9 @@ class Trajectory:
     stats: SolveStats
 
 
-def _predict(times, states, t_new, max_points):
-    """Newton-forward extrapolation through the last few accepted points."""
-    pts = min(len(times), max_points)
-    ts = times[-pts:]
-    xs = states[-pts:]
+def _predict(ts, xs, t_new):
+    """Newton-forward extrapolation through the points (ts, xs)."""
+    pts = len(ts)
     # divided differences, then evaluate at t_new
     coeffs = [xs[0]]
     table = list(xs)
@@ -239,7 +241,7 @@ def _predict(times, states, t_new, max_points):
     acc = np.zeros_like(coeffs[0])
     for k in reversed(range(pts)):
         acc = acc * (t_new - ts[k]) + coeffs[k]
-    return acc, pts
+    return acc
 
 
 def _predictor_constant(h, gaps, order):
@@ -262,7 +264,7 @@ def _corrector_constant(scheme, h, gaps, startup):
 def transient_solve(problem, x0, t_end, scheme=None,
                     newton: NewtonConfig | None = None,
                     control: StepControl | None = None,
-                    fixed_h=None, *, x0_eval=None) -> Trajectory:
+                    fixed_h=None, *, x0_eval=None, breakpoints=()) -> Trajectory:
     """Integrate dq/dt + f = s(t) from a consistent initial state at t = 0.
 
     x0_eval is the evaluation at x0, such as the one its operating point
@@ -275,12 +277,22 @@ def transient_solve(problem, x0, t_end, scheme=None,
     corrector-minus-predictor estimate reads 0 and accepts the step
     unchecked.  Seeded that way, the st p=5 trapezoid run of rc_uniform at
     lte_tol 1e-10 ends in a time step underflow.
+
+    `breakpoints` are the source corners; an adaptive run lands a step on
+    each one in (0, t_end) and restarts there, and a fixed grid ignores
+    them.  A step that would stop short of a corner by less than H_MIN
+    lands on it instead.  After a landing the predictor and the error
+    estimate use only the points from the corner on, the first step is
+    backward Euler under every scheme and is accepted unestimated, and h
+    is at most h_init and a tenth of the gap to the next corner or t_end.
     """
     scheme = scheme or SCHEMES[0]
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if fixed_h is not None and not (fixed_h > 0):
         raise ValueError(f"fixed step must be positive, got {fixed_h}")
+    if not (0 < t_end < np.inf):
+        raise ValueError(f"end time must be positive and finite, got {t_end}")
     newton = newton or NewtonConfig()
     control = control or StepControl()
     h_cap = min(control.h_max, fixed_h or np.inf)
@@ -303,17 +315,26 @@ def transient_solve(problem, x0, t_end, scheme=None,
     q_prev = ev.q
     qdot_prev = problem.source(t) - ev.f   # consistent: dq/dt = s - f
     q_prev2 = None
+    startup = scheme == "gear2"   # the next step is backward Euler
 
     adaptive = fixed_h is None
     h = min(control.h_init, control.h_max) if adaptive else float(fixed_h)
     max_pred_pts = 2 if scheme == "be" else 3
+    corners = np.asarray(breakpoints, dtype=float) if adaptive else np.zeros(0)
+    corners = np.sort(corners[(corners > 0) & (corners < t_end)]).tolist()
+    ahead = bisect.bisect_right(corners, H_MIN)   # the next corner over H_MIN away
+    since = 0   # index in times of the last corner landed on, or of t = 0
 
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         if not adaptive:
             h = float(fixed_h)
         h = min(h, t_end - t, control.h_max)
-        t_new = t + h
-        startup = scheme == "gear2" and q_prev2 is None
+        landing = ahead < len(corners) and t + h > corners[ahead] - H_MIN
+        if landing:
+            t_new = corners[ahead]
+            h = t_new - t
+        else:
+            t_new = t + h
 
         if scheme == "be" or startup:
             c = 1.0 / h
@@ -333,8 +354,9 @@ def transient_solve(problem, x0, t_end, scheme=None,
         res = newton_solve(problem, x, c, hist, src_new, newton, stats, x0_eval=ev)
 
         ratio = est = 0.0
-        if res.converged and adaptive and len(times) > 1:
-            x_pred, pred_pts = _predict(times, states, t_new, max_pred_pts)
+        pred_pts = min(len(times) - since, max_pred_pts)
+        if res.converged and adaptive and pred_pts > 1:
+            x_pred = _predict(times[-pred_pts:], states[-pred_pts:], t_new)
             recent = accepted_h[:-4:-1]   # last three steps, most recent first
             pcoef = _predictor_constant(h, recent, pred_pts)
             ccoef = _corrector_constant(scheme, h, recent, startup)
@@ -376,6 +398,12 @@ def transient_solve(problem, x0, t_end, scheme=None,
             else:
                 h = h * STEP_GROW
             h = min(h, control.h_max)
+            if landing:
+                ahead = bisect.bisect_right(corners, t + H_MIN)
+                since = len(times) - 1
+                gap = (corners[ahead] if ahead < len(corners) else t_end) - t
+                h = max(H_MIN, min(h, 0.1 * gap, control.h_init))
+        startup = landing
 
     return Trajectory(
         times=np.array(times),

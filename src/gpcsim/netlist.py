@@ -103,6 +103,10 @@ class SinWave:
             2.0 * math.pi * self.freq * dt
         )
 
+    def corners(self, t_end) -> np.ndarray:
+        """The delay, where the sine starts, if it lies in (0, t_end)."""
+        return np.array([self.delay] if 0 < self.delay < t_end else [], dtype=float)
+
 
 @dataclass(frozen=True)
 class PulseWave:
@@ -133,6 +137,21 @@ class PulseWave:
             return self.v2 + (self.v1 - self.v2) * tau / self.fall
         return self.v1
 
+    def corners(self, t_end) -> np.ndarray:
+        """Each period's start, end of rise, end of width and end of fall
+        in (0, t_end).  The periods that start before t_end are counted
+        before any corner is listed; if their corners number over
+        MAX_POINTS, a ValueError refuses them."""
+        ends = np.cumsum([0.0, self.rise, self.width, self.fall])
+        first = max(0, math.floor((-self.delay - ends.max()) / self.period))
+        periods = math.ceil((t_end - self.delay) / self.period) - first
+        if 4 * periods > MAX_POINTS:
+            raise ValueError(f"pulse period {self.period:g} makes over {MAX_POINTS} "
+                             f"corners before {t_end:g}")
+        starts = self.delay + self.period * np.arange(first, first + periods)
+        times = (starts[:, None] + ends).ravel()
+        return times[(times > 0) & (times < t_end)]
+
 
 @dataclass(frozen=True)
 class PwlWave:
@@ -155,6 +174,11 @@ class PwlWave:
                 frac = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
                 return vs[k - 1] + frac * (vs[k] - vs[k - 1])
         return vs[-1]
+
+    def corners(self, t_end) -> np.ndarray:
+        """The breakpoint times in (0, t_end)."""
+        times = np.array(self.times, dtype=float)
+        return times[(times > 0) & (times < t_end)]
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +235,7 @@ class TranAnalysis:
 
     def __post_init__(self):
         _require(self.tstop > 0, 0, "tstop must be positive")
+        _require(self.tstop < math.inf, 0, "tstop must be finite")
         _require(self.hmax is None or self.hmax > 0, 1, "hmax must be positive")
 
 

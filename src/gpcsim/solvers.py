@@ -347,10 +347,11 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     problem's stack of B u: a DC or AC run is the single level at the
     sources' DC values, a sweep sets the swept source at each level, and a
     transient starts from the single level at the t = 0 waveform values,
-    then caps its step at the analysis card's hmax.  A level warm-starts
-    from the one before; the first starts from zero, or for st and sg from
-    the nominal operating point for the same B u, whose counters join the
-    run's.  Each operating point's evaluation goes on with it: into the
+    then caps its step at the analysis card's hmax; an adaptive one lands
+    a step on every source corner, listed before the first solve.  A level
+    warm-starts from the one before; the first starts from zero, or for st
+    and sg from the nominal operating point for the same B u, whose
+    counters join the run's.  Each operating point's evaluation goes on with it: into the
     next level's solve, the transient start, or the AC linearization, so no
     state the run has solved is evaluated again.  An AC run, st only, linearizes the problem at the
     operating point with c = jω and solves each frequency's small-signal
@@ -366,6 +367,7 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     if not (tran or sweep or ac or isinstance(analysis, DcAnalysis)):
         raise MethodError(f"unsupported analysis for {label}: {analysis!r}")
     levels = analysis.levels() if sweep else np.zeros(1)
+    corners = circuit.breakpoints(analysis.tstop) if tran and fixed_h is None else ()
     u = circuit.source_vector(0.0) if tran else circuit.dc_source_vector()
     stats = SolveStats()
     rows = []
@@ -398,7 +400,7 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
         try:
             traj = transient_solve(problem, res.x, analysis.tstop, scheme=scheme,
                                    newton=newton, control=control, fixed_h=fixed_h,
-                                   x0_eval=res.eval)
+                                   x0_eval=res.eval, breakpoints=corners)
         except TransientError as exc:
             _wrap_engine_error(exc, label)
         traj.stats.merge(stats)

@@ -135,6 +135,26 @@ def test_nominal_germ_is_germ_mean():
     assert np.allclose(c.nominal_germ(), [2.0, 0.0, 0.0])
 
 
+def test_breakpoints_are_the_sorted_union_of_the_source_corners():
+    c = load_circuit(
+        """
+        v1 a 0 pulse(0 1 1u 1u 1u 2u 10u)
+        i1 0 b pwl(0 0 2u 1m 3u 0)
+        v2 c 0 dc 1 sin(0 1 1meg 5u)
+        v3 d 0 dc 2
+        r1 a b 1k
+        r2 b c 1k
+        r3 c d 1k
+        """
+    )
+    # 2u is a pulse corner and a pwl time, 5u a pulse corner and the sine's
+    # delay; the pulse's corner at 12u is the end of the run
+    assert c.breakpoints(12e-6) == pytest.approx(
+        [1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 11e-6], rel=1e-12)
+    assert c.breakpoints(1e-6).size == 0
+    assert load_circuit("v1 a 0 1\nr1 a 0 1k\n").breakpoints(1.0).size == 0
+
+
 def test_limexp_continuity():
     below, d_below = limexp(LIMEXP_ARG - 1e-9)
     above, d_above = limexp(LIMEXP_ARG + 1e-9)

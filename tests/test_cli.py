@@ -168,6 +168,17 @@ class TestExitCodes:
         assert "steps to reach" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_pulse_corners_over_the_point_budget_are_2(self, tmp_path, capsys):
+        # 2.5e11 periods of 4 ps before 1 s: refused before a corner is listed
+        netlist = tmp_path / "rc.cir"
+        netlist.write_text("* rc low-pass\nv1 1 0 pulse(0 1 0 1p 1p 1p 4p)\n"
+                           "r1 1 2 dist=uniform(900,1100)\nc1 2 0 1u\n.tran 1\n")
+        start = time.perf_counter()
+        assert run_cli("tran", str(netlist), "--out", str(tmp_path)) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "makes over 1000000 corners" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("vt0=", "vto=", "line 8: m1: unknown key 'vto'"),
         ("rs s 0", "d1 s 0 type=npn\nrs s 0", "line 7: d1: unknown key 'type'"),

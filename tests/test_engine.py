@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gpcsim.engine import (
     newton_solve,
     transient_solve,
 )
+from gpcsim.netlist import PulseWave
 from helpers import CircuitProblem, DenseEval, final
 
 XI0 = np.zeros(0)
@@ -344,3 +346,149 @@ def test_solver_stats_populated():
     assert s.newton_iterations >= 100      # at least one update per step
     assert s.linear_solves == s.newton_iterations
     assert s.linear_solve_time > 0.0
+
+
+# --------------------------------------------------------------------------
+# source corners
+# --------------------------------------------------------------------------
+
+LAG_TAU = 20e-9
+LAG_DRIVE = PulseWave(0.0, 1.0, 1e-6, 10e-9, 10e-9, 2e-6, 5e-6)
+LAG_END = 7e-6
+# the drive's corners in (0, LAG_END), listed by hand from its card
+LAG_CORNERS = [1e-6, 1.01e-6, 3.01e-6, 3.02e-6, 6e-6, 6.01e-6]
+
+
+class LagProblem:
+    """tau dx/dt + x = u(t) with u the pulse LAG_DRIVE: q = tau x, f = x.
+
+    tau is a hundredth of the pulse's 2 us width and twice its 10 ns
+    edges, so each corner is followed by a response much faster than the
+    plateau."""
+
+    size = 1
+
+    def eval(self, x):
+        return DenseEval(LAG_TAU * x, x.copy(), np.array([[LAG_TAU]]), np.eye(1))
+
+    def source(self, t):
+        return np.array([LAG_DRIVE.value(t)])
+
+
+def lag_exact(t):
+    """Closed form of the lag under a piecewise-linear drive: on a segment
+    u = u0 + b (t - t0), x = u - b tau + (x0 - u0 + b tau) exp(-(t - t0)/tau)."""
+    knots = [0.0] + LAG_CORNERS + [LAG_END]
+    x0 = 0.0
+    for t0, t1 in zip(knots, knots[1:]):
+        u0 = LAG_DRIVE.value(t0)
+        b = (LAG_DRIVE.value(t1) - u0) / (t1 - t0)
+
+        def on_segment(s):
+            return u0 + b * (s - t0) - b * LAG_TAU + (
+                x0 - u0 + b * LAG_TAU) * math.exp(-(s - t0) / LAG_TAU)
+
+        if t <= t1:
+            return on_segment(t)
+        x0 = on_segment(t1)
+    raise ValueError(t)
+
+
+def lag_run(scheme, breakpoints=LAG_CORNERS, **control):
+    control = StepControl(**{"h_init": 1e-12, "lte_tol": 1e-4, **control})
+    return transient_solve(LagProblem(), np.zeros(1), LAG_END, scheme=scheme,
+                           control=control, breakpoints=breakpoints)
+
+
+# largest error over the accepted times at lte_tol 1e-4, as a multiple of
+# it: be's is its global first-order error; without the corners tr reads
+# 54 and gear2 13
+LAG_ERROR_MULTIPLE = {"be": 50, "tr": 10, "gear2": 10}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_adaptive_steps_land_on_every_corner_and_restart(scheme):
+    traj = lag_run(scheme)
+    times = traj.times.tolist()
+    for k, corner in enumerate(LAG_CORNERS):
+        assert corner in times                 # exactly, not nearly
+        i = times.index(corner)
+        gap = (LAG_CORNERS[k + 1] if k + 1 < len(LAG_CORNERS) else LAG_END) - corner
+        h = traj.h_history[i]
+        assert h <= min(1e-12, 0.1 * gap)
+        # the step after a corner is backward Euler: tau (x1 - x0) / h + x1 = u1
+        u1 = LAG_DRIVE.value(traj.times[i + 1])
+        be = (LAG_TAU * traj.states[i][0] / h + u1) / (LAG_TAU / h + 1.0)
+        assert traj.states[i + 1][0] == pytest.approx(be, rel=1e-9)
+    errors = [abs(x[0] - lag_exact(t)) for t, x in zip(traj.times, traj.states)]
+    assert max(errors) <= LAG_ERROR_MULTIPLE[scheme] * 1e-4
+
+
+def test_first_step_after_a_corner_is_a_tenth_of_the_gap():
+    # h_init is far above a tenth of the 10 ns rise, so the gap rule binds
+    traj = lag_run("tr", h_init=1e-8)
+    times = traj.times.tolist()
+    assert traj.h_history[times.index(1e-6)] == pytest.approx(1e-9, rel=1e-12)
+    assert traj.h_history[times.index(3.01e-6)] == pytest.approx(1e-9, rel=1e-12)
+    assert traj.h_history[times.index(6.01e-6)] <= 1e-8
+
+
+@pytest.mark.parametrize("offset", [0.5, 3.0])
+def test_no_sliver_step_next_to_a_corner(offset):
+    # before the drive's 1 us delay the state stays 0, so the error
+    # estimates read 0 and h doubles from h_init with no rejection: a
+    # corner a fraction of H_MIN, or a few H_MIN, past the tenth time
+    # point sits next to a time the controller reaches
+    plain = lag_run("tr", breakpoints=())
+    reached = float(plain.times[10])
+    corner = reached + offset * engine.H_MIN
+    assert plain.times[11] > corner > reached
+    traj = lag_run("tr", breakpoints=[corner])
+    assert corner in traj.times.tolist()
+    assert (reached in traj.times.tolist()) == (offset > 1)
+    assert traj.h_history.min() >= engine.H_MIN
+    # a second corner within H_MIN of the first is passed with it, and one
+    # a few H_MIN on is landed on without a step under H_MIN
+    for second in (0.5, 3.0):
+        pair = [corner, corner + second * engine.H_MIN]
+        traj = lag_run("tr", breakpoints=pair)
+        assert (pair[1] in traj.times.tolist()) == (second > 1)
+        assert traj.h_history.min() >= engine.H_MIN
+
+
+def test_fixed_step_ignores_the_corners():
+    grid = transient_solve(LagProblem(), np.zeros(1), LAG_END, fixed_h=LAG_END / 700)
+    traj = transient_solve(LagProblem(), np.zeros(1), LAG_END, fixed_h=LAG_END / 700,
+                           breakpoints=LAG_CORNERS)
+    np.testing.assert_array_equal(traj.times, grid.times)
+    np.testing.assert_array_equal(traj.states, grid.states)
+    np.testing.assert_allclose(traj.times, np.linspace(0.0, LAG_END, 701), rtol=1e-12)
+
+
+# steps accepted and rejected, Newton iterations and a digest of the times,
+# states, steps and estimates, recorded from the engine before it took
+# corners
+LAG_PLAIN_RUNS = {"be": (1518, 72, 1553, "f08d0a97b4102a24"),
+                  "tr": (296, 71, 337, "1ba4a299edf37809"),
+                  "gear2": (368, 76, 410, "ab1dd5d927d7783c")}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_corners_run_as_before_bit_for_bit(scheme):
+    control = StepControl(h_init=1e-12, lte_tol=1e-4)
+    default = transient_solve(LagProblem(), np.zeros(1), LAG_END, scheme=scheme,
+                              control=control)
+    outside = lag_run(scheme, breakpoints=[-1e-6, 0.0, LAG_END, 2 * LAG_END])
+    for traj in (default, lag_run(scheme, breakpoints=()), outside):
+        digest = hashlib.sha256(b"".join(
+            a.tobytes() for a in (traj.times, traj.states, traj.h_history,
+                                  traj.est_history))).hexdigest()[:16]
+        s = traj.stats
+        assert (s.steps_accepted, s.steps_rejected, s.newton_iterations,
+                digest) == LAG_PLAIN_RUNS[scheme]
+
+
+def test_end_time_must_be_positive_and_finite():
+    for t_end in (math.inf, math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="end time must be positive and finite"):
+            transient_solve(LagProblem(), np.zeros(1), t_end)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpcsim import netlist
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
 from gpcsim.netlist import (
     MAX_POINTS,
@@ -405,6 +407,54 @@ def test_library_built_card_checks_its_values(build, arg, message):
     assert isinstance(err.value, ValueError)
     assert err.value.arg == arg
     assert message in str(err.value)
+
+
+def test_infinite_tstop_is_refused():
+    """An infinite tstop would run a one-point transient, or walk a pulse's
+    corners for ever; NaN fails the rule before it."""
+    with pytest.raises(CardValueError, match="tstop must be finite") as err:
+        TranAnalysis(INF)
+    assert err.value.arg == 0
+    with pytest.raises(CardValueError, match="tstop must be positive"):
+        TranAnalysis(NAN)
+
+
+def test_waveform_corners_in_the_run():
+    u, n = 1e-6, 1e-9
+    pulse = PulseWave(0.0, 1.0, 1 * u, 1 * n, 1 * n, 4 * u, 20 * u)
+    assert pulse.corners(10 * u) == pytest.approx([1 * u, 1 * u + n, 5 * u + n, 5 * u + 2 * n],
+                                                  rel=1e-12)
+    assert pulse.corners(45 * u) == pytest.approx(
+        [t + d for t in (1 * u, 21 * u) for d in (0, n, 4 * u + n, 4 * u + 2 * n)]
+        + [41 * u, 41 * u + n], rel=1e-12)
+    # a period that starts before t = 0 keeps the corners after it
+    early = PulseWave(0.0, 1.0, -3 * u, 1 * n, 1 * n, 4 * u, 10 * u)
+    assert early.corners(12 * u) == pytest.approx(
+        [1 * u + n, 1 * u + 2 * n, 7 * u, 7 * u + n, 11 * u + n, 11 * u + 2 * n], rel=1e-12)
+    # a delay at or past tstop leaves no corner
+    assert len(pulse.corners(1 * u)) == len(pulse.corners(0.5 * u)) == 0
+    pwl = PwlWave((0.0, 1 * u, 2 * u, 5 * u), (0.0, 1.0, 1.0, 0.0))
+    assert pwl.corners(3 * u).tolist() == [1 * u, 2 * u]
+    assert SinWave(0.0, 1.0, 1e3, 2 * u).corners(3 * u).tolist() == [2 * u]
+    assert len(SinWave(0.0, 1.0, 1e3).corners(3 * u)) == 0
+    assert len(SinWave(0.0, 1.0, 1e3, 3 * u).corners(3 * u)) == 0
+
+
+def test_pulse_corners_over_the_point_budget_are_refused(monkeypatch):
+    """The periods are counted before a corner is listed: 4 ps periods up
+    to 1 s would be 10^12 corners."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="makes over 1000000 corners before 1"):
+            PulseWave(0.0, 1.0, 0.0, 1e-12, 1e-12, 1e-12, 4e-12).corners(1.0)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(netlist, "MAX_POINTS", 8)
+    pulse = PulseWave(0.0, 1.0, 1.0, 0.1, 0.1, 0.3, 1.0)
+    assert len(pulse.corners(3.0)) == 8          # two periods start before 3 s
+    with pytest.raises(ValueError, match="makes over 8 corners"):
+        pulse.corners(3.5)
 
 
 def test_whole_points_per_decade_are_stored_as_int():

@@ -10,6 +10,7 @@ spectral method must reproduce the same coefficients.
 import math
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +660,47 @@ class TestTransientOracle:
         assert run.stats.newton_iterations < run.stats.steps_accepted / 10
         np.testing.assert_allclose(run.coeffs[:, 0], tight.coeffs[:, 0],
                                    rtol=0, atol=4e-7)
+
+
+# --------------------------------------------------------------------------
+# source corners
+# --------------------------------------------------------------------------
+
+PULSE_RC = (Path(__file__).parent / "pulse_rc.cir").read_text()
+PULSE_RC_CORNERS = [1e-6, 1.001e-6, 5.001e-6, 5.002e-6]
+
+
+class TestSourceCorners:
+    @pytest.mark.parametrize("scheme", engine.SCHEMES)
+    def test_pulse_rc_finishes_at_a_tight_tolerance(self, scheme):
+        """Without corners every scheme ends in a time step underflow at
+        5.002 us, the corner that ends the falling edge; p=1 keeps the 23k
+        backward Euler steps cheap."""
+        circuit = load_circuit(PULSE_RC)
+        (tran,) = circuit.analyses
+        traj = st_solve(circuit, 1, tran, scheme=scheme,
+                        control=StepControl(lte_tol=1e-7))
+        assert traj.times[-1] == pytest.approx(10e-6, rel=1e-12)
+        assert circuit.breakpoints(tran.tstop) == pytest.approx(PULSE_RC_CORNERS, rel=1e-12)
+        assert set(circuit.breakpoints(tran.tstop)) <= set(traj.times)
+
+    def test_sram6t_trapezoid_finishes_at_a_tight_tolerance(self):
+        # without corners: time step underflow at 2.00002 us
+        circuit = shipped_circuit("sram6t.cir")
+        (tran,) = circuit.analyses
+        traj = st_solve(circuit, 1, tran, scheme="tr", control=StepControl(lte_tol=1e-6))
+        assert traj.times[-1] == pytest.approx(tran.tstop, rel=1e-12)
+
+    def test_adaptive_methods_land_on_the_corners_and_fixed_grids_do_not(self):
+        circuit = load_circuit(PULSE_RC)
+        (tran,) = circuit.analyses
+        corners = set(circuit.breakpoints(tran.tstop))
+        assert corners <= set(sg_solve(circuit, 1, tran).times)
+        fixed = st_solve(circuit, 1, tran, fixed_h=tran.tstop / 300).times
+        assert not corners & set(fixed)
+        np.testing.assert_allclose(fixed, np.linspace(0.0, tran.tstop, 301), rtol=1e-12)
+        sc = sc_solve(circuit, 1, tran).times
+        np.testing.assert_allclose(sc, np.linspace(0.0, tran.tstop, len(sc)), rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
