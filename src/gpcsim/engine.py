@@ -13,7 +13,12 @@ problem exposes
 where linearize(c) factors c*dq + df and returns something with solve(rhs).
 That solve is the only linear-algebra hook; block-structured problems
 substitute their own.  dc_solve solves f(x) = s for the s it is given;
-only transients call source(t), the one place time enters.
+only transients call source(t), the one place time enters.  A problem may
+also expose `blocks`, the count of equal slices of x whose residual
+depends on that slice alone (the lockstep points of sc and mc); Newton
+then stops each slice on its own residual, so a slice's iterates do not
+depend on the others while the solve succeeds.  Without it, x is one
+coupled block.
 
 An evaluation depends on x alone, so it holds at any time point and for
 any source.  newton_solve, dc_solve and transient_solve each take the
@@ -22,9 +27,11 @@ again, and every converged solve returns the evaluation at its solution.
 Callers hand that on: a transient step is seeded with the last accepted
 state and its evaluation (also when the step is retried), a homotopy ramp
 step with the previous step's, and `solvers._run` threads each operating
-point's evaluation into the next sweep level, the transient start and the
-AC linearization.  The device layer therefore runs once per distinct
-state; SolveStats.device_evals counts those calls, and residual_evals the
+point's evaluation into the second sweep level, the transient start and
+the AC linearization.  Later sweep levels start from a state predicted
+through the levels before (`_predict`), which is evaluated like any new
+iterate.  The device layer therefore runs once per distinct state;
+SolveStats.device_evals counts those calls, and residual_evals the
 residual checks, which include the ones made on a handed-in evaluation.
 
 Time integration offers backward Euler, trapezoid, and a variable-step
@@ -114,6 +121,7 @@ class SolveStats:
     linear_solve_time: float = 0.0
     steps_accepted: int = 0
     steps_rejected: int = 0
+    predictor_fallbacks: int = 0   # dc solves retried from the previous level
 
     def merge(self, other: "SolveStats"):
         for f in fields(self):
@@ -140,9 +148,18 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
     Convergence is judged on the residual alone, checked before every
     update, so a linear system converges in exactly one iteration.  x0_eval,
     the evaluation at x0 if the caller has it, stands in for iteration 0's.
+    A problem of several `blocks` judges each block on its own residual
+    against abstol + reltol·max|x_block|, and a block that has passed keeps
+    its x from then on, so each block stops where it would stop alone.
+    Passed blocks are still evaluated and solved with the rest at every
+    later iterate, so a failure there (a singular Jacobian or a non-finite
+    update) fails the whole solve, where the block alone had converged.
     """
     x = np.array(x0, dtype=float)
     stats = stats if stats is not None else SolveStats()
+    blocks = getattr(problem, "blocks", 1)
+    xb = x.reshape(blocks, -1)   # a view of x, one row per block
+    done = np.zeros(blocks, dtype=bool)
     ev = x0_eval
     for it in range(NEWTON_MAX_ITER + 1):
         if ev is None:
@@ -153,8 +170,9 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
                 return NewtonResult(x, False, it, failure=str(exc))
         stats.residual_evals += 1
         resid = c * ev.q + ev.f + history - source
-        norm = float(np.abs(resid).max()) if resid.size else 0.0
-        if norm <= config.abstol + config.reltol * float(np.abs(x).max() if x.size else 0.0):
+        norm = np.abs(resid).reshape(blocks, -1).max(axis=1, initial=0.0)
+        done |= norm <= config.abstol + config.reltol * np.abs(xb).max(axis=1, initial=0.0)
+        if done.all():
             return NewtonResult(x, True, it, eval=ev)
         if it == NEWTON_MAX_ITER:
             break
@@ -167,7 +185,7 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
             return NewtonResult(x, False, it, failure=f"singular jacobian: {exc}")
         if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, failure="non-finite update")
-        x = x + dx
+        np.add(xb, dx.reshape(blocks, -1), out=xb, where=~done[:, None])
         ev = None
         stats.newton_iterations += 1
     return NewtonResult(x, False, NEWTON_MAX_ITER, failure="iteration limit reached")
@@ -186,10 +204,16 @@ class DcResult:
 
 
 def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
-             source, x0_eval=None) -> DcResult:
-    """Operating point: f(x) = source.  Direct Newton first, from x0 (with
-    its evaluation x0_eval if given), then a 10-step ramp of that source
-    from zero if that start diverges."""
+             source, x0_eval=None, retry_x0=None) -> DcResult:
+    """Operating point: f(x) = source, from the first start of a ladder
+    whose Newton solve converges.
+
+    Direct Newton from x0, with its evaluation x0_eval if given; then, if
+    `retry_x0` is given (the previous sweep level's solution behind a
+    predicted x0), Newton from there, counted in
+    SolveStats.predictor_fallbacks; then a 10-step ramp of the source from
+    zero.
+    """
     config = config or NewtonConfig()
     stats = SolveStats()
     zeros = np.zeros(problem.size)   # also the empty history of c = 0
@@ -197,6 +221,11 @@ def dc_solve(problem, config: NewtonConfig | None = None, x0=None, *,
     res = newton_solve(problem, x, 0.0, zeros, source, config, stats, x0_eval=x0_eval)
     if res.converged:
         return DcResult(res.x, False, stats, res.eval)
+    if retry_x0 is not None:
+        stats.predictor_fallbacks += 1
+        res = newton_solve(problem, retry_x0, 0.0, zeros, source, config, stats)
+        if res.converged:
+            return DcResult(res.x, False, stats, res.eval)
     x, ev = zeros.copy(), None
     for k in range(1, HOMOTOPY_STEPS + 1):
         lam = k / HOMOTOPY_STEPS

@@ -15,10 +15,12 @@ how coefficients are obtained:
 Every method makes one batched device evaluation per distinct Newton
 iterate, at its K nodes, Q quadrature points, or a batch of germ points: a
 solve seeded with an earlier solve's solution reuses that solve's
-evaluation (see `engine`), so a converged state is evaluated once.  sc and mc
-solve their points in lockstep: near-equal batches of about LOCKSTEP_ENTRIES
-Jacobian entries, and at least LOCKSTEP_CHUNK points, form one
-block-diagonal stacked problem, which is st with Φ = I.  All methods
+evaluation (see `engine`), so a solve does not evaluate its seed again.
+sc and mc solve their points in lockstep: near-equal batches of about
+LOCKSTEP_ENTRIES Jacobian entries, and at least LOCKSTEP_CHUNK points, form
+one block-diagonal stacked problem, which is st with Φ = I and whose
+`blocks` are its points, so Newton stops each point on its own residual (a
+point that has stopped is still evaluated with the batch).  All methods
 run DC, sweeps and transients through one function, `_run`, on a problem
 built once per run and never changed.  Every DC solve of a run takes the
 problem's `stack` of B u, with u the sources' DC values, a sweep level or a
@@ -51,6 +53,7 @@ from .engine import (
     StepControl,
     TransientError,
     Trajectory,
+    _predict,
     dc_solve,
     transient_solve,
 )
@@ -63,6 +66,7 @@ LOCKSTEP_CHUNK = 128         # fewest germ points in a full sc/mc lockstep batch
 LOCKSTEP_ENTRIES = 2**15     # Jacobian entries (points x n^2) that size larger batches
 MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
 TABLE_BUDGET = 10**8         # most entries in a (basis size) x (grid nodes) table
+PREDICTOR_POINTS = 3         # solved sweep levels behind a level's quadratic seed
 
 
 class MethodError(RuntimeError):
@@ -149,23 +153,23 @@ def _gauss_grid(circuit, order):
 @dataclass(slots=True, eq=False)
 class _StackedEvalST:
     """Residual pieces at all testing nodes plus the decoupled linear hook:
-    linearize(c) forms the (K, n, n) blocks c·dq + df, and solve runs the
-    two-stage update on them."""
+    linearize(c) forms the (K, n, n) Jacobians c·dq + df, and solve runs
+    the two-stage update on them."""
 
     q: np.ndarray
     f: np.ndarray
     dqs: np.ndarray           # (K, n, n)
     dfs: np.ndarray
     problem: STProblem
-    blocks: np.ndarray | None = None
+    jacs: np.ndarray | None = None
 
     def linearize(self, c):
-        self.blocks = c * self.dqs + self.dfs
+        self.jacs = c * self.dqs + self.dfs
         return self
 
     def solve(self, rhs):
-        return st_decoupled_linear_step(self.blocks, self.problem.nodes.phi_inv,
-                                        -rhs.reshape(len(self.blocks), -1))
+        return st_decoupled_linear_step(self.jacs, self.problem.nodes.phi_inv,
+                                        -rhs.reshape(len(self.jacs), -1))
 
 
 def _singular_block(jacs) -> int:
@@ -220,6 +224,12 @@ class STProblem:
     @property
     def size(self) -> int:
         return self.circuit.n * len(self.nodes.nodes)
+
+    @property
+    def blocks(self) -> int:
+        """Independent slices of X for Newton: each germ point under Φ = I,
+        else one block coupled through Φ."""
+        return len(self.nodes.nodes) if self.nodes.phi is None else 1
 
     def eval(self, X):
         states = X.reshape(-1, self.circuit.n)
@@ -348,16 +358,22 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     sources' DC values, a sweep sets the swept source at each level, and a
     transient starts from the single level at the t = 0 waveform values,
     then caps its step at the analysis card's hmax; an adaptive one lands
-    a step on every source corner, listed before the first solve.  A level
-    warm-starts from the one before; the first starts from zero, or for st
-    and sg from the nominal operating point for the same B u, whose
-    counters join the run's.  Each operating point's evaluation goes on with it: into the
-    next level's solve, the transient start, or the AC linearization, so no
-    state the run has solved is evaluated again.  An AC run, st only, linearizes the problem at the
-    operating point with c = jω and solves each frequency's small-signal
-    system (G + jωC) y = B u_ac; these solves are not counted.  The
-    result's states are the problem's unknowns at each time, sweep level
-    or frequency.  Engine failures are re-raised with "[method=<label>]".
+    a step on every source corner, listed before the first solve.  The
+    first level starts from zero, or for st and sg from the nominal
+    operating point for the same B u, whose counters join the run's.  The
+    second warm-starts from the first, and each later one from the
+    extrapolation (`_predict`) through the PREDICTOR_POINTS levels before
+    it, a quadratic (the third level's is a line), with the previous
+    level's solution as dc_solve's retry start.  Each operating point's
+    evaluation goes on with it into the second level's solve, the
+    transient start, or the AC linearization, so no state the run has
+    solved is evaluated again; a predicted level is handed none, and the
+    previous level's is dropped before its solve.  An AC run, st only,
+    linearizes the problem at the operating point with c = jω and solves
+    each frequency's small-signal system (G + jωC) y = B u_ac; these
+    solves are not counted.  The result's states are the problem's
+    unknowns at each time, sweep level or frequency.  Engine failures are
+    re-raised with "[method=<label>]".
     """
     circuit = problem.circuit
     tran = isinstance(analysis, TranAnalysis)
@@ -372,11 +388,18 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
     stats = SolveStats()
     rows = []
     res = None
-    for level in levels:
+    for i, level in enumerate(levels):
         if sweep:
             u[circuit.source_names.index(analysis.source)] = level
         s = circuit.b_matrix @ u
-        x0, x0_eval = (res.x, res.eval) if res is not None else (None, None)
+        x0 = x0_eval = retry_x0 = None
+        if i == 1:
+            x0, x0_eval = res.x, res.eval
+        elif i > 1:
+            res = None   # its evaluation is not at the predicted seed
+            back = min(i, PREDICTOR_POINTS)
+            x0 = _predict(levels[i - back:i], rows[-back:], level)
+            retry_x0 = rows[-1]
         if x0 is None and problem.basis is not None:
             x0 = np.zeros(problem.size)
             try:
@@ -387,7 +410,7 @@ def _run(problem, analysis, label, newton, control=None, scheme=None,
             stats.merge(nominal.stats)
         try:
             res = dc_solve(problem, newton, x0=x0, source=problem.stack(s),
-                           x0_eval=x0_eval)
+                           x0_eval=x0_eval, retry_x0=retry_x0)
         except DcConvergenceError as exc:
             _wrap_engine_error(exc, f"{label} sweep {analysis.source}={level:g}"
                                if sweep else label)

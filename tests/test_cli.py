@@ -268,6 +268,7 @@ class TestArtifacts:
         assert manifest["cond_phi"] > 1.0
         assert 0.0 < manifest["beta"] < 1.0
         assert manifest["newton_iterations"] >= 1
+        assert manifest["predictor_fallbacks"] == 0
         assert manifest["wall_time_s"] > 0.0
 
     def test_sc_run_count(self, tmp_path):

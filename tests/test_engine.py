@@ -107,6 +107,29 @@ def test_newton_stops_on_a_non_finite_update():
     assert (res.failure, res.iterations, res.x.tolist()) == ("non-finite update", 0, [0.0])
 
 
+class SquareBlocks:
+    """x_b^2 = 4 in each of `blocks` independent scalar blocks."""
+
+    def __init__(self, blocks):
+        self.size = self.blocks = blocks
+
+    def eval(self, x):
+        return DenseEval(np.zeros(self.size), x * x, np.zeros((self.size,) * 2), np.diag(2 * x))
+
+
+def test_newton_stops_each_block_on_its_own_residual():
+    """A block that passes at iteration 0 keeps its x while the other one
+    iterates, and each block ends where its one-block solve ends."""
+    x0 = np.array([2.0 + 1e-10, 1.0])
+    res = newton_solve(SquareBlocks(2), x0, 0.0, np.zeros(2), np.full(2, 4.0), NewtonConfig())
+    assert res.converged and res.iterations > 0
+    assert res.x[0] == x0[0]
+    for b in range(2):
+        alone = newton_solve(SquareBlocks(1), x0[b:b + 1], 0.0, np.zeros(1),
+                             np.full(1, 4.0), NewtonConfig())
+        assert alone.x[0] == res.x[b]
+
+
 # --------------------------------------------------------------------------
 # DC operating point
 # --------------------------------------------------------------------------
@@ -158,6 +181,19 @@ def test_homotopy_hands_on_each_ramp_step_evaluation(monkeypatch):
     assert res.homotopy_used
     assert res.stats.device_evals == res.stats.residual_evals - (engine.HOMOTOPY_STEPS - 1)
     assert res.eval.f[0] == prob.eval(res.x).f[0]
+
+
+def test_dc_retries_from_the_previous_level_before_the_ramp(monkeypatch):
+    # the cold start overshoots as above; the retry start lies near the root
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 8)
+    prob = ScalarProblem(np.sinh, np.cosh, 20.0)
+    res = dc_solve(prob, NewtonConfig(), source=prob.source(0.0), retry_x0=np.array([3.5]))
+    assert not res.homotopy_used
+    assert res.stats.predictor_fallbacks == 1
+    assert res.x[0] == pytest.approx(math.asinh(20.0), rel=1e-10)
+    # a retry that fails too goes on to the ramp
+    res = dc_solve(prob, NewtonConfig(), source=prob.source(0.0), retry_x0=np.array([0.0]))
+    assert res.homotopy_used and res.stats.predictor_fallbacks == 1
 
 
 def test_dc_failure_raises():

@@ -26,6 +26,7 @@ from gpcsim.quadrature import gauss_rule, tensor_grid
 from gpcsim.solvers import (
     GermPoints,
     MethodError,
+    SGProblem,
     STProblem,
     mc_solve,
     run_analysis,
@@ -74,6 +75,17 @@ v1 1 0 dc 1
 r1 1 2 dist=gauss(1k,400)
 d1 2 0 is=1e-14
 .dc
+"""
+
+
+# cs_amp swept from cutoff to deep triode, 31 levels
+CS_AMP_WIDE = """* common-source stage swept across cutoff
+vdd vdd 0 dc 3
+vin in 0 dc 0.9
+rd vdd d dist=uniform(1800,2200)
+rs s 0 dist=gamma(2,900,30)
+m1 d in s type=nmos kp=500u w=20u l=1u vt0=dist=gauss(0.5,0.02) temp=dist=beta(2,2,300,20)
+.dcsweep vin 0 3 0.1
 """
 
 
@@ -517,6 +529,22 @@ class TestLockstepBatches:
                     == (tmp_path / "fixed" / name).read_bytes()), name
 
 
+    def test_mc_artifacts_do_not_depend_on_the_batching(self, tmp_path, monkeypatch):
+        """Each lockstep point stops on its own residual, so a 60-sample
+        sweep writes the same bytes in one batch, in one-point batches and
+        in 7-point ones."""
+        argv = ["dcsweep", "cs_amp.cir", "--method", "mc", "--samples", "60",
+                "--seed", "5", "--out"]
+        assert cli.main(argv + [str(tmp_path / "planned")]) == 0
+        monkeypatch.setattr(solvers, "LOCKSTEP_ENTRIES", 0)
+        for chunk in (1, 7):
+            monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", chunk)
+            assert cli.main(argv + [str(tmp_path / f"chunk{chunk}")]) == 0
+            for name in ("stats.csv", "coefficients.json"):
+                assert ((tmp_path / "planned" / name).read_bytes()
+                        == (tmp_path / f"chunk{chunk}" / name).read_bytes()), (chunk, name)
+
+
 class TestMcSolve:
     def test_seed_determinism(self):
         circuit = load_circuit(DIVIDER)
@@ -793,9 +821,9 @@ class TestEvaluationReuse:
         assert len(calls) == stats.device_evals
 
     def test_mc_sweep_evaluates_each_state_once(self, device_log):
-        """Each lockstep batch's sweep levels warm-start with the level
-        before and its evaluation: no (state, germ) bytes reach the device
-        layer twice."""
+        """Each lockstep batch's second sweep level warm-starts with the
+        first and its evaluation, and later levels from a predicted state:
+        no (state, germ) bytes reach the device layer twice."""
         circuit = shipped_circuit("cs_amp.cir")
         sweep = next(a for a in circuit.analyses if isinstance(a, DcSweepAnalysis))
         ens = mc_solve(circuit, 2000, 1, sweep)
@@ -803,9 +831,9 @@ class TestEvaluationReuse:
         calls = device_log["calls"]
         assert len(calls) == ens.stats.device_evals
         assert max(calls.values()) == 1
-        # every level after the first of every batch is handed its seed
+        # only the second level of every batch is handed its seed
         batches = len(solvers._lockstep_batches(2000, circuit.n))
-        assert device_log["handings"] == (len(ens.times) - 1) * batches
+        assert device_log["handings"] == batches
         assert len(device_log["handed"]) == device_log["handings"]
 
     def test_ac_linearizes_the_dc_evaluation(self, device_log):
@@ -832,6 +860,76 @@ class TestEvaluationReuse:
         stats = solvers._run(STProblem(circuit, basis, nodes), tran, "st", None).stats
         assert stats.steps_accepted > 100
         assert stats.device_evals == stats.linear_solves + 2
+
+
+def sweep_problem(circuit, method):
+    """The problem a sweep of `method` runs: order 2 for st and sg, 20
+    seeded draws in one lockstep batch for mc."""
+    if method == "mc":
+        rng = np.random.default_rng(1)
+        draws = np.column_stack([p.dist.sample(rng, 20) for p in circuit.params])
+        return STProblem(circuit, None, GermPoints(draws))
+    basis, nodes = select_for(circuit, 2)
+    return STProblem(circuit, basis, nodes) if method == "st" else SGProblem(circuit, basis)
+
+
+def sweep_of(circuit):
+    return next(a for a in circuit.analyses if isinstance(a, DcSweepAnalysis))
+
+
+class TestSweepPredictor:
+    """Sweep levels from the third on start from a quadratic extrapolation
+    of the levels before, and fall back to the previous level's solution."""
+
+    @pytest.mark.parametrize("method", ["st", "sg", "mc"])
+    @pytest.mark.parametrize("netlist", ["diode_dc", "cs_amp_wide"])
+    def test_every_level_matches_a_cold_solve(self, netlist, method):
+        circuit = (load_circuit(CS_AMP_WIDE) if netlist == "cs_amp_wide"
+                   else shipped_circuit("diode_dc.cir"))
+        sweep = sweep_of(circuit)
+        problem = sweep_problem(circuit, method)
+        run = solvers._run(problem, sweep, method, None)
+        assert run.stats.predictor_fallbacks == 0
+        u = circuit.dc_source_vector()
+        k = circuit.source_names.index(sweep.source)
+        for level, x in zip(sweep.levels(), run.states):
+            u[k] = level
+            cold = dc_solve(problem, source=problem.stack(circuit.b_matrix @ u))
+            np.testing.assert_allclose(x, cold.x, rtol=0, atol=1e-5, err_msg=f"{level}")
+
+    def test_sg_p5_cs_amp_sweep_solves(self):
+        circuit = shipped_circuit("cs_amp.cir")
+        assert sg_solve(circuit, 5, sweep_of(circuit)).stats.linear_solves <= 20
+
+    @pytest.mark.parametrize("method", ["st", "sg", "sc", "mc"])
+    @pytest.mark.parametrize("name", ["cs_amp.cir", "diode_dc.cir"])
+    def test_shipped_sweeps_never_fall_back(self, name, method):
+        circuit = shipped_circuit(name)
+        run = run_analysis(circuit, method, 2, sweep_of(circuit), n_samples=200, seed=1)
+        assert run.stats.predictor_fallbacks == 0
+
+    @pytest.mark.parametrize("method", ["st", "sg", "mc"])
+    def test_far_prediction_falls_back_to_the_previous_level(self, monkeypatch, method):
+        """A predicted seed whose Newton solve fails is retried from the
+        previous level's solution before any source ramp."""
+        circuit = shipped_circuit("cs_amp.cir")
+        sweep = sweep_of(circuit)
+        problem = sweep_problem(circuit, method)
+        want = solvers._run(problem, sweep, method, None).states
+        homotopy = []
+        dc = solvers.dc_solve
+
+        def spy_dc(*args, **kwargs):
+            res = dc(*args, **kwargs)
+            homotopy.append(res.homotopy_used)
+            return res
+
+        monkeypatch.setattr(solvers, "dc_solve", spy_dc)
+        monkeypatch.setattr(solvers, "_predict", lambda ts, xs, t: np.full_like(xs[-1], 1e30))
+        run = solvers._run(problem, sweep, method, None)
+        assert not any(homotopy)
+        assert run.stats.predictor_fallbacks == len(sweep.levels()) - 2
+        np.testing.assert_allclose(run.states, want, rtol=0, atol=1e-5)
 
 
 # --------------------------------------------------------------------------
