@@ -16,7 +16,9 @@ A run flag given to a run that does not read it (`_FLAG_READERS`, plus
 --ltetol with --fixed-step and --seed with --samples 1) exits 2 before
 anything is written, so the manifest records only settings that took
 effect, and null for a flag left out, whose default the solvers fill in.
-The manifest's order is the one the expansion used, null for mc.
+The manifest's order is the one the expansion used, null for mc, and its
+scheme the one a transient ran (SCHEMES[0] when --scheme is left out),
+null for the analyses that take no time step.
 
 Exit codes: 0 success, 2 netlist or configuration problem, 3 operating
 point failure, 4 transient/analysis failure, 5 testing-node selection
@@ -153,7 +155,7 @@ def build_manifest(result, circuit, args, netlist_text: str, wall: float,
         "cond_phi": nodes.cond_estimate if nodes is not None else None,
         "beta": nodes.beta_used if nodes is not None else None,
         "seed": result.seed if args.method == "mc" else None,
-        "scheme": args.scheme,
+        "scheme": args.scheme or (SCHEMES[0] if args.command == "tran" else None),
         "fixed_step": args.fixed_step,
         "time_points": len(result.times),
         "failures": result.failures,

@@ -16,7 +16,7 @@ import pytest
 from gpcsim import cli, solvers
 from gpcsim.cli import main, report_costs, resolve_netlist
 from gpcsim.collocation import SelectionError
-from gpcsim.engine import DcConvergenceError, NewtonConfig, TransientError
+from gpcsim.engine import SCHEMES, DcConvergenceError, NewtonConfig, TransientError
 from gpcsim.post import read_stats_csv
 
 CONFLICT = """\
@@ -365,6 +365,25 @@ class TestArtifacts:
             got[name] = (manifest["scheme"], manifest["fixed_step"], manifest["seed"])
         assert got == {"dc": (None, None, None), "tran": ("tr", 1e-4, None),
                        "mc": (None, None, 3)}
+
+    def test_manifest_records_the_scheme_a_transient_ran(self, tmp_path):
+        """A transient without --scheme records the default it ran, and runs
+        that take no time step record none."""
+        runs = {
+            "tran": ("tran", "rc_uniform.cir", "--order", "1", "--fixed-step", "1e-4"),
+            "named": ("tran", "rc_uniform.cir", "--order", "1", "--fixed-step", "1e-4",
+                      "--scheme", SCHEMES[0]),
+            "dcsweep": ("dcsweep", "cs_amp.cir", "--order", "1"),
+            "ac": ("ac", "rc_uniform.cir", "--order", "1"),
+        }
+        got = {}
+        for name, argv in runs.items():
+            assert run_cli(*argv, "--out", str(tmp_path / name)) == 0
+            got[name] = json.loads((tmp_path / name / "manifest.json").read_text())["scheme"]
+        assert got == {"tran": SCHEMES[0], "named": SCHEMES[0], "dcsweep": None, "ac": None}
+        for artifact in ("stats.csv", "coefficients.json"):
+            assert (tmp_path / "tran" / artifact).read_bytes() == \
+                (tmp_path / "named" / artifact).read_bytes()
 
     def test_manifest_order_and_write_time(self, tmp_path, capsys):
         runs = {"st": ("--method", "st"), "sc": ("--method", "sc", "--order", "1"),
