@@ -34,12 +34,16 @@ iterate.  The device layer therefore runs once per distinct state;
 SolveStats.device_evals counts those calls, and residual_evals the
 residual checks, which include the ones made on a handed-in evaluation.
 
-Time integration offers backward Euler, trapezoid, and a variable-step
-two-step BDF, all with predictor/corrector local-error control, or a fixed
-uniform step with none.  StepControl.h_max bounds the step in both modes.
-The adaptive mode, which st and sg use, lands a step on every source
-corner it is given (SPICE's breakpoints) and restarts integration there
-at first order with a short step; a fixed grid ignores the corners.
+Time integration offers a variable-step two-step BDF (gear2, the
+default), backward Euler and trapezoid, all with predictor/corrector
+local-error control, or a fixed uniform step with none; the fixed grids
+of sc and mc run the same default scheme.  StepControl.h_max bounds the
+step in both modes.  Variable-step BDF2 is zero-stable while each step
+is less than 1 + sqrt(2) times the one before (Grigorieff 1983), which
+STEP_GROW keeps.  The adaptive mode, which st and sg use, lands a step on
+every source corner it is given (SPICE's breakpoints) and restarts
+integration there at first order with a short step; a fixed grid ignores
+the corners.
 A run whose step cap (h_max, or the fixed step) would need more than
 MAX_STEPS steps to reach t_end is refused with a ValueError before the
 first step, so a mistyped cap cannot run for days.
@@ -62,7 +66,7 @@ import numpy as np
 from .circuit import EvalOverflowError
 from .netlist import MAX_POINTS
 
-SCHEMES = ("be", "tr", "gear2")   # the first is the default
+SCHEMES = ("gear2", "be", "tr")   # the first is the default
 HOMOTOPY_STEPS = 10
 NEWTON_MAX_ITER = 50  # Newton iterations before a solve gives up
 H_MIN = 1e-18         # smallest adaptive step before a transient gives up

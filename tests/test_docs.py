@@ -2,8 +2,9 @@
 
 A key added to a device class, a changed default or a new `type=` name
 fails here until the README's "Netlist format" table says the same, a
-new analysis card, waveform or usage until its card table does, and a
-new run flag or a changed reader until its run-flag table does.
+new analysis card, waveform or usage until its card table does, a
+new run flag or a changed reader until its run-flag table does, and a
+new default transient scheme until the README names it.
 """
 
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from gpcsim.cli import _FLAG_READERS
 from gpcsim.devices import MODEL_KEYS
+from gpcsim.engine import SCHEMES
 from gpcsim.netlist import ANALYSES, WAVEFORMS, parse_number
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,3 +85,8 @@ def readme_card_table():
 def test_readme_card_table_matches_the_parser_tables():
     parsed = {name: usage for name, (_, usage, *_) in {**ANALYSES, **WAVEFORMS}.items()}
     assert readme_card_table() == parsed
+
+
+def test_readme_names_the_default_scheme():
+    named = re.findall(r"scheme defaults to `([^`]+)`", README.read_text())
+    assert named == [SCHEMES[0]]

@@ -224,7 +224,7 @@ def test_missing_scheme_is_the_first_of_schemes():
     prob = rc_problem()
     default = transient_solve(prob, np.zeros(3), 1e-3, scheme=None, fixed_h=1e-5)
     first = transient_solve(prob, np.zeros(3), 1e-3, scheme=SCHEMES[0], fixed_h=1e-5)
-    assert SCHEMES[0] == "be"
+    assert SCHEMES[0] == "gear2"
     np.testing.assert_array_equal(default.states, first.states)
 
 

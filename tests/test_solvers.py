@@ -675,6 +675,23 @@ class TestTransientOracle:
             assert abs(coeffs[0] - mean_ref) < 1e-6
             assert abs(math.sqrt(np.sum(coeffs[1:] ** 2)) - std_ref) < 1e-6
 
+    def test_default_scheme_beats_backward_euler_on_the_closed_form(self):
+        """The default scheme was chosen from measured error and work: at the
+        default step control on rc_uniform, st p=3 takes fewer steps than
+        backward Euler and its mean v(2) is closer to the closed form."""
+        circuit = shipped_circuit("rc_uniform.cir")
+        (tran,) = [a for a in circuit.analyses if isinstance(a, TranAnalysis)]
+        xg, wg = np.polynomial.legendre.leggauss(64)
+        r_vals = 1000.0 + 100.0 * xg
+        steps, errors = {}, {}
+        for scheme in (None, "be"):
+            traj = st_solve(circuit, 3, tran, scheme=scheme)
+            mean_ref = np.array([wg / 2.0 @ rc_closed_form(t, r_vals) for t in traj.times])
+            steps[scheme] = traj.stats.steps_accepted
+            errors[scheme] = np.max(np.abs(traj.coeffs[:, 0, 1] - mean_ref))
+        assert steps[None] < steps["be"]
+        assert errors[None] < errors["be"]
+
     def test_sc_newton_starts_from_previous_state(self):
         """sc seeds each lockstep Newton solve from the last accepted state,
         as st does: on the sram6t transient it needs under one iteration per
@@ -718,6 +735,18 @@ class TestSourceCorners:
         (tran,) = circuit.analyses
         traj = st_solve(circuit, 1, tran, scheme="tr", control=StepControl(lte_tol=1e-6))
         assert traj.times[-1] == pytest.approx(tran.tstop, rel=1e-12)
+
+    def test_default_steps_grow_inside_the_bdf2_zero_stability_bound(self):
+        """Variable-step BDF2 is zero-stable while each step is under
+        1 + sqrt(2) times the one before (Grigorieff 1983): the growth cap
+        stays under that bound, and no accepted step of a default run grows
+        past the cap, corner landings and restarts included."""
+        assert engine.STEP_GROW < 1 + math.sqrt(2)
+        circuit = shipped_circuit("sram6t.cir")
+        (tran,) = circuit.analyses
+        h = st_solve(circuit, 1, tran).h_history
+        assert len(h) > 100
+        assert np.max(h[1:] / h[:-1]) <= engine.STEP_GROW
 
     def test_adaptive_methods_land_on_the_corners_and_fixed_grids_do_not(self):
         circuit = load_circuit(PULSE_RC)
