@@ -5,8 +5,9 @@ digests run manifests into a cost-comparison table.  This module only
 parses and checks flags, runs the analysis and calls the writers of
 `gpcsim.post`, which owns every artifact format.  Every run writes a
 manifest recording basis size, node count, wall time (the analysis
-alone), write time (stats.csv and coefficients.json), and step/Newton
-totals, so speedup ratios can be recomputed from the manifests alone.
+alone), write time (stats.csv and coefficients.json), the time spent in
+device evaluation and in linear solves, and step/Newton totals, so
+speedup ratios can be recomputed from the manifests alone.
 
 Netlist arguments are tried as filesystem paths first and then against the
 netlists shipped with the package, so ``simulate dc cs_amp.cir`` works from
@@ -188,13 +189,20 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
 # cost report
 # --------------------------------------------------------------------------
 
+# manifest field -> report column: where a run's time went
+_TIME_COLUMNS = {"device_eval_time": "eval_s", "linear_solve_time": "solve_s",
+                 "write_time_s": "write_s"}
+
+
 def report_costs(manifests: list) -> list:
     """Cost table rows from run manifests of the same netlist and analysis.
 
     The first testing-node ("st") manifest is the baseline; without one the
     first manifest is.  Each row carries the node-count ratio, the measured
     time ratio, and kappa = time ratio / node ratio, so the transient
-    speedup decomposes as time_ratio = node_ratio * kappa.
+    speedup decomposes as time_ratio = node_ratio * kappa.  It also carries
+    the run's device-evaluation, linear-solve and write times, None where
+    the manifest does not record one.
     """
     if not manifests:
         raise ValueError("no manifests given")
@@ -217,6 +225,7 @@ def report_costs(manifests: list) -> list:
             "node_count": m["node_count"],
             "steps_accepted": m.get("steps_accepted"),
             "wall_time_s": m["wall_time_s"],
+            **{key: m.get(key) for key in _TIME_COLUMNS},
             "node_ratio": node_ratio,
             "time_ratio": time_ratio,
             "kappa": time_ratio / node_ratio,
@@ -225,14 +234,17 @@ def report_costs(manifests: list) -> list:
 
 
 def _print_report(rows, stream):
-    header = f"{'method':<8}{'order':>6}{'nodes':>8}{'steps':>8}" \
-             f"{'wall_s':>12}{'node_ratio':>12}{'time_ratio':>12}{'kappa':>10}"
+    header = f"{'method':<8}{'order':>6}{'nodes':>8}{'steps':>8}{'wall_s':>12}" \
+             + "".join(f"{name:>12}" for name in _TIME_COLUMNS.values()) \
+             + f"{'node_ratio':>12}{'time_ratio':>12}{'kappa':>10}"
     print(header, file=stream)
     for r in rows:
         steps = r["steps_accepted"] if r["steps_accepted"] is not None else "-"
         order = r["order"] if r["order"] is not None else "-"
+        times = "".join(f"{r[key]:>12.4g}" if r[key] is not None else f"{'-':>12}"
+                        for key in _TIME_COLUMNS)
         print(f"{r['method']:<8}{order:>6}{r['node_count']:>8}{steps:>8}"
-              f"{r['wall_time_s']:>12.4g}{r['node_ratio']:>12.4g}"
+              f"{r['wall_time_s']:>12.4g}{times}{r['node_ratio']:>12.4g}"
               f"{r['time_ratio']:>12.4g}{r['kappa']:>10.4g}", file=stream)
 
 

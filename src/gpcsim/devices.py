@@ -21,6 +21,13 @@ constant and enter through one fixed matrix.  Each class's parameter
 stage depends on the germ points alone, so its arrays are kept from one
 call to the next while the points stay the same; see `DeviceKernel`.
 
+Many Jacobian entries carry the same stamp: a resistor puts +-g into four
+entries, and a MOSFET's source row is its drain row negated.
+`DeviceKernel.stamp_groups`, built on first use, groups the entries whose
+stamp columns are equal up to sign and lists the pure incidence entries
+with their constants, so the Galerkin projection in `solvers` runs once
+per group.
+
 Every nonlinear branch carries a GMIN shunt.  A square-law device in cutoff
 has identically zero current *and* conductance, so a node attached only to
 off transistors would otherwise produce a structurally singular Jacobian
@@ -29,6 +36,7 @@ during operating-point ramping.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -251,12 +259,32 @@ class _Group:
         return self.model(v.transpose(1, 0, 2), params, self.sgn)
 
 
+class StampGroups(NamedTuple):
+    """The `jacobian_pattern` entries sorted by how a point Jacobian fills
+    them.  Each entry is listed once, as a (rows, cols) pair of index
+    arrays, either in `member` or in `incidence`.
+
+    A member entry takes `sign` times the value of its group's lead entry
+    at every point; `lead` lists one entry per group, in pattern order, and
+    `group` indexes it.  An incidence entry has no device stamp and holds
+    its constant `value` at every point.
+    """
+
+    lead: tuple               # (rows, cols), the first entry of each group
+    member: tuple             # (rows, cols), the entries with a device stamp
+    group: np.ndarray         # each member's index into lead
+    sign: np.ndarray          # each member's +-1.0
+    incidence: tuple          # (rows, cols), the entries without one
+    value: np.ndarray
+
+
 class DeviceKernel:
     """The compiled device layer of one circuit: (x, xi) -> q, f, dq, df.
 
     Values are ordered group by group, value by value, device by device;
     the scatter matrix of each output has one row per value in that order
     and one column per entry of the output (n for f/q, n*n for df/dq).
+    `stamp_groups` sorts the Jacobian pattern's entries by those columns.
 
     A call keeps a one-entry memo: the shape and bytes of the germ points
     it was given, and each group's parameter-stage arrays at them.  The
@@ -311,6 +339,36 @@ class DeviceKernel:
         touched = (self.scatter["df"].any(axis=0) | self.scatter["dq"].any(axis=0)
                    | (self.linear != 0.0).ravel())
         self.jacobian_pattern = np.divmod(np.flatnonzero(touched), n)
+
+    @cached_property
+    def stamp_groups(self) -> StampGroups:
+        """The pattern's entries grouped by stamp column, built on first use.
+
+        An entry's stamp column is its column of scatter["dq"] and
+        scatter["df"] with its `linear` value below: at every point its
+        Jacobian value is that column's dot product with the device values,
+        plus the constant.  Entries whose columns are equal up to sign
+        share a group (a resistor's four entries, a MOSFET's source row
+        and drain row); the sign is taken from each column's first nonzero
+        item, and the columns are compared as values, so -0.0 matches 0.0.
+        An entry with zero dq and df columns is an incidence entry.
+        """
+        rows, cols = self.jacobian_pattern
+        flat = rows * self.n + cols
+        device = np.vstack([self.scatter["dq"][:, flat], self.scatter["df"][:, flat]])
+        stamp = np.vstack([device, self.linear.ravel()[flat]])       # (values + 1, nnz)
+        stamped = device.any(axis=0)
+        first = np.argmax(stamp != 0.0, axis=0)
+        sign = np.sign(stamp[first, np.arange(len(flat))])
+        keys = {}
+        member = np.flatnonzero(stamped)
+        group = np.array([keys.setdefault(tuple((stamp[:, e] * sign[e]).tolist()), len(keys))
+                          for e in member], dtype=int)
+        lead = member[np.unique(group, return_index=True)[1]]
+        incidence = np.flatnonzero(~stamped)
+        return StampGroups((rows[lead], cols[lead]), (rows[member], cols[member]), group,
+                           sign[member] * sign[lead[group]],
+                           (rows[incidence], cols[incidence]), stamp[-1, incidence])
 
     def __call__(self, x, xi):
         """One (M, 2n + 2n²) array holding q, f, dq and df at M points, in

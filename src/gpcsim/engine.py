@@ -31,8 +31,10 @@ point's evaluation into the second sweep level, the transient start and
 the AC linearization.  Later sweep levels start from a state predicted
 through the levels before (`_predict`), which is evaluated like any new
 iterate.  The device layer therefore runs once per distinct state;
-SolveStats.device_evals counts those calls, and residual_evals the
-residual checks, which include the ones made on a handed-in evaluation.
+SolveStats.device_evals counts those calls and device_eval_time times
+them, and residual_evals counts the residual checks, which include the
+ones made on a handed-in evaluation.  linear_solve_time times the
+linearize-and-solve hook alone.
 
 Time integration offers a variable-step two-step BDF (gear2, the
 default), backward Euler and trapezoid, all with predictor/corrector
@@ -121,8 +123,9 @@ class SolveStats:
     newton_iterations: int = 0
     residual_evals: int = 0
     device_evals: int = 0      # problem.eval calls
+    device_eval_time: float = 0.0  # seconds in those calls
     linear_solves: int = 0
-    linear_solve_time: float = 0.0
+    linear_solve_time: float = 0.0  # seconds in linearize(c).solve, nothing else
     steps_accepted: int = 0
     steps_rejected: int = 0
     predictor_fallbacks: int = 0   # dc solves retried from the previous level
@@ -143,6 +146,16 @@ class NewtonResult:
     iterations: int
     failure: str = ""
     eval: object = None   # problem evaluation at x when converged
+
+
+def _timed_eval(problem, x, stats):
+    """problem.eval(x), counted and timed in stats, also when it raises."""
+    stats.device_evals += 1
+    tic = time.perf_counter()
+    try:
+        return problem.eval(x)
+    finally:
+        stats.device_eval_time += time.perf_counter() - tic
 
 
 def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
@@ -167,9 +180,8 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
     ev = x0_eval
     for it in range(NEWTON_MAX_ITER + 1):
         if ev is None:
-            stats.device_evals += 1
             try:
-                ev = problem.eval(x)
+                ev = _timed_eval(problem, x, stats)
             except EvalOverflowError as exc:
                 return NewtonResult(x, False, it, failure=str(exc))
         stats.residual_evals += 1
@@ -343,8 +355,7 @@ def transient_solve(problem, x0, t_end, scheme=None,
 
     ev = x0_eval   # the evaluation at x, the last accepted state
     if ev is None:
-        stats.device_evals += 1
-        ev = problem.eval(x)
+        ev = _timed_eval(problem, x, stats)
     q_prev = ev.q
     qdot_prev = problem.source(t) - ev.f   # consistent: dq/dt = s - f
     q_prev2 = None

@@ -8,6 +8,8 @@ how coefficients are obtained:
   as one batched solve, plus a Vandermonde back-substitution.
 * galerkin (sg): project the residual onto each basis function with a
   tensor quadrature; the Jacobian couples all blocks and is solved dense.
+  Its projection runs once per stamp group of the device kernel, and a
+  constant incidence entry projects to itself on every diagonal block.
 * collocation (sc): deterministic solutions at the full tensor grid, then
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
@@ -255,16 +257,24 @@ class _StackedEvalSG:
     problem: SGProblem
 
     def linearize(self, c):
-        # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q, one product over q
-        # for the entries the devices touch; the rest of the matrix is zero
+        # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  One product over q
+        # projects the lead entry of each stamp group, and each member takes
+        # its lead's projection times its sign.  An incidence entry is the
+        # same constant at every q, so its projection is that constant times
+        # wh.T @ hmat = I.  The rest of the matrix is zero.
         problem = self.problem
         n, k = problem.circuit.n, problem.basis.size
-        rows, cols = problem.circuit.kernel.jacobian_pattern
-        point_jac = c * self.point_dq[:, rows, cols] + self.point_df[:, rows, cols]
-        weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
+        groups = problem.circuit.kernel.stamp_groups
+        lead = (slice(None), *groups.lead)
+        point_jac = c * self.point_dq[lead] + self.point_df[lead]
+        weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, G)
         coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
         full = np.zeros((k, n, k, n))
-        full[:, rows, :, cols] = coupled.transpose(2, 0, 1)
+        rows, cols = groups.member
+        full[:, rows, :, cols] = (coupled[:, :, groups.group] * groups.sign).transpose(2, 0, 1)
+        rows, cols = groups.incidence
+        diag = np.arange(k)[:, None]
+        full[diag, rows, diag, cols] = groups.value
         return _SgSolve(full.reshape(n * k, n * k))
 
 

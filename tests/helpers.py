@@ -153,6 +153,21 @@ def inverter_chain(stages) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sg_jacobian_reference(ev, c) -> np.ndarray:
+    """The (nK, nK) Galerkin Jacobian c·dq + df of an SG evaluation, every
+    pattern entry projected on its own: block (i, j) = sum_q wh[q, i]
+    hmat[q, j] J_q, with no use of the entries' stamp groups."""
+    problem = ev.problem
+    n, k = problem.circuit.n, problem.basis.size
+    rows, cols = problem.circuit.kernel.jacobian_pattern
+    point_jac = c * ev.point_dq[:, rows, cols] + ev.point_df[:, rows, cols]
+    weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
+    coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
+    full = np.zeros((k, n, k, n))
+    full[:, rows, :, cols] = coupled.transpose(2, 0, 1)
+    return full.reshape(n * k, n * k)
+
+
 def st_residual(circuit, basis, nodes, X, t=0.0, c=0.0, history=None) -> np.ndarray:
     """Collocated residual, block m = c·q(x̂(ξᵐ)) + f(x̂(ξᵐ)) + hist − B u(t).
 

@@ -270,6 +270,8 @@ class TestArtifacts:
         assert manifest["newton_iterations"] >= 1
         assert manifest["predictor_fallbacks"] == 0
         assert manifest["wall_time_s"] > 0.0
+        assert 0.0 < manifest["device_eval_time"] < manifest["wall_time_s"]
+        assert 0.0 < manifest["linear_solve_time"] < manifest["wall_time_s"]
 
     def test_sc_run_count(self, tmp_path):
         assert run_cli("dc", "lna.cir", "--method", "sc", "--order", "2",
@@ -513,6 +515,23 @@ class TestReportCosts:
         out = capsys.readouterr().out
         assert "kappa" in out
         assert "2.7" in out                          # 27/10 node ratio
+
+    def test_report_prints_where_the_time_went(self, tmp_path, capsys):
+        run_cli("dc", "lna.cir", "--out", str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        older = fake_manifest("sc", 27, 1.0, order=2,
+                              sha=manifest["netlist_sha256"])   # records none of them
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(older))
+        capsys.readouterr()
+        assert run_cli("report", str(tmp_path / "manifest.json"), str(path)) == 0
+        header, new, old = capsys.readouterr().out.splitlines()
+        columns = header.split()
+        assert columns[5:8] == ["eval_s", "solve_s", "write_s"]
+        for key, cell in zip(("device_eval_time", "linear_solve_time", "write_time_s"),
+                             new.split()[5:8]):
+            assert float(cell) == pytest.approx(manifest[key], rel=1e-3)
+        assert old.split()[5:8] == ["-", "-", "-"]
 
     def test_report_mismatch_exits_2(self, tmp_path, capsys):
         st_dir = tmp_path / "st"

@@ -145,3 +145,56 @@ def test_memo_returns_what_a_fresh_kernel_does(name):
             x = rng.uniform(-2.0, 2.0, size=(m, circuit.n))
             fresh = DeviceKernel(circuit.devices, circuit.n, circuit.l)
             np.testing.assert_array_equal(kernel(x, xi), fresh(x, xi), err_msg=step)
+
+
+def stamp_column(kernel, r, c):
+    """Entry (r, c)'s dq and df scatter columns with its linear value last."""
+    return np.concatenate([kernel.scatter["dq"][:, r * kernel.n + c],
+                           kernel.scatter["df"][:, r * kernel.n + c], [kernel.linear[r, c]]])
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_stamp_groups_partition_the_pattern(name):
+    circuit = CIRCUITS[name]
+    kernel = circuit.kernel
+    groups = kernel.stamp_groups
+    listed = [*zip(*groups.member), *zip(*groups.incidence)]
+    assert sorted(listed) == sorted(zip(*kernel.jacobian_pattern))   # each entry once
+    leads = list(zip(*groups.lead))
+    for entry, group, sign in zip(zip(*groups.member), groups.group, groups.sign):
+        assert sign in (1.0, -1.0)
+        column = stamp_column(kernel, *entry)
+        assert column[:-1].any()                                  # a device stamps it
+        np.testing.assert_array_equal(column, sign * stamp_column(kernel, *leads[group]))
+        if entry == leads[group]:
+            assert sign == 1.0
+    assert {leads[g] for g in groups.group} == set(leads)   # each lead heads its group
+    columns = [stamp_column(kernel, *lead) for lead in leads]
+    for a in range(len(columns)):
+        for b in range(a):
+            assert not np.array_equal(columns[a], columns[b])
+            assert not np.array_equal(columns[a], -columns[b])
+    for entry, value in zip(zip(*groups.incidence), groups.value):
+        column = stamp_column(kernel, *entry)
+        assert not column[:-1].any()
+        assert column[-1] == value != 0.0
+    # at evaluated points each member reads its lead's value times its sign,
+    # and each incidence entry its constant
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-2.0, 2.0, size=(5, circuit.n))
+    ev = circuit.eval_qf(x, germ_draws(circuit, rng, 5))
+    for jac in (ev.dq, ev.df):
+        np.testing.assert_array_equal(jac[(slice(None), *groups.member)],
+                                      groups.sign * jac[(slice(None), *groups.lead)][:, groups.group])
+    np.testing.assert_array_equal(ev.df[(slice(None), *groups.incidence)],
+                                  np.broadcast_to(groups.value, (5, len(groups.value))))
+    assert not ev.dq[(slice(None), *groups.incidence)].any()
+
+
+@pytest.mark.parametrize("name,groups,incidence", [("cs_amp.cir", 6, 4), ("sram6t.cir", 15, 8)])
+def test_stamp_group_counts(name, groups, incidence):
+    # cs_amp's nine device entries: rd's three away from the shared drain
+    # node form one group, m1's two gate-column entries another, and the
+    # other four stand alone; its two grounded sources stamp four incidences
+    found = CIRCUITS[name].kernel.stamp_groups
+    assert (len(found.lead[0]), len(found.value)) == (groups, incidence)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -382,6 +383,35 @@ def test_solver_stats_populated():
     assert s.newton_iterations >= 100      # at least one update per step
     assert s.linear_solves == s.newton_iterations
     assert s.linear_solve_time > 0.0
+
+
+class _SlowEvalProblem(CircuitProblem):
+    """An RC problem whose evaluations each take at least EVAL_S, with the
+    seconds spent inside them summed in `inside`."""
+
+    EVAL_S = 2e-3
+    inside = 0.0
+
+    def eval(self, x):
+        tic = time.perf_counter()
+        time.sleep(self.EVAL_S)
+        ev = super().eval(x)
+        self.inside += time.perf_counter() - tic
+        return ev
+
+
+def test_device_eval_time_times_every_evaluation():
+    """device_eval_time covers each problem.eval call, the transient's start
+    evaluation included, and linear_solve_time none of them."""
+    prob = _SlowEvalProblem(rc_problem().circuit, XI0)
+    traj = transient_solve(prob, np.zeros(3), 1e-3, scheme="be", fixed_h=1e-4)
+    s = traj.stats
+    assert s.device_evals == s.linear_solves + 1 == 11   # the start, then one per step
+    assert prob.inside <= s.device_eval_time < prob.inside + prob.EVAL_S
+    assert s.linear_solve_time < prob.EVAL_S
+    prob.inside = 0.0
+    dc = dc_solve(prob, source=np.zeros(3))
+    assert prob.inside <= dc.stats.device_eval_time < prob.inside + prob.EVAL_S
 
 
 # --------------------------------------------------------------------------

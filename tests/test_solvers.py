@@ -35,7 +35,13 @@ from gpcsim.solvers import (
     st_decoupled_linear_step,
     st_solve,
 )
-from helpers import CircuitProblem, inverter_chain, st_residual, standard_error
+from helpers import (
+    CircuitProblem,
+    inverter_chain,
+    sg_jacobian_reference,
+    st_residual,
+    standard_error,
+)
 
 DIVIDER = """* divider, one uniform resistor
 v1 1 0 dc 3
@@ -421,6 +427,86 @@ class TestSgSolve:
         # mean of v2 = v1*1000/(2000+100 xi) over uniform xi: 5 v1 ln(21/19)
         want = 5.0 * traj.times * math.log(21.0 / 19.0)
         np.testing.assert_allclose(traj.coeffs[:, 0, 1], want, rtol=1e-5, atol=1e-12)
+
+
+# a floating source, an inductor, and a random capacitor beside a diode:
+# three stamp groups (r1's four entries, the shared (c, c) entry, the
+# inductor's charge) and ten incidence entries (two of v1, four each of v2
+# and l1)
+STAMP_EDGES = """* sg stamp-group edge cases
+v1 in 0 dc 1
+r1 in a dist=uniform(900,1100)
+v2 a b dc 0.3
+l1 b c 1u
+c1 c 0 dist=gauss(1p,0.1p)
+d1 c 0 is=1e-14
+"""
+
+
+def sg_near_operating_point(name, order, seed=11):
+    """An SG problem of a shipped netlist or of STAMP_EDGES, and a state
+    whose block 0 is the nominal operating point and whose higher blocks
+    are small and random."""
+    circuit = load_circuit(STAMP_EDGES) if name == "stamp edges" else shipped_circuit(name)
+    problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], order))
+    nominal = solvers._nominal_dc(circuit, None, circuit.b_matrix @ circuit.dc_source_vector())
+    X = 0.01 * np.random.default_rng(seed).normal(size=(problem.basis.size, circuit.n))
+    X[0] = nominal.x
+    return problem, X.ravel()
+
+
+class TestSgLinearize:
+    """The Galerkin Jacobian against the all-entries projection and against
+    finite differences of the projected residual."""
+
+    @pytest.mark.parametrize("name,order", [("cs_amp.cir", 3), ("bjt_feedback.cir", 2),
+                                            ("sram6t.cir", 1), ("rc_uniform.cir", 3),
+                                            ("stamp edges", 3)])
+    def test_matches_the_all_entries_projection(self, name, order):
+        problem, X = sg_near_operating_point(name, order)
+        ev = problem.eval(X)
+        for c in (0.0, 1e9):
+            want = sg_jacobian_reference(ev, c)
+            got = ev.linearize(c).jac
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
+
+    @pytest.mark.parametrize("dist", ["gauss(1k,10)", "uniform(900,1100)", "beta(2,2,1k,20)",
+                                      "beta(2,5,1k,20)", "gamma(2,900,30)", "gamma(5.5,900,30)",
+                                      "cs_amp"])
+    def test_a_constant_projects_to_the_identity(self, dist):
+        """linearize writes an incidence entry as its value times I, which
+        holds because the quadrature integrates the products of basis
+        functions exactly: wh.T @ hmat = I, for every germ family."""
+        circuit = (shipped_circuit("cs_amp.cir") if dist == "cs_amp"
+                   else load_circuit(f"i1 0 1 1m\nr1 1 0 dist={dist}\n"))
+        for order in range(7):
+            problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], order))
+            gram = problem.wh.T @ problem.hmat
+            assert np.abs(gram - np.eye(problem.basis.size)).max() <= 1e-13, order
+
+    def test_stamp_edges_exercise_every_kind_of_entry(self):
+        groups = load_circuit(STAMP_EDGES).kernel.stamp_groups
+        assert len(groups.lead[0]) == 3
+        assert len(groups.value) == 10
+        assert set(groups.sign) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("name", ["cs_amp.cir", "stamp edges"])
+    def test_matches_central_differences_of_the_residual(self, name):
+        problem, X = sg_near_operating_point(name, 2)
+        size = problem.size
+        fd_q, fd_f = np.empty((size, size)), np.empty((size, size))
+        for j in range(size):
+            step = 1e-6 * max(1.0, abs(X[j]))
+            xp, xm = X.copy(), X.copy()
+            xp[j] += step
+            xm[j] -= step
+            plus, minus = problem.eval(xp), problem.eval(xm)
+            fd_q[:, j] = (plus.q - minus.q) / (2 * step)
+            fd_f[:, j] = (plus.f - minus.f) / (2 * step)
+        ev = problem.eval(X)
+        for c in (0.0, 1e9):
+            jac = ev.linearize(c).jac
+            assert np.abs(jac - (c * fd_q + fd_f)).max() <= 1e-6 * np.abs(jac).max(), c
 
 
 # --------------------------------------------------------------------------
