@@ -18,11 +18,7 @@ from .basis import (
     num_basis,
 )
 from .circuit import StochasticCircuit, load_circuit
-from .collocation import (
-    TestingNodeSet,
-    select_testing_nodes,
-    speedup_model,
-)
+from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import NewtonConfig, StepControl
 from .netlist import (
     AcAnalysis,
@@ -81,7 +77,6 @@ __all__ = [
     "sc_solve",
     "select_testing_nodes",
     "sg_solve",
-    "speedup_model",
     "st_solve",
     "stats_over_time",
     "tensor_grid",

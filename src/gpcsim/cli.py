@@ -328,10 +328,19 @@ def _run_report(paths) -> int:
     for p in paths:
         with open(p) as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{p}: manifest is not a JSON object")
         for field in ("netlist", "netlist_sha256", "analysis", "method", "order",
                       "node_count", "wall_time_s"):   # what report_costs reads
             if field not in manifest:
                 raise ConfigError(f"{p}: manifest has no {field!r} field")
+        nodes, wall = manifest["node_count"], manifest["wall_time_s"]
+        if type(nodes) is not int or nodes <= 0:
+            raise ConfigError(f"{p}: manifest field 'node_count' must be a positive "
+                              f"integer, got {nodes!r}")
+        if type(wall) not in (int, float) or not 0 < wall < np.inf:
+            raise ConfigError(f"{p}: manifest field 'wall_time_s' must be positive "
+                              f"and finite, got {wall!r}")
         manifests.append(manifest)
     rows = report_costs(manifests)
     _print_report(rows, sys.stdout)

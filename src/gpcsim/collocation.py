@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GpcBasisSet, num_basis
+from .basis import GpcBasisSet
 from .quadrature import Grid
 
 DEFAULT_BETA = 1e-2
@@ -142,13 +142,3 @@ def select_testing_nodes(basis: GpcBasisSet, grid: Grid,
         cond_estimate=cond,
         beta_used=cur_beta,
     )
-
-
-def speedup_model(p: int, l: int) -> float:
-    """Per-solve node-count ratio of tensor-grid collocation over the
-    testing-node method: (p+1)^l / K.
-
-    The ratio is the deterministic-solve speedup; the observed transient
-    speedup additionally scales with the time-step ratio.
-    """
-    return (p + 1) ** l / num_basis(p, l)

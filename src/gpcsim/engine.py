@@ -334,8 +334,8 @@ def transient_solve(problem, x0, t_end, scheme=None,
     scheme = scheme or SCHEMES[0]
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if fixed_h is not None and not (fixed_h > 0):
-        raise ValueError(f"fixed step must be positive, got {fixed_h}")
+    if fixed_h is not None and not (0 < fixed_h < np.inf):
+        raise ValueError(f"fixed step must be positive and finite, got {fixed_h}")
     if not (0 < t_end < np.inf):
         raise ValueError(f"end time must be positive and finite, got {t_end}")
     newton = newton or NewtonConfig()

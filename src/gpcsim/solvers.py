@@ -49,6 +49,7 @@ from .basis import GpcBasisSet, num_basis
 from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
+    MAX_STEPS,
     DcConvergenceError,
     DcResult,
     SolveStats,
@@ -497,6 +498,33 @@ def _lockstep_batches(count, n) -> list[np.ndarray]:
     return np.array_split(np.arange(count), -(-count // size))
 
 
+def _sample_step(circuit, count, analysis, fixed_h):
+    """The fixed transient step `count` sc/mc points share, once their
+    (count, T, n) solution table is known to fit in TABLE_BUDGET entries.
+
+    T is 1 for a DC run, the level count for a sweep and the fixed grid's
+    step count + 1 for a transient, whose step defaults to tstop /
+    DEFAULT_FIXED_STEPS.  A step the engine refuses counts as one row, so
+    the engine names it.  Over budget raises GridBudgetError before any
+    point is drawn or solved.
+    """
+    rows = 1
+    if isinstance(analysis, DcSweepAnalysis):
+        rows = len(analysis.levels())
+    elif isinstance(analysis, TranAnalysis):
+        if fixed_h is None:
+            fixed_h = analysis.tstop / DEFAULT_FIXED_STEPS
+        steps = analysis.tstop / min(fixed_h, analysis.hmax or math.inf)
+        if 0 <= steps <= MAX_STEPS:
+            rows = math.ceil(steps - 1e-9) + 1
+    if count * rows * circuit.n > TABLE_BUDGET:
+        raise GridBudgetError(
+            f"{count} points x {rows} rows x {circuit.n} states need a "
+            f"{count * rows * circuit.n}-entry solution table, over the budget "
+            f"of {TABLE_BUDGET}")
+    return fixed_h
+
+
 def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method,
                  tolerated):
     """Deterministic runs at every germ point, one lockstep batch at a time.
@@ -511,8 +539,6 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method,
     the points unsolved.  Returns the times, the (S, T, n) solutions (NaN
     rows where a point failed), {point: error} and the merged counters.
     """
-    if isinstance(analysis, TranAnalysis) and fixed_h is None:
-        fixed_h = analysis.tstop / DEFAULT_FIXED_STEPS
     n = circuit.n
     stats = SolveStats()
     times = sols = None
@@ -554,6 +580,7 @@ def sc_solve(circuit, order, analysis, newton=None, scheme=None, fixed_h=None):
     """Tensor-grid collocation: (p+1)^l deterministic runs in lockstep, then
     projection."""
     basis = _basis_for(circuit, order)
+    fixed_h = _sample_step(circuit, (basis.order + 1) ** circuit.l, analysis, fixed_h)
     points, weights = _gauss_grid(circuit, basis.order)
 
     times, sols, _, stats = _sample_runs(circuit, points, analysis, newton,
@@ -578,6 +605,7 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
         raise ValueError("need at least one sample")
     if circuit.l == 0:
         raise MethodError("circuit has no random parameters; nothing to sample")
+    fixed_h = _sample_step(circuit, n_samples, analysis, fixed_h)
     if n_samples == 1:
         samples = circuit.nominal_germ()[None]
     else:

@@ -94,6 +94,7 @@ class TestExitCodes:
         ("tran", "rc_uniform.cir", "--abstol", "inf"),
         ("tran", "rc_uniform.cir", "--reltol", "inf"),
         ("tran", "rc_uniform.cir", "--ltetol", "inf"),
+        ("tran", "rc_uniform.cir", "--order", "1", "--fixed-step", "inf"),
         ("dc", "cs_amp.cir", "--abstol", "inf"),
     ])
     def test_bad_flag_values_are_2(self, tmp_path, flags):
@@ -550,3 +551,22 @@ class TestReportCosts:
         assert run_cli("report", str(path)) == 2
         err = capsys.readouterr().err
         assert "'node_count'" in err and str(path) in err
+
+    @pytest.mark.parametrize("manifests, field", [
+        ([fake_manifest("st", 0, 1.0)], "node_count"),
+        ([fake_manifest("st", "210", 1.0)], "node_count"),
+        ([fake_manifest("st", True, 1.0)], "node_count"),
+        ([fake_manifest("st", 210.0, 1.0)], "node_count"),
+        ([fake_manifest("sc", 2401, None)], "wall_time_s"),
+        ([fake_manifest("sc", 2401, float("inf"))], "wall_time_s"),
+        ([fake_manifest("sc", 2401, 9.0), fake_manifest("st", 210, 0.0)], "wall_time_s"),
+        ([42], "JSON object"),
+    ])
+    def test_report_malformed_manifest_exits_2(self, tmp_path, capsys, manifests, field):
+        # the last manifest is the malformed one; a zero-time baseline comes second
+        paths = [tmp_path / f"m{i}.json" for i in range(len(manifests))]
+        for path, manifest in zip(paths, manifests):
+            path.write_text(json.dumps(manifest))
+        assert run_cli("report", *map(str, paths)) == 2
+        err = capsys.readouterr().err
+        assert field in err and str(paths[-1]) in err

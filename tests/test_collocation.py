@@ -13,7 +13,6 @@ from gpcsim.collocation import (
     SelectionError,
     build_phi,
     select_testing_nodes,
-    speedup_model,
 )
 from gpcsim.quadrature import gauss_rule, tensor_grid
 
@@ -230,13 +229,3 @@ def test_argument_validation():
         select_testing_nodes(GpcBasisSet([Gaussian(), Gaussian()], 2), grid)
     with pytest.raises(ValueError):
         build_phi(basis, np.zeros((2, 1)))
-
-
-# ---------------------------------------------------------------------------
-# cost model
-# ---------------------------------------------------------------------------
-
-def test_speedup_model_values():
-    assert speedup_model(6, 4) == pytest.approx(2401 / 210)
-    assert speedup_model(1, 4) == pytest.approx(16 / 5)
-    assert speedup_model(0, 3) == pytest.approx(1.0)

@@ -3,8 +3,9 @@
 A key added to a device class, a changed default or a new `type=` name
 fails here until the README's "Netlist format" table says the same, a
 new analysis card, waveform or usage until its card table does, a
-new run flag or a changed reader until its run-flag table does, and a
-new default transient scheme until the README names it.
+new run flag or a changed reader until its run-flag table does, a
+new default transient scheme until the README names it, and a module or
+top-level directory added or deleted until the README's layout says so.
 """
 
 import re
@@ -17,7 +18,8 @@ from gpcsim.devices import MODEL_KEYS
 from gpcsim.engine import SCHEMES
 from gpcsim.netlist import ANALYSES, WAVEFORMS, parse_number
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_key_table():
@@ -90,3 +92,29 @@ def test_readme_card_table_matches_the_parser_tables():
 def test_readme_names_the_default_scheme():
     named = re.findall(r"scheme defaults to `([^`]+)`", README.read_text())
     assert named == [SCHEMES[0]]
+
+
+def readme_layout():
+    """{top-level directory: [files indented under it]} from the README."""
+    lines = README.read_text().splitlines()
+    fence = lines.index("```", lines.index("## Layout"))
+    layout, top = {}, None
+    for line in lines[fence + 1:lines.index("```", fence + 1)]:
+        if not line.strip():
+            continue
+        name = line.split()[0]
+        if not line.startswith(" "):
+            top = name
+            layout[top] = []
+        elif name.endswith(".py") and line[2] != " ":   # not a wrapped description
+            layout[top].append(name)
+    return layout
+
+
+def test_readme_layout_matches_the_tree():
+    layout = readme_layout()
+    for top in layout:
+        assert (ROOT / top).is_dir(), top
+    listed = layout["src/gpcsim/"]
+    modules = sorted(path.name for path in (ROOT / "src" / "gpcsim").glob("*.py"))
+    assert sorted(listed) == [name for name in modules if name != "__init__.py"]

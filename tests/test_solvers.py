@@ -22,7 +22,7 @@ from gpcsim.circuit import StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
 from gpcsim.engine import NewtonConfig, StepControl, dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
-from gpcsim.quadrature import gauss_rule, tensor_grid
+from gpcsim.quadrature import GridBudgetError, gauss_rule, tensor_grid
 from gpcsim.solvers import (
     GermPoints,
     MethodError,
@@ -629,6 +629,30 @@ class TestLockstepBatches:
             for name in ("stats.csv", "coefficients.json"):
                 assert ((tmp_path / "planned" / name).read_bytes()
                         == (tmp_path / f"chunk{chunk}" / name).read_bytes()), (chunk, name)
+
+    @pytest.mark.parametrize("method", ["sc", "mc"])
+    @pytest.mark.parametrize("analysis, fixed_h, rows", [
+        (DcAnalysis(), None, 1),
+        (DcSweepAnalysis("v1", 0.0, 1.0, 0.25), None, 5),
+        (TranAnalysis(2e-3), 2e-4, 11),
+        (TranAnalysis(2e-3, hmax=1e-4), 2e-4, 21),
+        (TranAnalysis(2e-3), None, solvers.DEFAULT_FIXED_STEPS + 1),
+    ])
+    def test_solution_table_over_budget_solves_no_point(self, run_log, monkeypatch,
+                                                        method, analysis, fixed_h, rows):
+        """The (S, T, n) table is refused one entry over the budget before
+        a single point is solved, and fits exactly at the budget."""
+        circuit = load_circuit(RC_UNIFORM)          # n = 3, l = 1
+        count = 2 if method == "sc" else 4           # (p+1)^l at p=1, or S
+        run = {"sc": lambda: sc_solve(circuit, 1, analysis, fixed_h=fixed_h),
+               "mc": lambda: mc_solve(circuit, count, 0, analysis, fixed_h=fixed_h)}[method]
+        entries = count * rows * circuit.n
+        monkeypatch.setattr(solvers, "TABLE_BUDGET", entries - 1)
+        with pytest.raises(GridBudgetError, match=f"{entries}-entry solution table"):
+            run()
+        assert run_log == []
+        monkeypatch.setattr(solvers, "TABLE_BUDGET", entries)
+        assert len(run().times) == rows
 
 
 class TestMcSolve:
