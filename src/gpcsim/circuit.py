@@ -253,7 +253,9 @@ def assemble(netlist: Netlist) -> StochasticCircuit:
 
 
 def _structural_warnings(netlist, node_names):
-    """Flag nodes with no DC path to anywhere: only capacitors or I sources."""
+    """Flag nodes with no DC path to anywhere (only capacitors or I
+    sources), and voltage sources that close a loop of voltage sources:
+    two in parallel, or a cycle through ground."""
     kinds_at = {nm: set() for nm in node_names}
     for dev in netlist.devices:
         for nm in dev.nodes:
@@ -264,7 +266,36 @@ def _structural_warnings(netlist, node_names):
         if kinds_at[nm] <= {"C", "I"}:
             out.append(f"node {nm!r} has no DC path (touched only by C/I devices); "
                        "the DC system is structurally singular")
+    # a forest of the sources seen so far: node -> [(neighbour, source)]
+    forest = {}
+    for dev in netlist.devices:
+        if dev.kind != "V":
+            continue
+        a, b = dev.nodes
+        loop = _forest_path(forest, a, b)
+        if loop is None:
+            forest.setdefault(a, []).append((b, dev.name))
+            forest.setdefault(b, []).append((a, dev.name))
+        else:
+            names = ", ".join(repr(name) for name in loop + [dev.name])
+            out.append(f"voltage sources form a loop: {names}; "
+                       "the system is structurally singular")
     return out
+
+
+def _forest_path(forest, a, b):
+    """The source names along the forest's path from node a to node b, or
+    None when no path joins them."""
+    seen, stack = {a: []}, [a]
+    while stack:
+        node = stack.pop()
+        if node == b:
+            return seen[node]
+        for nxt, name in forest.get(node, ()):
+            if nxt not in seen:
+                seen[nxt] = seen[node] + [name]
+                stack.append(nxt)
+    return None
 
 
 def load_circuit(text: str) -> StochasticCircuit:

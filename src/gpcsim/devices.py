@@ -26,7 +26,9 @@ entries, and a MOSFET's source row is its drain row negated.
 `DeviceKernel.stamp_groups`, built on first use, groups the entries whose
 stamp columns are equal up to sign and lists the pure incidence entries
 with their constants, so the Galerkin projection in `solvers` runs once
-per group.
+per group.  `DeviceKernel.peel`, also built on first use, orders the
+states whose row or column holds one incidence entry, so the Galerkin
+solve takes them off by division and factors only the rest.
 
 Every nonlinear branch carries a GMIN shunt.  A square-law device in cutoff
 has identically zero current *and* conductance, so a node attached only to
@@ -278,6 +280,24 @@ class StampGroups(NamedTuple):
     value: np.ndarray
 
 
+class Peel(NamedTuple):
+    """The states a Galerkin solve takes off its coupled system, in the
+    rounds that find them, and the core left for the dense solve.
+
+    Each round is a (rows, cols, value) triple of state index arrays: row
+    rows[m] fixes state cols[m] through the incidence entry value[m].  A
+    `forward` round's rows have no other entry in the states still coupled,
+    so they are solved first, in round order; a `backward` round's columns
+    have no other entry in the rows still coupled, so they are solved last,
+    from the last round to the first.  `core` is the (rows, cols) pair left
+    between them.
+    """
+
+    forward: tuple
+    core: tuple
+    backward: tuple
+
+
 class DeviceKernel:
     """The compiled device layer of one circuit: (x, xi) -> q, f, dq, df.
 
@@ -369,6 +389,57 @@ class DeviceKernel:
         return StampGroups((rows[lead], cols[lead]), (rows[member], cols[member]), group,
                            sign[member] * sign[lead[group]],
                            (rows[incidence], cols[incidence]), stamp[-1, incidence])
+
+    @cached_property
+    def peel(self) -> Peel:
+        """Singleton rows and columns of the Jacobian pattern whose one entry
+        is an incidence, peeled in rounds, built on first use.
+
+        Each round looks at the rows and columns still coupled.  A row with
+        one entry left is a forward pivot (a voltage source's constraint
+        row fixes its node); a column with one entry left is a backward
+        pivot (a branch current read from its one KCL row).  Either is
+        peeled only when that entry is an incidence, so its block in the
+        Galerkin Jacobian is a constant times I; an entry that is both
+        counts as a forward pivot.  Rounds repeat until one peels nothing.
+        A pattern that makes every matrix with it singular raises
+        LinAlgError: a row or column with no entry left, two singleton rows
+        on one column (two sources fixing one node) or two singleton
+        columns in one row.
+        """
+        n = self.n
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[self.jacobian_pattern] = True
+        constant = np.zeros((n, n))
+        constant[self.stamp_groups.incidence] = self.stamp_groups.value
+        live_rows, live_cols = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        forward, backward = [], []
+        while True:
+            live = pattern & live_rows[:, None] & live_cols
+            per_row, per_col = live.sum(axis=1), live.sum(axis=0)
+            rows = np.flatnonzero(live_rows & (per_row == 1))
+            row_pivots = live[rows].argmax(axis=1)
+            cols = np.flatnonzero(live_cols & (per_col == 1))
+            col_pivots = live[:, cols].argmax(axis=0)
+            bad = [np.flatnonzero(live_rows & (per_row == 0) | live_cols & (per_col == 0))]
+            for pivots in (row_pivots, col_pivots):
+                states, count = np.unique(pivots, return_counts=True)
+                bad.append(states[count > 1])
+            bad = np.concatenate(bad)
+            if len(bad):
+                raise np.linalg.LinAlgError(f"structurally singular at state {bad[0]}")
+            ok = constant[rows, row_pivots] != 0.0
+            rows, row_pivots = rows[ok], row_pivots[ok]
+            ok = (constant[col_pivots, cols] != 0.0) & ~np.isin(cols, row_pivots)
+            cols, col_pivots = cols[ok], col_pivots[ok]
+            if not len(rows) and not len(cols):
+                break
+            forward.append((rows, row_pivots, constant[rows, row_pivots]))
+            backward.append((col_pivots, cols, constant[col_pivots, cols]))
+            live_rows[rows] = live_cols[row_pivots] = False
+            live_rows[col_pivots] = live_cols[cols] = False
+        return Peel(tuple(forward), (np.flatnonzero(live_rows), np.flatnonzero(live_cols)),
+                    tuple(backward))
 
     def __call__(self, x, xi):
         """One (M, 2n + 2n²) array holding q, f, dq and df at M points, in

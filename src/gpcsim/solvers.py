@@ -7,9 +7,13 @@ how coefficients are obtained:
   coupled system whose Newton updates decouple into K small solves, done
   as one batched solve, plus a Vandermonde back-substitution.
 * galerkin (sg): project the residual onto each basis function with a
-  tensor quadrature; the Jacobian couples all blocks and is solved dense.
-  Its projection runs once per stamp group of the device kernel, and a
-  constant incidence entry projects to itself on every diagonal block.
+  tensor quadrature; the Jacobian couples all blocks.  Its projection runs
+  once per stamp group of the device kernel, and a constant incidence
+  entry projects to itself on every diagonal block.  The solve peels the
+  states whose pivot is such an entry (voltage-source rows, branch-current
+  columns; the kernel's `peel`) off by division and factors the core left,
+  or factors the whole matrix when the core holds more than half the
+  states.
 * collocation (sc): deterministic solutions at the full tensor grid, then
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,23 +276,83 @@ class _StackedEvalSG:
         point_jac = c * self.point_dq[lead] + self.point_df[lead]
         weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, G)
         coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
+        del weighted      # the largest array here; freed before the matrix is made
         full = np.zeros((k, n, k, n))
         rows, cols = groups.member
         full[:, rows, :, cols] = (coupled[:, :, groups.group] * groups.sign).transpose(2, 0, 1)
         rows, cols = groups.incidence
         diag = np.arange(k)[:, None]
         full[diag, rows, diag, cols] = groups.value
-        return _SgSolve(full.reshape(n * k, n * k))
+        return _SgSolve(full.reshape(n * k, n * k), problem)
 
 
 class _SgSolve:
-    __slots__ = ("jac",)
+    """The Galerkin Jacobian `jac`, basis-major, and its solve: the peeled
+    solve when the problem has peel steps, else one dense solve."""
 
-    def __init__(self, jac):
+    __slots__ = ("jac", "problem")
+
+    def __init__(self, jac, problem):
         self.jac = jac
+        self.problem = problem
 
     def solve(self, rhs):
-        return np.linalg.solve(self.jac, rhs)
+        steps = self.problem.peel_steps
+        if steps is None:
+            return np.linalg.solve(self.jac, rhs)
+        return _peeled_solve(self.jac, steps, rhs)
+
+
+class _PeelStep(NamedTuple):
+    """One step of the peeled solve: x[cols] from rhs[rows], less the rows'
+    entries in the unknowns `known` that earlier steps solved.  A peeled
+    round divides by each row's incidence constant `pivot`; the core
+    solves its block, `core`, dense.  Every index is flat, into x and rhs
+    or into the raveled Jacobian."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    known: np.ndarray
+    coupling: np.ndarray      # (rows, known) Jacobian indices
+    pivot: np.ndarray | None
+    core: np.ndarray | None   # (rows, cols) Jacobian indices
+
+
+def _peel_steps(kernel, k) -> tuple:
+    """The kernel's `peel` spelled out for K basis blocks: its forward
+    rounds, its core, then its backward rounds from the last to the first."""
+    n, peel = kernel.n, kernel.peel
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[kernel.jacobian_pattern] = True
+
+    def unknowns(states):
+        return (np.arange(k)[:, None] * n + states).ravel()
+
+    def step(rows, cols, value=None):
+        touched = pattern[rows].any(axis=0)
+        touched[cols] = False
+        known = unknowns(np.flatnonzero(touched))
+        rows, cols = unknowns(rows), unknowns(cols)
+        core = value is None
+        return _PeelStep(rows, cols, known, rows[:, None] * (n * k) + known,
+                         None if core else np.tile(value, k),
+                         rows[:, None] * (n * k) + cols if core else None)
+
+    steps = [step(*rnd) for rnd in peel.forward]
+    steps.append(step(*peel.core))
+    steps += [step(*rnd) for rnd in reversed(peel.backward)]
+    return tuple(s for s in steps if len(s.rows))
+
+
+def _peeled_solve(jac, steps, rhs):
+    """jac x = rhs by the steps of `_peel_steps`: each peeled round is one
+    division, and only the core is factored."""
+    flat = jac.ravel()
+    x = np.zeros(len(rhs), dtype=np.result_type(jac, rhs))
+    for step in steps:
+        b = rhs[step.rows] - flat[step.coupling] @ x[step.known]
+        x[step.cols] = b / step.pivot if step.core is None else np.linalg.solve(flat[step.core], b)
+    return x
 
 
 @dataclass
@@ -304,6 +370,16 @@ class SGProblem:
     @property
     def size(self) -> int:
         return self.circuit.n * self.basis.size
+
+    @cached_property
+    def peel_steps(self) -> tuple | None:
+        """The peeled solve's steps, built on the first solve; None keeps the
+        dense solve, which a core of more than half the states would not
+        beat by enough."""
+        kernel = self.circuit.kernel
+        if 2 * len(kernel.peel.core[0]) > kernel.n:
+            return None
+        return _peel_steps(kernel, self.basis.size)
 
     def eval(self, X):
         states = self.hmat @ X.reshape(self.basis.size, -1)  # (Q, n)
@@ -482,7 +558,8 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
 
 def sg_solve(circuit, order, analysis, newton=None, control=None,
              scheme=None, fixed_h=None):
-    """Stochastic Galerkin: projected intrusive solve, coupled dense updates."""
+    """Stochastic Galerkin: projected intrusive solve; each update peels the
+    source rows and branch-current columns and solves the coupled core."""
     basis = _basis_for(circuit, order)
     return _intrusive_solve(
         SGProblem(circuit, basis), None, analysis, "sg",

@@ -9,6 +9,7 @@ up only in the benchmark's own tests.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -16,12 +17,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from tracer import span_points  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from gpcsim import cli  # noqa: E402
+from gpcsim import cli, solvers  # noqa: E402
+from gpcsim.basis import GpcBasisSet  # noqa: E402
+from gpcsim.circuit import load_circuit  # noqa: E402
 
 
 def test_every_span_point_exists():
     for owner, attr, span, _ in span_points():
         assert attr in vars(owner), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+@pytest.mark.parametrize("netlist", ["cs_amp.cir", "rc_uniform.cir"])
+def test_sg_linearize_returns_the_wrapped_solve(netlist):
+    """The `solvers.sg_solve_s` span wraps `_SgSolve.solve`; it reads 0 if
+    the Galerkin linearization hands Newton any other object."""
+    circuit = load_circuit(cli.resolve_netlist(netlist).read_text())
+    problem = solvers.SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 1))
+    assert type(problem.eval(np.zeros(problem.size)).linearize(0.0)) is solvers._SgSolve
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -1,4 +1,6 @@
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -341,6 +343,34 @@ def test_floating_node_warns():
     with pytest.warns(AssemblyWarning, match="no DC path"):
         c = load_circuit("v1 a 0 1\nr1 a 0 1k\nc1 a b 1u\nc2 b 0 1u\n")
     assert any("'b'" in w for w in c.warnings)
+
+
+@pytest.mark.parametrize("text,names", [
+    ("v1 1 0 dc 1\nv2 1 0 dc 2\nr1 1 0 1k\n", "'v1', 'v2'"),
+    ("v1 a 0 1\nv2 b 0 1\nv3 a b 1\nr1 a 0 1k\n", "'v1', 'v2', 'v3'"),
+    ("v1 a a 1\nr1 a 0 1k\n", "'v1'"),
+])
+def test_voltage_source_loop_warns(text, names):
+    with pytest.warns(AssemblyWarning, match="voltage sources form a loop"):
+        c = load_circuit(text)
+    assert c.warnings == [f"voltage sources form a loop: {names}; "
+                          "the system is structurally singular"]
+
+
+def test_voltage_sources_in_series_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AssemblyWarning)
+        c = load_circuit("v1 a 0 1\nv2 b a 1\nv3 c b 1\nr1 c 0 1k\n")
+    assert c.warnings == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in (resources.files("gpcsim") / "netlists").iterdir() if p.name.endswith(".cir")))
+def test_shipped_netlists_assemble_without_warnings(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AssemblyWarning)
+        c = load_circuit((resources.files("gpcsim") / "netlists" / name).read_text())
+    assert c.warnings == []
 
 
 def test_empty_assembly_rejected():

@@ -424,6 +424,23 @@ class TestArtifacts:
         assert err.count("node 'c' has no DC path") == 1
         assert "warning: node 'c' has no DC path" in err
 
+    def test_voltage_source_loop_warning_printed_once(self, tmp_path, capsys, monkeypatch):
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                    lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+        net = tmp_path / "parallel.cir"
+        net.write_text("* two sources on one node\nv1 1 0 dc 1\nv2 1 0 dc 2\n"
+                       "r1 1 2 dist=uniform(900,1100)\nr2 2 0 1k\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = run_cli("dc", str(net), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DC
+        assert err.count("voltage sources form a loop: 'v1', 'v2'") == 1
+        assert "warning: voltage sources form a loop: 'v1', 'v2'" in err
+
     def test_dc_without_a_dc_card_solves_the_operating_point(self, tmp_path):
         netlist = tmp_path / "rc.cir"
         netlist.write_text("* rc, transient card only\nv1 1 0 dc 1\n"

@@ -18,7 +18,7 @@ from numpy.polynomial import hermite_e, legendre
 
 from gpcsim import cli, engine, solvers
 from gpcsim.basis import GpcBasisSet
-from gpcsim.circuit import StochasticCircuit, load_circuit
+from gpcsim.circuit import AssemblyWarning, StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
 from gpcsim.engine import NewtonConfig, StepControl, dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
@@ -443,11 +443,33 @@ d1 c 0 is=1e-14
 """
 
 
+# a grounded source, then a floating one on its node: v2's row and column
+# are singletons only once v1's have been peeled
+TWO_ROUNDS = """* sources in series
+v1 a 0 dc 1
+v2 b a dc 0.5
+r1 b c dist=uniform(900,1100)
+r2 c 0 1k
+"""
+
+PARALLEL_SOURCES = """* two sources on one node
+v1 1 0 dc 1
+v2 1 0 dc 2
+r1 1 2 dist=uniform(900,1100)
+r2 2 0 1k
+"""
+
+
+def named_circuit(name):
+    """A shipped netlist, or one of the test circuits above by name."""
+    texts = {"stamp edges": STAMP_EDGES, "two rounds": TWO_ROUNDS}
+    return load_circuit(texts[name]) if name in texts else shipped_circuit(name)
+
+
 def sg_near_operating_point(name, order, seed=11):
-    """An SG problem of a shipped netlist or of STAMP_EDGES, and a state
-    whose block 0 is the nominal operating point and whose higher blocks
-    are small and random."""
-    circuit = load_circuit(STAMP_EDGES) if name == "stamp edges" else shipped_circuit(name)
+    """An SG problem of a `named_circuit`, and a state whose block 0 is the
+    nominal operating point and whose higher blocks are small and random."""
+    circuit = named_circuit(name)
     problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], order))
     nominal = solvers._nominal_dc(circuit, None, circuit.b_matrix @ circuit.dc_source_vector())
     X = 0.01 * np.random.default_rng(seed).normal(size=(problem.basis.size, circuit.n))
@@ -507,6 +529,92 @@ class TestSgLinearize:
         for c in (0.0, 1e9):
             jac = ev.linearize(c).jac
             assert np.abs(jac - (c * fd_q + fd_f)).max() <= 1e-6 * np.abs(jac).max(), c
+
+
+class TestSgPeel:
+    """The peeled Galerkin solve: voltage-source rows and branch-current
+    columns taken off by division, the core left to a dense solve."""
+
+    @pytest.mark.parametrize("name,order", [("cs_amp.cir", 3), ("bjt_feedback.cir", 2),
+                                            ("sram6t.cir", 1), ("rc_uniform.cir", 3),
+                                            ("stamp edges", 3), ("db_mixer.cir", 1),
+                                            ("lna.cir", 2), ("two rounds", 3)])
+    def test_matches_the_dense_solve(self, name, order):
+        problem, X = sg_near_operating_point(name, order)
+        steps = solvers._peel_steps(problem.circuit.kernel, problem.basis.size)
+        rhs = np.random.default_rng(7).normal(size=problem.size)
+        ev = problem.eval(X)
+        for c in (0.0, 1e9):
+            lin = ev.linearize(c)
+            want = np.linalg.solve(lin.jac, rhs)
+            got = solvers._peeled_solve(lin.jac, steps, rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
+            if problem.peel_steps is not None:
+                np.testing.assert_array_equal(lin.solve(rhs), got)
+
+    @pytest.mark.parametrize("name", ["cs_amp.cir", "bjt_feedback.cir", "sram6t.cir",
+                                      "rc_uniform.cir", "db_mixer.cir", "lna.cir",
+                                      "diode_dc.cir", "stamp edges", "two rounds"])
+    def test_every_state_is_placed_once_and_every_pivot_is_an_incidence(self, name):
+        kernel = named_circuit(name).kernel
+        peel = kernel.peel
+        rounds = peel.forward + peel.backward
+        rows = np.concatenate([r for r, _, _ in rounds] + [peel.core[0]])
+        cols = np.concatenate([c for _, c, _ in rounds] + [peel.core[1]])
+        assert sorted(rows) == list(range(kernel.n))
+        assert sorted(cols) == list(range(kernel.n))
+        groups = kernel.stamp_groups
+        incidence = dict(zip(zip(*(a.tolist() for a in groups.incidence)), groups.value))
+        for r, c, value in rounds:
+            for entry, v in zip(zip(r.tolist(), c.tolist()), value):
+                assert incidence[entry] == v, entry
+
+    @pytest.mark.parametrize("name,core,peeled", [("cs_amp.cir", 2, True),
+                                                   ("sram6t.cir", 2, True),
+                                                   ("db_mixer.cir", 5, True),
+                                                   ("lna.cir", 3, True),
+                                                   ("stamp edges", 5, False)])
+    def test_core_sizes(self, name, core, peeled):
+        circuit = named_circuit(name)
+        assert len(circuit.kernel.peel.core[0]) == core
+        problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 1))
+        assert (problem.peel_steps is not None) == peeled
+
+    def test_the_ladder_keeps_the_dense_solve(self):
+        from test_acceptance import ladder_netlist
+
+        circuit = load_circuit(ladder_netlist(16))
+        assert len(circuit.kernel.peel.core[0]) == 16
+        problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 1))
+        assert problem.peel_steps is None
+
+    def test_a_floating_source_takes_two_rounds(self):
+        circuit = load_circuit(TWO_ROUNDS)
+        peel = circuit.kernel.peel
+        a, b, c = (circuit.state_names.index(f"v({nm})") for nm in "abc")
+        br1, br2 = (circuit.state_names.index(f"i({nm})") for nm in ("v1", "v2"))
+        assert [(r.tolist(), c.tolist()) for r, c, _ in peel.forward] == [([br1], [a]),
+                                                                         ([br2], [b])]
+        assert [(r.tolist(), c.tolist()) for r, c, _ in peel.backward] == [([a], [br1]),
+                                                                          ([b], [br2])]
+        assert [x.tolist() for x in peel.core] == [[c], [c]]
+
+    def test_parallel_sources_raise(self):
+        with pytest.warns(AssemblyWarning, match="loop"):
+            circuit = load_circuit(PARALLEL_SOURCES)
+        problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 2))
+        lin = problem.eval(np.zeros(problem.size)).linearize(0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="structurally singular"):
+            lin.solve(np.ones(problem.size))
+
+    def test_a_node_without_entries_raises(self):
+        with pytest.warns(AssemblyWarning, match="no DC path"):
+            circuit = load_circuit("i1 0 1 1m\ni2 1 0 2m\nv1 2 0 dc 1\n"
+                                     "r1 2 0 dist=uniform(900,1100)\n")
+        problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 2))
+        lin = problem.eval(np.zeros(problem.size)).linearize(0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="structurally singular"):
+            lin.solve(np.ones(problem.size))
 
 
 # --------------------------------------------------------------------------
