@@ -191,7 +191,7 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
 
 # manifest field -> report column: where a run's time went
 _TIME_COLUMNS = {"device_eval_time": "eval_s", "linear_solve_time": "solve_s",
-                 "write_time_s": "write_s"}
+                 "write_time_s": "write_s", "linearize_time": "linearize_s"}
 
 
 def report_costs(manifests: list) -> list:
@@ -201,8 +201,8 @@ def report_costs(manifests: list) -> list:
     first manifest is.  Each row carries the node-count ratio, the measured
     time ratio, and kappa = time ratio / node ratio, so the transient
     speedup decomposes as time_ratio = node_ratio * kappa.  It also carries
-    the run's device-evaluation, linear-solve and write times, None where
-    the manifest does not record one.
+    the run's device-evaluation, linear-solve, write and linearization
+    times, None where the manifest does not record one.
     """
     if not manifests:
         raise ValueError("no manifests given")

@@ -34,7 +34,8 @@ iterate.  The device layer therefore runs once per distinct state;
 SolveStats.device_evals counts those calls and device_eval_time times
 them, and residual_evals counts the residual checks, which include the
 ones made on a handed-in evaluation.  linear_solve_time times the
-linearize-and-solve hook alone.
+linearize-and-solve hook alone, and linearize_time the linearize(c) part
+of it.
 
 Time integration offers a variable-step two-step BDF (gear2, the
 default), backward Euler and trapezoid, all with predictor/corrector
@@ -126,6 +127,7 @@ class SolveStats:
     device_eval_time: float = 0.0  # seconds in those calls
     linear_solves: int = 0
     linear_solve_time: float = 0.0  # seconds in linearize(c).solve, nothing else
+    linearize_time: float = 0.0     # the linearize(c) part of linear_solve_time
     steps_accepted: int = 0
     steps_rejected: int = 0
     predictor_fallbacks: int = 0   # dc solves retried from the previous level
@@ -194,15 +196,18 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
             break
         try:
             tic = time.perf_counter()
-            dx = ev.linearize(c).solve(-resid)
+            lin = ev.linearize(c)
+            linearized = time.perf_counter()
+            dx = lin.solve(-resid)
             stats.linear_solve_time += time.perf_counter() - tic
+            stats.linearize_time += linearized - tic
             stats.linear_solves += 1
         except np.linalg.LinAlgError as exc:
             return NewtonResult(x, False, it, failure=f"singular jacobian: {exc}")
         if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, failure="non-finite update")
         np.add(xb, dx.reshape(blocks, -1), out=xb, where=~done[:, None])
-        ev = None
+        ev = lin = None   # this iterate's Jacobian must not live into the next
         stats.newton_iterations += 1
     return NewtonResult(x, False, NEWTON_MAX_ITER, failure="iteration limit reached")
 

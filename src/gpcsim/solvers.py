@@ -8,8 +8,11 @@ how coefficients are obtained:
   as one batched solve, plus a Vandermonde back-substitution.
 * galerkin (sg): project the residual onto each basis function with a
   tensor quadrature; the Jacobian couples all blocks.  Its projection runs
-  once per stamp group of the device kernel, and a constant incidence
-  entry projects to itself on every diagonal block.  The solve peels the
+  once per stamp group of the device kernel, sum-factorized over the
+  tensor grid: one germ is contracted at a time, and only the basis-index
+  pairs that can still reach total degree ≤ p are kept, each unordered
+  pair once.  A constant incidence entry projects to itself on every
+  diagonal block.  The solve peels the
   states whose pivot is such an entry (voltage-source rows, branch-current
   columns; the kernel's `peel`) off by division and factors the core left,
   or factors the whole matrix when the core holds more than half the
@@ -51,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import GpcBasisSet, num_basis
+from .basis import GpcBasisSet, num_basis, orthonormal_values
 from .circuit import StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
@@ -155,7 +158,8 @@ class SampleEnsemble:
 
 def _gauss_grid(circuit, order):
     """The (order+1)-point tensor Gauss grid over the circuit's germs: the
-    st candidates, the sg quadrature and the sc nodes."""
+    st candidates and the sc nodes (SGProblem builds its own, keeping the
+    1-D rules)."""
     return tensor_grid([gauss_rule(p.dist, order + 1) for p in circuit.params])
 
 
@@ -264,19 +268,18 @@ class _StackedEvalSG:
     problem: SGProblem
 
     def linearize(self, c):
-        # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  One product over q
-        # projects the lead entry of each stamp group, and each member takes
-        # its lead's projection times its sign.  An incidence entry is the
-        # same constant at every q, so its projection is that constant times
+        # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  The problem's
+        # `projection` contracts the lead entry of each stamp group one germ
+        # at a time (see _Projection), and each member takes its lead's
+        # projection times its sign.  An incidence entry is the same
+        # constant at every q, so its projection is that constant times
         # wh.T @ hmat = I.  The rest of the matrix is zero.
         problem = self.problem
         n, k = problem.circuit.n, problem.basis.size
         groups = problem.circuit.kernel.stamp_groups
         lead = (slice(None), *groups.lead)
         point_jac = c * self.point_dq[lead] + self.point_df[lead]
-        weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, G)
-        coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
-        del weighted      # the largest array here; freed before the matrix is made
+        coupled = problem.projection(point_jac).reshape(k, k, -1)
         full = np.zeros((k, n, k, n))
         rows, cols = groups.member
         full[:, rows, :, cols] = (coupled[:, :, groups.group] * groups.sign).transpose(2, 0, 1)
@@ -355,15 +358,100 @@ def _peeled_solve(jac, steps, rhs):
     return x
 
 
+class _Projection(NamedTuple):
+    """The Galerkin projection of (Q, G) values on the tensor Gauss grid,
+    sum-factorized: out[i, j, g] = sum_q w_q H_i(x_q) H_j(x_q) vals[q, g]
+    for the basis functions H, one germ at a time.
+
+    The grid's weight is the product of the 1-D Gauss weights and each H is
+    a product of 1-D orthonormal polynomials, so the sum over q splits into
+    one 1-D sum per germ; each 1-D factor is ((p+1)^2, p+1), row (a, b)
+    holding w_q φ_a(x_q) φ_b(x_q).  The identity is exact; only rounding
+    differs from the (K x Q) @ (Q x K·G) product.  `tensor_grid` makes germ
+    0 the least significant digit of q, so the leading axis of vals is germ
+    l-1's: germ l-1 is contracted first, by `top`, and germ 0 last.  After
+    each germ the rows are pairs of basis-index prefixes (the degrees of the
+    germs contracted so far), and a level keeps, by `keep`, only the pairs
+    whose prefixes both have total degree ≤ p.  Block (i, j) equals block
+    (j, i), so each unordered pair is kept once until the last level, whose
+    `keep` writes all K^2 pairs in basis order.  A one-germ basis is `top`
+    alone, all (p+1)^2 rows in basis order.
+    """
+
+    top: np.ndarray       # (rows, p+1): germ l-1's factor, a ≤ b rows if l > 1
+    levels: tuple         # (factor, keep) for germs l-2, ..., 0
+
+    def __call__(self, vals) -> np.ndarray:
+        """The (K^2, G) projection of vals (Q, G), rows i·K + j."""
+        n = self.top.shape[1]
+        t = self.top @ vals.reshape(n, -1)
+        for factor, keep in self.levels:
+            t = np.matmul(factor, t.reshape(len(t), n, -1))
+            t = t.reshape(-1, t.shape[-1]).take(keep, axis=0)
+        return t
+
+
+def _projection_plan(basis, rules) -> _Projection:
+    """The basis's `_Projection` from its germs' (p+1)-point Gauss `rules`:
+    the orthonormal values at their nodes, and each level's kept rows by
+    index arithmetic alone.
+
+    A level's prefixes extend the last level's by one germ's degree,
+    ordered by (parent prefix, degree), except at germ 0, whose are the
+    basis indices in basis order.  The unordered pairs of a level's prefixes
+    are stored in row-major order of u ≤ v, and stored pair s = (u, v)
+    becomes rows s·(p+1)^2 + a·(p+1) + b of the next product, with degree a
+    for u's child and b for v's.
+    """
+    p, l = basis.order, basis.dim
+    n = p + 1
+    factors = []
+    for (nodes, weights), rec in zip(rules, basis.recurrences):
+        phi = orthonormal_values(rec, nodes, p)                     # (a, q)
+        factors.append(((weights * phi)[:, None] * phi).reshape(n * n, n))
+    if l == 1:
+        return _Projection(factors[0], ())
+    degree = code = np.arange(n)   # germ l-1's prefixes: degrees, radix-(p+1) codes
+    u, v = np.nonzero(np.less_equal.outer(degree, degree))
+    top = factors[-1][u * n + v]
+    levels = []
+    for d in range(l - 2, -1, -1):
+        count = len(degree)
+        if d:
+            parent, digit = np.nonzero(np.add.outer(degree, np.arange(n)) <= p)
+            index = np.arange(len(parent))
+            rows, cols = np.nonzero(np.less_equal.outer(index, index))
+        else:
+            digit = basis.indices[:, 0]
+            parent = np.searchsorted(code, basis.indices[:, 1:] @ n ** np.arange(l - 1))
+            rows, cols = np.divmod(np.arange(basis.size ** 2), basis.size)
+        pu, pv, du, dv = parent[rows], parent[cols], digit[rows], digit[cols]
+        swap = pu > pv
+        u, v = np.where(swap, pv, pu), np.where(swap, pu, pv)
+        a, b = np.where(swap, dv, du), np.where(swap, du, dv)
+        keep = (u * count - u * (u - 1) // 2 + v - u) * (n * n) + a * n + b
+        levels.append((factors[d], keep))
+        degree, code = degree[parent] + digit, code[parent] * n + digit
+    return _Projection(top, tuple(levels))
+
+
 @dataclass
 class SGProblem:
-    """Galerkin projection with a (p+1)-point tensor quadrature."""
+    """Galerkin projection with a (p+1)-point tensor quadrature.
+
+    `rules` are the germs' 1-D Gauss rules and `points` and `weights`
+    their tensor grid, `hmat` (Q, K) the basis at its points and `wh` its
+    weighted copy; `eval` maps coefficients to the points and projects q
+    and f back with them.  The Jacobian's projection is the sum-factorized
+    `projection`, which never forms a (Q, K, G) table.
+    """
 
     circuit: StochasticCircuit
     basis: GpcBasisSet
 
     def __post_init__(self):
-        self.points, self.weights = _gauss_grid(self.circuit, self.basis.order)
+        self.rules = [gauss_rule(p.dist, self.basis.order + 1) for p in self.circuit.params]
+        self.points, self.weights = tensor_grid(self.rules)
         self.hmat = self.basis.eval_many(self.points)        # (Q, K)
         self.wh = self.weights[:, None] * self.hmat
 
@@ -380,6 +468,12 @@ class SGProblem:
         if 2 * len(kernel.peel.core[0]) > kernel.n:
             return None
         return _peel_steps(kernel, self.basis.size)
+
+    @cached_property
+    def projection(self) -> _Projection:
+        """The Jacobian's sum-factorized projection, planned on the first
+        linearization, so building a problem does not pay for it."""
+        return _projection_plan(self.basis, self.rules)
 
     def eval(self, X):
         states = self.hmat @ X.reshape(self.basis.size, -1)  # (Q, n)

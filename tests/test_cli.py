@@ -551,6 +551,18 @@ class TestReportCosts:
             assert float(cell) == pytest.approx(manifest[key], rel=1e-3)
         assert old.split()[5:8] == ["-", "-", "-"]
 
+    def test_report_prints_the_linearization_time(self, tmp_path, capsys):
+        """An sg run records the time its linearizations took, a part of
+        its linear-solve time, and the report prints it after write_s."""
+        run_cli("dc", "lna.cir", "--method", "sg", "--order", "2", "--out", str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0.0 < manifest["linearize_time"] <= manifest["linear_solve_time"]
+        capsys.readouterr()
+        assert run_cli("report", str(tmp_path / "manifest.json")) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[7:9] == ["write_s", "linearize_s"]
+        assert float(row.split()[8]) == pytest.approx(manifest["linearize_time"], rel=1e-3)
+
     def test_report_mismatch_exits_2(self, tmp_path, capsys):
         st_dir = tmp_path / "st"
         other = tmp_path / "other"

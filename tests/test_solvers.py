@@ -17,7 +17,7 @@ import pytest
 from numpy.polynomial import hermite_e, legendre
 
 from gpcsim import cli, engine, solvers
-from gpcsim.basis import GpcBasisSet
+from gpcsim.basis import GpcBasisSet, Uniform
 from gpcsim.circuit import AssemblyWarning, StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
 from gpcsim.engine import NewtonConfig, StepControl, dc_solve
@@ -460,9 +460,29 @@ r2 2 0 1k
 """
 
 
+# one germ of each family, each with its own 1-D quadrature factor, so a
+# projection that contracts the germ axes in the wrong order is wrong
+FOUR_GERMS = """* gauss, uniform, beta and gamma germs
+v1 in 0 dc 1
+r1 in a dist=gauss(1k,30)
+r2 a b dist=uniform(900,1100)
+c1 b 0 dist=beta(2,5,1n,0.1n)
+r3 b 0 dist=gamma(2,900,30)
+d1 b 0 is=1e-14
+"""
+
+ONE_GERM = """* a single germ
+v1 in 0 dc 1
+r1 in a dist=uniform(900,1100)
+c1 a 0 1n
+d1 a 0 is=1e-14
+"""
+
+
 def named_circuit(name):
     """A shipped netlist, or one of the test circuits above by name."""
-    texts = {"stamp edges": STAMP_EDGES, "two rounds": TWO_ROUNDS}
+    texts = {"stamp edges": STAMP_EDGES, "two rounds": TWO_ROUNDS,
+             "four germs": FOUR_GERMS, "one germ": ONE_GERM}
     return load_circuit(texts[name]) if name in texts else shipped_circuit(name)
 
 
@@ -483,7 +503,9 @@ class TestSgLinearize:
 
     @pytest.mark.parametrize("name,order", [("cs_amp.cir", 3), ("bjt_feedback.cir", 2),
                                             ("sram6t.cir", 1), ("rc_uniform.cir", 3),
-                                            ("stamp edges", 3)])
+                                            ("stamp edges", 3), ("cs_amp.cir", 5),
+                                            *(("four germs", p) for p in range(6)),
+                                            *(("one germ", p) for p in range(7))])
     def test_matches_the_all_entries_projection(self, name, order):
         problem, X = sg_near_operating_point(name, order)
         ev = problem.eval(X)
@@ -505,6 +527,39 @@ class TestSgLinearize:
             problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], order))
             gram = problem.wh.T @ problem.hmat
             assert np.abs(gram - np.eye(problem.basis.size)).max() <= 1e-13, order
+
+    @pytest.mark.parametrize("name,order", [("one germ", 6), ("stamp edges", 4),
+                                            ("four germs", 0), ("four germs", 1),
+                                            ("four germs", 3), ("four germs", 5),
+                                            ("cs_amp.cir", 5)])
+    def test_projection_is_the_weighted_table_product(self, name, order):
+        """The sum-factorized projection alone against the (Q, K, G) table
+        it replaces, on random values."""
+        circuit = named_circuit(name)
+        problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], order))
+        (q, k), g = problem.hmat.shape, 5
+        vals = np.random.default_rng(3).normal(size=(q, g))
+        want = problem.wh.T @ (problem.hmat[:, :, None] * vals[:, None, :]).reshape(q, -1)
+        got = problem.projection(vals)
+        assert got.shape == (k * k, g)
+        assert np.abs(got - want.reshape(k * k, g)).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("germs", range(1, 6))
+    def test_no_product_outgrows_the_table_it_replaces(self, germs):
+        """Every product the projection forms, before its rows are kept,
+        holds at most Q·K entries per stamp group."""
+        for order in range(7 if germs < 5 else 4):
+            basis = GpcBasisSet([Uniform()] * germs, order)
+            plan = solvers._projection_plan(basis, [gauss_rule(d, order + 1) for d in basis.dists])
+            n, q = order + 1, (order + 1) ** germs
+            rows, rest = len(plan.top), q // n
+            sizes = [rows * rest]
+            for factor, keep in plan.levels:
+                rest //= n
+                sizes.append(rows * len(factor) * rest)
+                rows = len(keep)
+            assert rows == basis.size ** 2
+            assert max(sizes) <= q * basis.size, (order, sizes)
 
     def test_stamp_edges_exercise_every_kind_of_entry(self):
         groups = load_circuit(STAMP_EDGES).kernel.stamp_groups
