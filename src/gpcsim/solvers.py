@@ -15,8 +15,9 @@ how coefficients are obtained:
   diagonal block.  The solve peels the
   states whose pivot is such an entry (voltage-source rows, branch-current
   columns; the kernel's `peel`) off by division and factors the core left,
-  or factors the whole matrix when the core holds more than half the
-  states.
+  reading every block it needs straight from the projection, so no dense
+  (nK)^2 matrix is built; when the core holds more than half the states it
+  builds and factors the whole matrix instead.
 * collocation (sc): deterministic solutions at the full tensor grid, then
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
@@ -270,92 +271,152 @@ class _StackedEvalSG:
     def linearize(self, c):
         # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  The problem's
         # `projection` contracts the lead entry of each stamp group one germ
-        # at a time (see _Projection), and each member takes its lead's
-        # projection times its sign.  An incidence entry is the same
-        # constant at every q, so its projection is that constant times
-        # wh.T @ hmat = I.  The rest of the matrix is zero.
+        # at a time (see _Projection); `_SgSolve` places it.
+        groups = self.problem.circuit.kernel.stamp_groups
+        lead = (slice(None), *groups.lead)
+        point_jac = c * self.point_dq[lead] + self.point_df[lead]
+        return _SgSolve(self.problem.projection(point_jac), self.problem)
+
+
+class _SgSolve:
+    """The Galerkin Jacobian of one iterate as its stamp groups' (K^2, G)
+    projection `coupled`, rows i·K + j, and its solve.
+
+    A member entry of group g holds its sign times coupled[i·K + j, g] in
+    block (i, j); an incidence entry is the same constant at every
+    quadrature point, so it projects to that constant times wh.T @ hmat = I,
+    on the diagonal blocks alone.  With a peel plan the solve runs its
+    steps: each applies the K x K blocks of its rows' entries in the states
+    solved before it, a peeled round then divides, and only the core's
+    (K·rows, K·cols) matrix is built and factored.  Without one, the dense
+    `jac` is built and solved, as it is for any caller that reads `jac`.
+    The plan comes with the first solve, and so does the LinAlgError of a
+    structurally singular circuit; the core is therefore built in `solve`,
+    and `linearize` only projects."""
+
+    __slots__ = ("coupled", "problem")
+
+    def __init__(self, coupled, problem):
+        self.coupled = coupled
+        self.problem = problem
+
+    @property
+    def jac(self) -> np.ndarray:
+        """The dense (nK, nK) Jacobian, basis-major, built on each read."""
         problem = self.problem
         n, k = problem.circuit.n, problem.basis.size
         groups = problem.circuit.kernel.stamp_groups
-        lead = (slice(None), *groups.lead)
-        point_jac = c * self.point_dq[lead] + self.point_df[lead]
-        coupled = problem.projection(point_jac).reshape(k, k, -1)
+        coupled = self.coupled.reshape(k, k, -1)
         full = np.zeros((k, n, k, n))
         rows, cols = groups.member
         full[:, rows, :, cols] = (coupled[:, :, groups.group] * groups.sign).transpose(2, 0, 1)
         rows, cols = groups.incidence
         diag = np.arange(k)[:, None]
         full[diag, rows, diag, cols] = groups.value
-        return _SgSolve(full.reshape(n * k, n * k), problem)
-
-
-class _SgSolve:
-    """The Galerkin Jacobian `jac`, basis-major, and its solve: the peeled
-    solve when the problem has peel steps, else one dense solve."""
-
-    __slots__ = ("jac", "problem")
-
-    def __init__(self, jac, problem):
-        self.jac = jac
-        self.problem = problem
+        return full.reshape(n * k, n * k)
 
     def solve(self, rhs):
-        steps = self.problem.peel_steps
-        if steps is None:
+        plan = self.problem.peel_steps
+        if plan is None:
             return np.linalg.solve(self.jac, rhs)
-        return _peeled_solve(self.jac, steps, rhs)
+        k = self.problem.basis.size
+        blocks = self.coupled.reshape(k, -1)          # row i, columns j·G + g
+        rhs = rhs.reshape(k, -1)[:, plan.rows]
+        y = np.empty_like(rhs)                        # the states in solve order
+        for step in plan.steps:
+            b, solved = rhs[:, step.span], y[:, :step.span.start]
+            if step.signs is not None:
+                b = b - blocks @ (solved @ step.signs).reshape(-1, b.shape[1])
+            if step.incidence is not None:
+                b = b - solved @ step.incidence
+            if step.core is None:
+                np.divide(b, step.pivot, out=y[:, step.span])
+            else:
+                core = self.coupled.ravel().take(step.core)
+                core *= step.core_sign
+                if step.core_constant is not None:
+                    diag = np.arange(k)
+                    core[diag, :, diag, :] += step.core_constant
+                y[:, step.span] = np.linalg.solve(core.reshape(b.size, b.size),
+                                                  b.ravel()).reshape(k, -1)
+        return y[:, plan.order].ravel()
 
 
 class _PeelStep(NamedTuple):
-    """One step of the peeled solve: x[cols] from rhs[rows], less the rows'
-    entries in the unknowns `known` that earlier steps solved.  A peeled
-    round divides by each row's incidence constant `pivot`; the core
-    solves its block, `core`, dense.  Every index is flat, into x and rhs
-    or into the raveled Jacobian."""
+    """One step of the peeled solve, every basis block at once: the states
+    at `span` of the plan's order, from the rows at `span`, less those
+    rows' entries in the states solved before them (y[:, :span.start]).
+    Those entries never form a matrix: `signs` (span.start, G·rows) carries
+    the solved states to the (j, g) columns of the (K, K·G) projection, each
+    member entry with its sign, and `incidence` (span.start, rows) applies
+    the incidence constants block by block; either is None when the rows
+    have no such entry.  A peeled round divides by its rows' incidence
+    constants `pivot`.  The core takes its (K, rows, K, cols) matrix,
+    basis-major, from the raveled projection at the indices `core`, scales
+    it by `core_sign` (zero off the member entries), adds its incidence
+    entries `core_constant` (rows, cols; None if it has none) to each
+    diagonal block, and factors it."""
+
+    span: slice
+    signs: np.ndarray | None
+    incidence: np.ndarray | None
+    pivot: np.ndarray | None
+    core: np.ndarray | None
+    core_sign: np.ndarray | None
+    core_constant: np.ndarray | None
+
+
+class _PeelPlan(NamedTuple):
+    """The peeled solve for K basis blocks: with rhs and x as (K, n), the
+    steps solve y = x[:, cols] from rhs[:, rows], in that order, and x is
+    y[:, order], `order` being the inverse permutation of cols."""
 
     rows: np.ndarray
-    cols: np.ndarray
-    known: np.ndarray
-    coupling: np.ndarray      # (rows, known) Jacobian indices
-    pivot: np.ndarray | None
-    core: np.ndarray | None   # (rows, cols) Jacobian indices
+    order: np.ndarray
+    steps: tuple
 
 
-def _peel_steps(kernel, k) -> tuple:
+def _peel_steps(kernel, k) -> _PeelPlan:
     """The kernel's `peel` spelled out for K basis blocks: its forward
-    rounds, its core, then its backward rounds from the last to the first."""
-    n, peel = kernel.n, kernel.peel
-    pattern = np.zeros((n, n), dtype=bool)
-    pattern[kernel.jacobian_pattern] = True
+    rounds, its core, then its backward rounds from the last to the first.
+    A step's rows have entries only in its own states and in those solved
+    before it, so each step reads its entries off the Jacobian pattern with
+    rows and columns in that order."""
+    n, groups, peel = kernel.n, kernel.stamp_groups, kernel.peel
+    width = len(groups.lead[0])
+    rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
+    rounds = [rnd for rnd in rounds if len(rnd[0])]
+    rows = np.concatenate([rnd[0] for rnd in rounds])
+    cols = np.concatenate([rnd[1] for rnd in rounds])
+    group, sign, constant = np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), np.zeros((n, n))
+    group[groups.member] = groups.group
+    sign[groups.member] = groups.sign
+    constant[groups.incidence] = groups.value
+    placed = np.ix_(rows, cols)
+    group, sign, constant = group[placed], sign[placed], constant[placed]
+    blocks = np.arange(k)
+    pairs = (blocks[:, None] * k + blocks) * width   # block (i, j)'s first raveled index
 
-    def unknowns(states):
-        return (np.arange(k)[:, None] * n + states).ravel()
+    def entries(a):
+        return a if a is not None and a.any() else None
 
-    def step(rows, cols, value=None):
-        touched = pattern[rows].any(axis=0)
-        touched[cols] = False
-        known = unknowns(np.flatnonzero(touched))
-        rows, cols = unknowns(rows), unknowns(cols)
-        core = value is None
-        return _PeelStep(rows, cols, known, rows[:, None] * (n * k) + known,
-                         None if core else np.tile(value, k),
-                         rows[:, None] * (n * k) + cols if core else None)
-
-    steps = [step(*rnd) for rnd in peel.forward]
-    steps.append(step(*peel.core))
-    steps += [step(*rnd) for rnd in reversed(peel.backward)]
-    return tuple(s for s in steps if len(s.rows))
-
-
-def _peeled_solve(jac, steps, rhs):
-    """jac x = rhs by the steps of `_peel_steps`: each peeled round is one
-    division, and only the core is factored."""
-    flat = jac.ravel()
-    x = np.zeros(len(rhs), dtype=np.result_type(jac, rhs))
-    for step in steps:
-        b = rhs[step.rows] - flat[step.coupling] @ x[step.known]
-        x[step.cols] = b / step.pivot if step.core is None else np.linalg.solve(flat[step.core], b)
-    return x
+    steps, start = [], 0
+    for step_rows, _, pivot in rounds:
+        m = len(step_rows)
+        span = slice(start, start + m)
+        r, u = np.nonzero(sign[span, :start])
+        signs = np.zeros((start, width * m))
+        signs[u, group[span, :start][r, u] * m + r] = sign[span, :start][r, u]
+        incidence = constant[span, :start].T
+        core = core_sign = core_constant = None
+        if pivot is None:
+            core = pairs[:, None, :, None] + group[span, span][:, None, :]
+            core_sign = np.broadcast_to(sign[span, span][:, None, :], core.shape).copy()
+            core_constant = constant[span, span]
+        steps.append(_PeelStep(span, entries(signs), entries(incidence), pivot,
+                               core, core_sign, entries(core_constant)))
+        start = span.stop
+    return _PeelPlan(rows, np.argsort(cols), tuple(steps))
 
 
 class _Projection(NamedTuple):
@@ -460,8 +521,8 @@ class SGProblem:
         return self.circuit.n * self.basis.size
 
     @cached_property
-    def peel_steps(self) -> tuple | None:
-        """The peeled solve's steps, built on the first solve; None keeps the
+    def peel_steps(self) -> _PeelPlan | None:
+        """The peeled solve's plan, built on the first solve; None keeps the
         dense solve, which a core of more than half the states would not
         beat by enough."""
         kernel = self.circuit.kernel

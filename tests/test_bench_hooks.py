@@ -37,39 +37,48 @@ def test_sg_linearize_returns_the_wrapped_solve(netlist):
     assert type(problem.eval(np.zeros(problem.size)).linearize(0.0)) is solvers._SgSolve
 
 
-def count_projection_plans(monkeypatch) -> list:
-    """Spy on `solvers._projection_plan`: the returned list grows by one
-    entry per plan built."""
+def count_plans(monkeypatch, name) -> list:
+    """Spy on the plan builder `solvers.<name>`: the returned list grows by
+    one entry, the call's arguments, per plan built."""
     built = []
-    plan = solvers._projection_plan
+    plan = getattr(solvers, name)
 
-    def spy(basis, rules):
-        built.append(basis.size)
-        return plan(basis, rules)
+    def spy(*args):
+        built.append(args)
+        return plan(*args)
 
-    monkeypatch.setattr(solvers, "_projection_plan", spy)
+    monkeypatch.setattr(solvers, name, spy)
     return built
 
 
 def test_sg_setup_builds_no_projection_plan(monkeypatch):
     """The sg workloads' `setup_s` times building an SGProblem; the
-    projection plan is built on the first linearization, outside it."""
-    built = count_projection_plans(monkeypatch)
+    projection plan is built on the first linearization and the peel plan
+    on the first solve, both outside it."""
+    built = [count_plans(monkeypatch, name) for name in ("_projection_plan", "_peel_steps")]
     workload = WORKLOADS["sg_dcsweep_cs_amp"]
     workload.setup(cli.resolve_netlist(workload.netlist).read_text(), workload.order, 1)
     circuit = load_circuit(cli.resolve_netlist("cs_amp.cir").read_text())
     problem = solvers.SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 5))
-    assert built == []
+    assert built == [[], []]
     assert "projection" not in vars(problem)
+    assert "peel_steps" not in vars(problem)
 
 
 def test_sg_sweep_builds_its_projection_plan_once(monkeypatch, tmp_path):
-    built = count_projection_plans(monkeypatch)
+    """Each plan is built once for the whole 9-level sweep, and Newton's
+    path is pinned by the manifest's counters, so a faster linear solve
+    cannot gain its time by changing the iterations."""
+    projections = count_plans(monkeypatch, "_projection_plan")
+    peels = count_plans(monkeypatch, "_peel_steps")
     assert cli.main(["dcsweep", "cs_amp.cir", "--method", "sg", "--order", "5",
                      "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["time_points"] == 9
-    assert built == [126]
+    assert [basis.size for basis, _ in projections] == [126]
+    assert [k for _, k in peels] == [126]
+    counters = ("newton_iterations", "linear_solves", "residual_evals", "device_evals")
+    assert [manifest[key] for key in counters] == [20, 20, 30, 29]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -8,6 +8,7 @@ spectral method must reproduce the same coefficients.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -593,19 +594,43 @@ class TestSgPeel:
     @pytest.mark.parametrize("name,order", [("cs_amp.cir", 3), ("bjt_feedback.cir", 2),
                                             ("sram6t.cir", 1), ("rc_uniform.cir", 3),
                                             ("stamp edges", 3), ("db_mixer.cir", 1),
-                                            ("lna.cir", 2), ("two rounds", 3)])
+                                            ("lna.cir", 2), ("two rounds", 3),
+                                            ("cs_amp.cir", 5)])
     def test_matches_the_dense_solve(self, name, order):
         problem, X = sg_near_operating_point(name, order)
-        steps = solvers._peel_steps(problem.circuit.kernel, problem.basis.size)
         rhs = np.random.default_rng(7).normal(size=problem.size)
         ev = problem.eval(X)
         for c in (0.0, 1e9):
-            lin = ev.linearize(c)
-            want = np.linalg.solve(lin.jac, rhs)
-            got = solvers._peeled_solve(lin.jac, steps, rhs)
+            want = np.linalg.solve(sg_jacobian_reference(ev, c), rhs)
+            got = ev.linearize(c).solve(rhs)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
-            if problem.peel_steps is not None:
-                np.testing.assert_array_equal(lin.solve(rhs), got)
+
+    def test_the_peeled_solve_never_holds_a_dense_jacobian(self, monkeypatch):
+        """After a warm-up solve has built the plans, one linearize-and-solve
+        on cs_amp p=5 peaks below one dense (nK)^2 matrix, and `jac` is built
+        only when it is read."""
+        problem, X = sg_near_operating_point("cs_amp.cir", 5)
+        rhs = np.random.default_rng(7).normal(size=problem.size)
+        ev = problem.eval(X)
+        ev.linearize(0.0).solve(rhs)
+        assert problem.peel_steps is not None
+        dense = problem.size ** 2 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            ev.linearize(1e9).solve(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense, (peak, dense)
+        built = []
+        jac = solvers._SgSolve.jac
+        monkeypatch.setattr(solvers._SgSolve, "jac",
+                            property(lambda lin: built.append(1) or jac.fget(lin)))
+        lin = ev.linearize(1e9)
+        lin.solve(rhs)
+        assert built == []
+        assert lin.jac.shape == (problem.size, problem.size)
+        assert built == [1]
 
     @pytest.mark.parametrize("name", ["cs_amp.cir", "bjt_feedback.cir", "sram6t.cir",
                                       "rc_uniform.cir", "db_mixer.cir", "lna.cir",
