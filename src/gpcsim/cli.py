@@ -6,8 +6,9 @@ parses and checks flags, runs the analysis and calls the writers of
 `gpcsim.post`, which owns every artifact format.  Every run writes a
 manifest recording basis size, node count, wall time (the analysis
 alone), write time (stats.csv and coefficients.json), the time spent in
-device evaluation and in linear solves, and step/Newton totals, so
-speedup ratios can be recomputed from the manifests alone.
+device evaluation, in linear solves and, for st, in testing-node
+selection, and step/Newton totals, so speedup ratios can be recomputed
+from the manifests alone.
 
 Netlist arguments are tried as filesystem paths first and then against the
 netlists shipped with the package, so ``simulate dc cs_amp.cir`` works from
@@ -191,7 +192,8 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
 
 # manifest field -> report column: where a run's time went
 _TIME_COLUMNS = {"device_eval_time": "eval_s", "linear_solve_time": "solve_s",
-                 "write_time_s": "write_s", "linearize_time": "linearize_s"}
+                 "write_time_s": "write_s", "linearize_time": "linearize_s",
+                 "select_time": "select_s"}
 
 
 def report_costs(manifests: list) -> list:
@@ -201,8 +203,9 @@ def report_costs(manifests: list) -> list:
     first manifest is.  Each row carries the node-count ratio, the measured
     time ratio, and kappa = time ratio / node ratio, so the transient
     speedup decomposes as time_ratio = node_ratio * kappa.  It also carries
-    the run's device-evaluation, linear-solve, write and linearization
-    times, None where the manifest does not record one.
+    the run's device-evaluation, linear-solve, write, linearization and
+    testing-node selection times, None where the manifest does not record
+    one.
     """
     if not manifests:
         raise ValueError("no manifests given")
@@ -327,7 +330,10 @@ def _run_report(paths) -> int:
     manifests = []
     for p in paths:
         with open(p) as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8 text
+                raise ConfigError(f"{p}: manifest is not JSON ({exc})") from None
         if not isinstance(manifest, dict):
             raise ConfigError(f"{p}: manifest is not a JSON object")
         for field in ("netlist", "netlist_sha256", "analysis", "method", "order",
@@ -341,6 +347,11 @@ def _run_report(paths) -> int:
         if type(wall) not in (int, float) or not 0 < wall < np.inf:
             raise ConfigError(f"{p}: manifest field 'wall_time_s' must be positive "
                               f"and finite, got {wall!r}")
+        for field in ("order", "steps_accepted", *_TIME_COLUMNS):   # what the report prints
+            value = manifest.get(field)
+            if value is not None and type(value) not in (int, float):
+                raise ConfigError(f"{p}: manifest field {field!r} must be a number "
+                                  f"or null, got {value!r}")
         manifests.append(manifest)
     rows = report_costs(manifests)
     _print_report(rows, sys.stdout)

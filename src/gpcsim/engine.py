@@ -131,6 +131,7 @@ class SolveStats:
     steps_accepted: int = 0
     steps_rejected: int = 0
     predictor_fallbacks: int = 0   # dc solves retried from the previous level
+    select_time: float = 0.0       # st: seconds picking the testing nodes
 
     def merge(self, other: "SolveStats"):
         for f in fields(self):

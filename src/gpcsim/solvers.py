@@ -49,6 +49,7 @@ reaches the engine as None, which fills in its defaults.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -701,14 +702,20 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
              scheme=None, fixed_h=None):
     """Stochastic testing: collocated intrusive solve with decoupled updates.
 
-    The one method that also runs an AcAnalysis card.
+    The one method that also runs an AcAnalysis card.  The result's
+    stats.select_time is the time spent in select_testing_nodes.
     """
     basis = _basis_for(circuit, order)
     kwargs = {} if beta is None else {"beta": beta}
-    node_set = select_testing_nodes(basis, _gauss_grid(circuit, basis.order), **kwargs)
-    return _intrusive_solve(
+    grid = _gauss_grid(circuit, basis.order)
+    tic = time.perf_counter()
+    node_set = select_testing_nodes(basis, grid, **kwargs)
+    select_time = time.perf_counter() - tic
+    result = _intrusive_solve(
         STProblem(circuit, basis, node_set), node_set, analysis, "st",
         newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
+    result.stats.select_time = select_time
+    return result
 
 
 def sg_solve(circuit, order, analysis, newton=None, control=None,

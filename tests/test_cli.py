@@ -563,6 +563,22 @@ class TestReportCosts:
         assert header.split()[7:9] == ["write_s", "linearize_s"]
         assert float(row.split()[8]) == pytest.approx(manifest["linearize_time"], rel=1e-3)
 
+    def test_report_prints_the_selection_time(self, tmp_path, capsys):
+        """An st run records the time it spent picking its testing nodes,
+        a part of its wall time; the other methods pick none."""
+        for method in ("st", "sc"):
+            run_cli("dc", "lna.cir", "--method", method, "--order", "2",
+                    "--out", str(tmp_path / method))
+        st, sc = (json.loads((tmp_path / m / "manifest.json").read_text())
+                  for m in ("st", "sc"))
+        assert 0.0 < st["select_time"] < st["wall_time_s"]
+        assert sc["select_time"] == 0.0
+        capsys.readouterr()
+        assert run_cli("report", str(tmp_path / "st" / "manifest.json")) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[8:10] == ["linearize_s", "select_s"]
+        assert float(row.split()[9]) == pytest.approx(st["select_time"], rel=1e-3)
+
     def test_report_mismatch_exits_2(self, tmp_path, capsys):
         st_dir = tmp_path / "st"
         other = tmp_path / "other"
@@ -590,12 +606,21 @@ class TestReportCosts:
         ([fake_manifest("sc", 2401, float("inf"))], "wall_time_s"),
         ([fake_manifest("sc", 2401, 9.0), fake_manifest("st", 210, 0.0)], "wall_time_s"),
         ([42], "JSON object"),
+        ([fake_manifest("st", 210, 1.0), "{not json"], "not JSON"),
+        ([fake_manifest("st", 210, 1.0),
+          {**fake_manifest("sc", 2401, 9.0), "device_eval_time": "fast"}],
+         "device_eval_time"),
+        ([{**fake_manifest("st", 210, 1.0), "select_time": [0.1]}], "select_time"),
+        ([{**fake_manifest("st", 210, 1.0), "steps_accepted": [1]}], "steps_accepted"),
+        ([fake_manifest("st", 210, 1.0, order="6")], "order"),
     ])
     def test_report_malformed_manifest_exits_2(self, tmp_path, capsys, manifests, field):
-        # the last manifest is the malformed one; a zero-time baseline comes second
+        # the last manifest is the malformed one; a zero-time baseline comes
+        # second; a string is written as it stands, not as JSON
         paths = [tmp_path / f"m{i}.json" for i in range(len(manifests))]
         for path, manifest in zip(paths, manifests):
-            path.write_text(json.dumps(manifest))
+            path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
         assert run_cli("report", *map(str, paths)) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""            # refused before the first row
         assert field in err and str(paths[-1]) in err

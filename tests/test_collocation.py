@@ -1,12 +1,15 @@
 """Testing-node selection tests: hand-derived small cases plus scan properties."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpcsim import collocation
 from gpcsim.basis import Beta, Gamma, Gaussian, GpcBasisSet, Uniform
+from gpcsim.circuit import load_circuit
+from gpcsim.cli import resolve_netlist
 from gpcsim.collocation import (
     DEFAULT_BETA,
     MAX_BETA_RETRIES,
@@ -14,7 +17,7 @@ from gpcsim.collocation import (
     build_phi,
     select_testing_nodes,
 )
-from gpcsim.quadrature import gauss_rule, tensor_grid
+from gpcsim.quadrature import Grid, gauss_rule, tensor_grid
 
 
 def make_grid(dists, p):
@@ -123,23 +126,73 @@ def per_candidate_scan(basis, grid, beta, max_retries=MAX_BETA_RETRIES):
     raise AssertionError("the reference scan found fewer than K nodes")
 
 
-@pytest.mark.parametrize("beta", [DEFAULT_BETA, 0.9])   # 0.9 always retries
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-@pytest.mark.parametrize("dists", [
-    [Gaussian(), Uniform()],
-    [Gamma(2.0), Beta(2.0, 3.0), Uniform()],
-    [Gaussian(), Beta(2.0, 2.0), Gamma(2.0), Uniform()],
-], ids=["gauss-unif", "gamma-beta-unif", "four-families"])
-def test_blocked_scan_matches_per_candidate_reference(dists, p, beta):
+def netlist_germs(name):
+    return [param.dist for param in load_circuit(resolve_netlist(name).read_text()).params]
+
+
+GERMS = {
+    "gauss-unif": [Gaussian(), Uniform()],
+    "gamma-beta-unif": [Gamma(2.0), Beta(2.0, 3.0), Uniform()],
+    "four-families": [Gaussian(), Beta(2.0, 2.0), Gamma(2.0), Uniform()],
+    **{name: netlist_germs(f"{name}.cir") for name in ("sram6t", "cs_amp", "db_mixer")},
+}
+
+
+def candidate_grid(dists, p, kind):
+    """The (p+1)-point tensor grid, a (p+2)-point one, or the tensor grid
+    with every node listed twice in a row, so each copy after the first is
+    rejected."""
+    grid = make_grid(dists, p + (kind == "finer"))
+    if kind == "twice":
+        grid = Grid(np.repeat(grid.nodes, 2, axis=0), np.repeat(grid.weights, 2))
+    return grid
+
+
+# p = 5 and 6 pick K = 126 of 1,296 and 210 of 2,401 tensor candidates,
+# with long runs of rejections; beta = 0.9 retries on every tensor grid
+ORACLE_CASES = [
+    pytest.param(germs, p, beta, kind,
+                 id=f"{germs}-{p}-{beta}" + ("" if kind == "tensor" else f"-{kind}"))
+    for germs in GERMS
+    for p in ((1, 2, 3, 4, 5, 6) if germs == "four-families" else (1, 2, 3, 4))
+    for kind in ("tensor", "finer", "twice")
+    for beta in (DEFAULT_BETA, 0.9)
+]
+
+
+@pytest.mark.parametrize("germs, p, beta, kind", ORACLE_CASES)
+def test_blocked_scan_matches_per_candidate_reference(germs, p, beta, kind):
+    dists = GERMS[germs]
+    basis = GpcBasisSet(dists, p)
+    grid = candidate_grid(dists, p, kind)
+    sel = select_testing_nodes(basis, grid, beta=beta)
+    indices, rows, beta_used = per_candidate_scan(basis, grid, beta)
+    np.testing.assert_array_equal(sel.node_indices, indices)
+    np.testing.assert_array_equal(sel.phi, rows)
+    phi, phi_inv, cond = build_phi(basis, grid.nodes[indices])
+    np.testing.assert_array_equal(sel.phi_inv, phi_inv)
+    assert sel.cond_estimate == cond
+    assert sel.beta_used == beta_used
+    if beta == 0.9 and kind == "tensor":
+        assert beta_used < beta
+
+
+def test_selection_memory_is_quadratic_in_k():
+    """Picking K = 126 nodes from 1,296 candidates holds a few K x K
+    float arrays at once; the (1,296, K) table of every candidate's basis
+    values alone would take 10.3 of them."""
+    dists, p = GERMS["four-families"], 5
     basis = GpcBasisSet(dists, p)
     grid = make_grid(dists, p)
-    sel = select_testing_nodes(basis, grid, beta=beta)
-    indices, phi, beta_used = per_candidate_scan(basis, grid, beta)
-    np.testing.assert_array_equal(sel.node_indices, indices)
-    np.testing.assert_array_equal(sel.phi, phi)
-    assert sel.beta_used == beta_used
-    if beta == 0.9:
-        assert beta_used < beta
+    select_testing_nodes(basis, grid)   # warm-up
+    tracemalloc.start()
+    try:
+        sel = select_testing_nodes(basis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sel.count, len(grid.weights)) == (126, 1296)
+    assert peak < 8 * sel.count**2 * 8
 
 
 def test_selection_from_a_finer_candidate_grid():

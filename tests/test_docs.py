@@ -4,16 +4,18 @@ A key added to a device class, a changed default or a new `type=` name
 fails here until the README's "Netlist format" table says the same, a
 new analysis card, waveform or usage until its card table does, a
 new run flag or a changed reader until its run-flag table does, a
-new default transient scheme until the README names it, and a module or
-top-level directory added or deleted until the README's layout says so.
+new default transient scheme until the README names it, a module or
+top-level directory added or deleted until the README's layout says so,
+and a `simulate report` column until the README's report example prints it.
 """
 
+import io
 import re
 from pathlib import Path
 
 import pytest
 
-from gpcsim.cli import _FLAG_READERS
+from gpcsim.cli import _FLAG_READERS, _print_report
 from gpcsim.devices import MODEL_KEYS
 from gpcsim.engine import SCHEMES
 from gpcsim.netlist import ANALYSES, WAVEFORMS, parse_number
@@ -118,3 +120,11 @@ def test_readme_layout_matches_the_tree():
     listed = layout["src/gpcsim/"]
     modules = sorted(path.name for path in (ROOT / "src" / "gpcsim").glob("*.py"))
     assert sorted(listed) == [name for name in modules if name != "__init__.py"]
+
+
+def test_readme_report_example_has_the_printed_header():
+    lines = README.read_text().splitlines()
+    start = lines.index("simulate report runs/st6/manifest.json runs/sc6/manifest.json")
+    printed = io.StringIO()
+    _print_report([], printed)
+    assert lines[start + 1] == "# " + printed.getvalue().rstrip("\n")
