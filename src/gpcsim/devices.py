@@ -282,7 +282,7 @@ class StampGroups(NamedTuple):
 
 class Peel(NamedTuple):
     """The states a Galerkin solve takes off its coupled system, in the
-    rounds that find them, and the core left for the dense solve.
+    rounds that find them, and the core left, which it factors.
 
     Each round is a (rows, cols, value) triple of state index arrays: row
     rows[m] fixes state cols[m] through the incidence entry value[m].  A

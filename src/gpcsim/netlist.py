@@ -121,6 +121,7 @@ class PulseWave:
     def __post_init__(self):
         _require(self.rise > 0, 3, "rise/fall/period must be positive")
         _require(self.fall > 0, 4, "rise/fall/period must be positive")
+        _require(self.width >= 0, 5, "width must not be negative")
         _require(self.period > 0, 6, "rise/fall/period must be positive")
 
     def value(self, t):

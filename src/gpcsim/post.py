@@ -203,8 +203,12 @@ def write_stats_csv(path, series: StatSeries):
 def read_stats_csv(path) -> StatSeries:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"empty stats CSV {path}")
     if rows[0] != ["time", "state", "mean", "std"]:
-        raise ValueError(f"unexpected CSV header {rows[0]!r}")
+        raise ValueError(f"unexpected CSV header {rows[0]!r} in {path}")
+    if len(rows) == 1:
+        raise ValueError(f"stats CSV {path} has a header and no rows")
     names: list = []
     for _, name, _, _ in rows[1:]:
         if name in names:

@@ -15,9 +15,8 @@ how coefficients are obtained:
   diagonal block.  The solve peels the
   states whose pivot is such an entry (voltage-source rows, branch-current
   columns; the kernel's `peel`) off by division and factors the core left,
-  reading every block it needs straight from the projection, so no dense
-  (nK)^2 matrix is built; when the core holds more than half the states it
-  builds and factors the whole matrix instead.
+  reading every block it needs straight from the projection.  A circuit
+  with nothing to peel is all core.
 * collocation (sc): deterministic solutions at the full tensor grid, then
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
@@ -286,14 +285,13 @@ class _SgSolve:
     A member entry of group g holds its sign times coupled[i·K + j, g] in
     block (i, j); an incidence entry is the same constant at every
     quadrature point, so it projects to that constant times wh.T @ hmat = I,
-    on the diagonal blocks alone.  With a peel plan the solve runs its
-    steps: each applies the K x K blocks of its rows' entries in the states
+    on the diagonal blocks alone.  The solve runs the problem's peel plan:
+    each step applies the K x K blocks of its rows' entries in the states
     solved before it, a peeled round then divides, and only the core's
-    (K·rows, K·cols) matrix is built and factored.  Without one, the dense
-    `jac` is built and solved, as it is for any caller that reads `jac`.
-    The plan comes with the first solve, and so does the LinAlgError of a
-    structurally singular circuit; the core is therefore built in `solve`,
-    and `linearize` only projects."""
+    (K·rows, K·cols) matrix is built and factored.  The plan comes with the
+    first solve, and so does the LinAlgError of a structurally singular
+    circuit; the core is therefore built in `solve`, and `linearize` only
+    projects."""
 
     __slots__ = ("coupled", "problem")
 
@@ -301,25 +299,8 @@ class _SgSolve:
         self.coupled = coupled
         self.problem = problem
 
-    @property
-    def jac(self) -> np.ndarray:
-        """The dense (nK, nK) Jacobian, basis-major, built on each read."""
-        problem = self.problem
-        n, k = problem.circuit.n, problem.basis.size
-        groups = problem.circuit.kernel.stamp_groups
-        coupled = self.coupled.reshape(k, k, -1)
-        full = np.zeros((k, n, k, n))
-        rows, cols = groups.member
-        full[:, rows, :, cols] = (coupled[:, :, groups.group] * groups.sign).transpose(2, 0, 1)
-        rows, cols = groups.incidence
-        diag = np.arange(k)[:, None]
-        full[diag, rows, diag, cols] = groups.value
-        return full.reshape(n * k, n * k)
-
     def solve(self, rhs):
         plan = self.problem.peel_steps
-        if plan is None:
-            return np.linalg.solve(self.jac, rhs)
         k = self.problem.basis.size
         blocks = self.coupled.reshape(k, -1)          # row i, columns j·G + g
         rhs = rhs.reshape(k, -1)[:, plan.rows]
@@ -382,7 +363,8 @@ def _peel_steps(kernel, k) -> _PeelPlan:
     rounds, its core, then its backward rounds from the last to the first.
     A step's rows have entries only in its own states and in those solved
     before it, so each step reads its entries off the Jacobian pattern with
-    rows and columns in that order."""
+    rows and columns in that order.  A kernel with nothing to peel is one
+    core step over every state."""
     n, groups, peel = kernel.n, kernel.stamp_groups, kernel.peel
     width = len(groups.lead[0])
     rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
@@ -522,14 +504,10 @@ class SGProblem:
         return self.circuit.n * self.basis.size
 
     @cached_property
-    def peel_steps(self) -> _PeelPlan | None:
-        """The peeled solve's plan, built on the first solve; None keeps the
-        dense solve, which a core of more than half the states would not
-        beat by enough."""
-        kernel = self.circuit.kernel
-        if 2 * len(kernel.peel.core[0]) > kernel.n:
-            return None
-        return _peel_steps(kernel, self.basis.size)
+    def peel_steps(self) -> _PeelPlan:
+        """The Galerkin solve's plan, built on the first solve, so building
+        a problem does not pay for it."""
+        return _peel_steps(self.circuit.kernel, self.basis.size)
 
     @cached_property
     def projection(self) -> _Projection:

@@ -299,7 +299,8 @@ def test_bad_distributions_flagged():
 
 
 def test_bad_waveforms_flagged():
-    for wave in ["pulse(0 1 0 1u)", "pwl(0 0 0 1)", "sin()", "tri(0 1 2)"]:
+    for wave in ["pulse(0 1 0 1u)", "pwl(0 0 0 1)", "sin()", "tri(0 1 2)",
+                 "pulse(0 1 0 1n 1n -5n 10n)"]:
         with pytest.raises(NetlistError):
             parse_netlist(f"v1 a 0 {wave}\nr1 a 0 1\n")
 
@@ -393,6 +394,8 @@ NAN, INF = math.nan, math.inf
     (lambda: PulseWave(0, 1, 0, 1e-9, -1e-9, 5e-9, 10e-9), 4, "rise/fall/period"),
     (lambda: PulseWave(0, 1, 0, 1e-9, 1e-9, 5e-9, 0), 6, "rise/fall/period"),
     (lambda: PulseWave(0, 1, 0, NAN, 1e-9, 5e-9, 10e-9), 3, "rise/fall/period"),
+    (lambda: PulseWave(0, 1, 0, 1e-9, 1e-9, -5e-9, 10e-9), 5, "width must not be negative"),
+    (lambda: PulseWave(0, 1, 0, 1e-9, 1e-9, NAN, 10e-9), 5, "width must not be negative"),
     (lambda: PwlWave((1e-9, 0.0), (0.0, 1.0)), 0, "times must increase"),
     (lambda: PwlWave((0.0, 0.0), (0.0, 1.0)), 0, "times must increase"),
     (lambda: PwlWave((0.0, NAN), (0.0, 1.0)), 0, "times must increase"),

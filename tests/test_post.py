@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -249,6 +250,14 @@ class TestExports:
         np.testing.assert_array_equal(back.mean, series.mean)
         np.testing.assert_array_equal(back.std, series.std)
         assert back.names == series.names
+
+    def test_csv_without_rows_names_its_path(self, tmp_path):
+        empty, header = tmp_path / "empty.csv", tmp_path / "header.csv"
+        empty.write_text("")
+        header.write_text("time,state,mean,std\n")
+        for path in (empty, header):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_stats_csv(path)
 
     def test_csv_byte_determinism(self, tmp_path):
         circuit = load_circuit(DIVIDER)
