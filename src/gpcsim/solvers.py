@@ -303,7 +303,7 @@ class _SgSolve:
         plan = self.problem.peel_steps
         k = self.problem.basis.size
         blocks = self.coupled.reshape(k, -1)          # row i, columns j·G + g
-        rhs = rhs.reshape(k, -1)[:, plan.rows]
+        rhs = rhs.reshape(k, -1).take(plan.rows, axis=1)
         y = np.empty_like(rhs)                        # the states in solve order
         for step in plan.steps:
             b, solved = rhs[:, step.span], y[:, :step.span.start]
@@ -321,7 +321,7 @@ class _SgSolve:
                     core[diag, :, diag, :] += step.core_constant
                 y[:, step.span] = np.linalg.solve(core.reshape(b.size, b.size),
                                                   b.ravel()).reshape(k, -1)
-        return y[:, plan.order].ravel()
+        return y.take(plan.order, axis=1).ravel()
 
 
 class _PeelStep(NamedTuple):
