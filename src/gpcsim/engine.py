@@ -17,7 +17,11 @@ only transients call source(t), the one place time enters.  A problem may
 also expose `blocks`, the count of equal slices of x whose residual
 depends on that slice alone (the lockstep points of sc and mc); Newton
 then stops each slice on its own residual, so a slice's iterates do not
-depend on the others while the solve succeeds.  Without it, x is one
+depend on the others while the solve succeeds.  The per-slice max|resid|
+and max|x| come from `_block_max`, which reads all slices at once down the
+columns of a transposed copy rather than reducing each short slice on its
+own; max is exact in any order, so the values, and so the iteration
+counts, are those of the per-slice reduction.  Without `blocks`, x is one
 coupled block.
 
 An evaluation depends on x alone, so it holds at any time point and for
@@ -161,6 +165,18 @@ def _timed_eval(problem, x, stats):
         stats.device_eval_time += time.perf_counter() - tic
 
 
+def _block_max(a, blocks) -> np.ndarray:
+    """max|a| over each of `blocks` equal slices of a, 0 for empty ones:
+    the values of np.abs(a).reshape(blocks, -1).max(axis=1, initial=0.0).
+    Max is exact in any order, so several blocks are reduced down the
+    columns of a transposed copy, one pass per slice entry over all of
+    them, instead of one short reduction per block."""
+    a = np.abs(a).reshape(blocks, -1)
+    if blocks > 1:
+        return a.T.copy().max(axis=0, initial=0.0)
+    return a.max(axis=1, initial=0.0)
+
+
 def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
                  stats: SolveStats | None = None, *, x0_eval=None) -> NewtonResult:
     """Solve c*q(x) + f(x) + history = source by Newton.
@@ -189,8 +205,8 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
                 return NewtonResult(x, False, it, failure=str(exc))
         stats.residual_evals += 1
         resid = c * ev.q + ev.f + history - source
-        norm = np.abs(resid).reshape(blocks, -1).max(axis=1, initial=0.0)
-        done |= norm <= config.abstol + config.reltol * np.abs(xb).max(axis=1, initial=0.0)
+        norm = _block_max(resid, blocks)
+        done |= norm <= config.abstol + config.reltol * _block_max(xb, blocks)
         if done.all():
             return NewtonResult(x, True, it, eval=ev)
         if it == NEWTON_MAX_ITER:

@@ -29,7 +29,15 @@ sc and mc solve their points in lockstep: near-equal batches of about
 LOCKSTEP_ENTRIES Jacobian entries, and at least LOCKSTEP_CHUNK points, form
 one block-diagonal stacked problem, which is st with Φ = I and whose
 `blocks` are its points, so Newton stops each point on its own residual (a
-point that has stopped is still evaluated with the batch).  All methods
+point that has stopped is still evaluated with the batch).  The n x n
+solves of st, sc and mc take the circuit's peel too, once a run solves at
+least LOCKSTEP_PEEL_POINTS points side by side (st's K, sc's grid, mc's
+samples): the peeled rounds divide and only the (M, core, core) blocks go
+to LAPACK.  Below that, where a dense LAPACK solve per point costs less
+than the peel's steps, each point is one dense solve.  The rule counts the
+run's points, not a batch's, and a point's peeled arithmetic does not
+depend on how many points share its batch, so the batching never changes
+a result.  All methods
 run DC, sweeps and transients through one function, `_run`, on a problem
 built once per run and never changed.  Every DC solve of a run takes the
 problem's `stack` of B u, with u the sources' DC values, a sweep level or a
@@ -77,6 +85,7 @@ DEFAULT_ORDER = 2            # gPC total order when none is given
 DEFAULT_FIXED_STEPS = 2000   # sc/mc transient grid resolution when no step given
 LOCKSTEP_CHUNK = 128         # fewest germ points in a full sc/mc lockstep batch
 LOCKSTEP_ENTRIES = 2**15     # Jacobian entries (points x n^2) that size larger batches
+LOCKSTEP_PEEL_POINTS = 256   # fewest points of a run whose st/sc/mc solves peel
 MAX_FAILURE_FRACTION = 0.01  # share of failed mc samples that aborts the run
 TABLE_BUDGET = 10**8         # most entries in a (basis size) x (grid nodes) table
 PREDICTOR_POINTS = 3         # solved sweep levels behind a level's quadratic seed
@@ -167,8 +176,9 @@ def _gauss_grid(circuit, order):
 @dataclass(slots=True, eq=False)
 class _StackedEvalST:
     """Residual pieces at all testing nodes plus the decoupled linear hook:
-    linearize(c) forms the (K, n, n) Jacobians c·dq + df, and solve runs
-    the two-stage update on them."""
+    linearize(c) forms the (K, n, n) Jacobians c·dq + df, or under the
+    problem's peel plan only their pattern entries, the plan's `table`, and
+    solve runs the two-stage update on them."""
 
     q: np.ndarray
     f: np.ndarray
@@ -178,40 +188,163 @@ class _StackedEvalST:
     jacs: np.ndarray | None = None
 
     def linearize(self, c):
-        self.jacs = c * self.dqs + self.dfs
+        plan = self.problem.plan
+        if plan is None:
+            self.jacs = c * self.dqs + self.dfs
+        else:
+            self.jacs = c * plan.table(self.dqs) + plan.table(self.dfs)
         return self
 
     def solve(self, rhs):
         return st_decoupled_linear_step(self.jacs, self.problem.nodes.phi_inv,
-                                        -rhs.reshape(len(self.jacs), -1))
+                                        -rhs.reshape(len(self.dqs), -1), self.problem.plan)
 
 
-def _singular_block(jacs) -> int:
-    """Index of the first block np.linalg.solve rejects (failure path only)."""
-    for m, jac in enumerate(jacs):
-        try:
-            np.linalg.solve(jac, np.zeros(len(jac), dtype=jac.dtype))
-        except np.linalg.LinAlgError:
-            return m
-    return -1
-
-
-def st_decoupled_linear_step(jac_blocks, phi_inv, residual) -> np.ndarray:
+def st_decoupled_linear_step(jac_blocks, phi_inv, residual, plan=None) -> np.ndarray:
     """Two-stage update: one batched blockwise solve, then the inverse
     Vandermonde map.
 
     jac_blocks is (K, n, n) and residual has one row per testing node; the
     result is the flattened coefficient update solving the coupled system
     blockdiag(J̃)·(Φ⊗I)·ΔX = −R.  phi_inv None stands for Φ = I, the
-    lockstep germ points of sc and mc.
+    lockstep germ points of sc and mc.  With `plan` None (the one-core
+    plan) each block is one dense LAPACK solve.  A plan from
+    `_lockstep_steps` peels the circuit's states off instead, and then the
+    blocks come as its entry table, `plan.table(blocks)`.  A singular
+    block, or a singular core under the peel, raises LinAlgError naming
+    its testing node.
     """
     jacs = np.asarray(jac_blocks)
+    rhs = -np.asarray(residual)
     try:
-        dz = np.linalg.solve(jacs, -np.asarray(residual)[..., None])[..., 0]
+        dz = _lockstep_solve(plan, jacs, rhs)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            f"singular jacobian block at testing node {_singular_block(jacs)}") from None
+        for m in range(len(rhs)):   # the failure path alone solves one block at a time
+            try:
+                _lockstep_solve(plan, jacs[m:m + 1] if plan is None else jacs[:, m:m + 1],
+                                rhs[m:m + 1])
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"singular jacobian block at testing node {m}") from None
+        raise
     return (dz if phi_inv is None else phi_inv @ dz).ravel()
+
+
+def _lockstep_solve(plan, jacs, rhs) -> np.ndarray:
+    """Solve J[m] @ x[m] = rhs[m] for M blocks J and the (M, n) rows.
+
+    With plan None, jacs holds the (M, n, n) blocks, each solved dense.
+    Otherwise it is their entry table, `plan.table`, and the plan's steps
+    run in its order with the points along the last axis.  A step's
+    right-hand side is its rows less their entries in the states solved
+    before, subtracted one degree slot at a time, so each point adds in
+    the same order whatever M is, and no matrix product is taken over the
+    batch.  A peeled round divides, and the core's (M, rows, cols) blocks
+    go to one batched solve.
+    """
+    if plan is None:
+        return np.linalg.solve(jacs, rhs[..., None])[..., 0]
+    m, n = rhs.shape
+    rhs = np.take(rhs.T, plan.rows, axis=0)        # (n, M), rows in solve order
+    y = np.empty((n, m), dtype=np.result_type(jacs, rhs))
+    for step in plan.steps:
+        b = rhs[step.span]
+        if step.entries.size:
+            terms = jacs.take(step.entries, axis=0) * y.take(step.known, axis=0)
+            for k in range(terms.shape[1]):
+                b = b - terms[:, k]
+        if step.core is None:
+            np.divide(b, step.pivot, out=y[step.span])
+        else:
+            size = len(b)
+            core = jacs.take(step.core, axis=0).reshape(size, size, m).transpose(2, 0, 1)
+            y[step.span] = np.linalg.solve(core, b.T[..., None])[..., 0].T
+    return y.take(plan.order, axis=0).T
+
+
+class _LockstepStep(NamedTuple):
+    """One step of the lockstep peeled solve: the states at `span` of the
+    plan's order, from the rows at `span`.  `entries` (rows, degree) holds
+    those rows' entries in the states solved before them, as rows of the
+    plan's entry table, and `known` those states' places in the solve
+    order.  A short row is padded with the table's zero row (and place 0),
+    so that every row runs over the same degree slots.  A peeled round
+    divides by its incidence constants `pivot` (rows, 1).  The core (pivot
+    None) takes its (rows, cols) block, row-major, from the table rows
+    `core`, the zero row where the pattern has no entry, and solves it."""
+
+    span: slice
+    entries: np.ndarray
+    known: np.ndarray
+    pivot: np.ndarray | None
+    core: np.ndarray | None
+
+
+class _LockstepPlan(NamedTuple):
+    """The lockstep peeled solve of one circuit, for any number of points.
+    `entries` lists the flat n x n indices of the Jacobian pattern, the
+    rows of the entry `table`.  The steps solve y = x[cols] from rhs[rows],
+    in that order, and x is y[order]."""
+
+    entries: np.ndarray
+    rows: np.ndarray
+    order: np.ndarray
+    steps: tuple
+
+    def table(self, blocks) -> np.ndarray:
+        """The (entries + 1, M) table of M blocks (M, n, n): row e holds
+        entry entries[e] of every block, and the last row is zero."""
+        m = len(blocks)
+        out = np.zeros((len(self.entries) + 1, m), dtype=blocks.dtype)
+        out[:-1] = blocks.reshape(m, -1)[:, self.entries].T
+        return out
+
+
+def _lockstep_steps(kernel) -> _LockstepPlan:
+    """The kernel's peel as the lockstep solve's plan: the rounds of
+    `_peel_rounds`, each with its rows' entries in the states solved
+    before it, read off the Jacobian pattern.  A kernel with nothing to
+    peel is one core step over every state, the dense solve."""
+    n = kernel.n
+    rounds, rows, cols = _peel_rounds(kernel)
+    pattern_rows, pattern_cols = kernel.jacobian_pattern
+    zero = len(pattern_rows)                      # the entry table's zero row
+    place = np.full((n, n), zero)                 # each entry's row of the table
+    place[pattern_rows, pattern_cols] = np.arange(zero)
+    place = place[np.ix_(rows, cols)]             # rows and columns in solve order
+    steps, start = [], 0
+    for step_rows, _, pivot in rounds:
+        span = slice(start, start + len(step_rows))
+        solved = place[span, :start]
+        r, u = np.nonzero(solved < zero)          # row by row, in solve order
+        slot = np.arange(len(r)) - np.searchsorted(r, r)
+        shape = (len(step_rows), slot.max(initial=-1) + 1)
+        known, entries = np.zeros(shape, dtype=np.intp), np.full(shape, zero)
+        known[r, slot] = u
+        entries[r, slot] = solved[r, u]
+        if pivot is None:
+            steps.append(_LockstepStep(span, entries, known, None, place[span, span].ravel()))
+        else:
+            steps.append(_LockstepStep(span, entries, known, pivot[:, None], None))
+        start = span.stop
+    return _LockstepPlan(pattern_rows * n + pattern_cols, rows, np.argsort(cols),
+                         tuple(steps))
+
+
+def _lockstep_plan(circuit, points):
+    """The linear plan of a run that solves `points` points side by side
+    (st's K, sc's grid, mc's samples): the circuit's peel from
+    LOCKSTEP_PEEL_POINTS points up, else None, one dense solve per point,
+    as for the one-point nominal operating point.  The rule counts the
+    run's points, not a batch's, so a point takes the same arithmetic in
+    any batching.  A pattern that cannot be peeled is structurally
+    singular; its dense solve then names the failing point."""
+    if points < LOCKSTEP_PEEL_POINTS:
+        return None
+    try:
+        return _lockstep_steps(circuit.kernel)
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -234,6 +367,7 @@ class STProblem:
     circuit: StochasticCircuit
     basis: GpcBasisSet | None
     nodes: TestingNodeSet | GermPoints
+    plan: _LockstepPlan | None = None    # the linear plan, `_lockstep_plan`'s
 
     @property
     def size(self) -> int:
@@ -358,6 +492,18 @@ class _PeelPlan(NamedTuple):
     steps: tuple
 
 
+def _peel_rounds(kernel):
+    """The kernel's `peel` in solve order: its forward rounds, its core
+    (pivot None), then its backward rounds from the last to the first, as
+    (rows, cols, pivot) with the empty ones dropped, and all their rows and
+    all their columns in that order."""
+    peel = kernel.peel
+    rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
+    rounds = [rnd for rnd in rounds if len(rnd[0])]
+    return (rounds, np.concatenate([rnd[0] for rnd in rounds]),
+            np.concatenate([rnd[1] for rnd in rounds]))
+
+
 def _peel_steps(kernel, k) -> _PeelPlan:
     """The kernel's `peel` spelled out for K basis blocks: its forward
     rounds, its core, then its backward rounds from the last to the first.
@@ -365,12 +511,9 @@ def _peel_steps(kernel, k) -> _PeelPlan:
     before it, so each step reads its entries off the Jacobian pattern with
     rows and columns in that order.  A kernel with nothing to peel is one
     core step over every state."""
-    n, groups, peel = kernel.n, kernel.stamp_groups, kernel.peel
+    n, groups = kernel.n, kernel.stamp_groups
     width = len(groups.lead[0])
-    rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
-    rounds = [rnd for rnd in rounds if len(rnd[0])]
-    rows = np.concatenate([rnd[0] for rnd in rounds])
-    cols = np.concatenate([rnd[1] for rnd in rounds])
+    rounds, rows, cols = _peel_rounds(kernel)
     group, sign, constant = np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), np.zeros((n, n))
     group[groups.member] = groups.group
     sign[groups.member] = groups.sign
@@ -689,8 +832,9 @@ def st_solve(circuit, order, analysis, beta=None, newton=None, control=None,
     tic = time.perf_counter()
     node_set = select_testing_nodes(basis, grid, **kwargs)
     select_time = time.perf_counter() - tic
+    problem = STProblem(circuit, basis, node_set, _lockstep_plan(circuit, basis.size))
     result = _intrusive_solve(
-        STProblem(circuit, basis, node_set), node_set, analysis, "st",
+        problem, node_set, analysis, "st",
         newton=newton, control=control, scheme=scheme, fixed_h=fixed_h)
     result.stats.select_time = select_time
     return result
@@ -757,6 +901,7 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method,
     rows where a point failed), {point: error} and the merged counters.
     """
     n = circuit.n
+    plan = _lockstep_plan(circuit, len(points))
     stats = SolveStats()
     times = sols = None
     errors = {}
@@ -765,7 +910,7 @@ def _sample_runs(circuit, points, analysis, newton, scheme, fixed_h, method,
         nonlocal times, sols
         label = method if len(idx) > 1 else (
             f"{method} node {idx[0]} xi={np.array2string(points[idx[0]], precision=4)}")
-        problem = STProblem(circuit, None, GermPoints(points[idx]))
+        problem = STProblem(circuit, None, GermPoints(points[idx]), plan)
         try:
             traj = _run(problem, analysis, label, newton, scheme=scheme,
                         fixed_h=fixed_h)

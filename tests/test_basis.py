@@ -258,6 +258,32 @@ def test_eval_basis_support_domain_errors():
         eval_basis(basis, [-1.0])
 
 
+def test_support_error_names_the_first_germ_outside():
+    """Every coordinate is checked at once; the error names the lowest germ
+    with a coordinate outside its support, whichever point holds it."""
+    basis = GpcBasisSet([Gaussian(), Uniform(), Gamma(1.0), Beta(2.0, 2.0)], 1)
+    pts = np.zeros((3, 4))
+    pts[:, 2] = 1.0
+    basis.eval_many(pts)
+    pts[2, 3] = 1.5                      # Beta outside [-1, 1]
+    pts[1, 1] = -1.0 - 1e-9              # Uniform just outside [-1, 1]
+    with pytest.raises(ValueError, match=r"germ coordinate 1 outside the support of Uniform"):
+        basis.eval_many(pts)
+    pts[1, 1] = -1.0 - 1e-13             # within the 1e-12 margin
+    with pytest.raises(ValueError, match=r"germ coordinate 3 outside the support of Beta"):
+        basis.eval_many(pts)
+
+
+@pytest.mark.parametrize("germ", [0, 1])
+def test_support_check_refuses_nan(germ):
+    """NaN lies in no support, the Gaussian's whole real line included."""
+    basis = GpcBasisSet([Gaussian(), Uniform()], 2)
+    pts = np.zeros((4, 2))
+    pts[3, germ] = np.nan
+    with pytest.raises(ValueError, match=f"germ coordinate {germ} outside"):
+        basis.eval_many(pts)
+
+
 def test_basis_shape_checks():
     basis = GpcBasisSet([Gaussian(), Gaussian()], 2)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from tracer import span_points  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from gpcsim import cli, solvers  # noqa: E402
+from gpcsim import cli, engine, solvers  # noqa: E402
 from gpcsim.basis import GpcBasisSet  # noqa: E402
 from gpcsim.circuit import load_circuit  # noqa: E402
 
@@ -79,6 +79,47 @@ def test_sg_sweep_builds_its_projection_plan_once(monkeypatch, tmp_path):
     assert [k for _, k in peels] == [126]
     counters = ("newton_iterations", "linear_solves", "residual_evals", "device_evals")
     assert [manifest[key] for key in counters] == [20, 20, 30, 29]
+
+
+@pytest.mark.parametrize("name", ["st_tran_sram6t", "mc_dcsweep_cs_amp"])
+def test_lockstep_setup_builds_no_peel_plan(monkeypatch, name):
+    """The st and mc workloads' `setup_s` times their set-up calls; the
+    lockstep peel plan is built when a run starts solving, outside it."""
+    built = count_plans(monkeypatch, "_lockstep_steps")
+    workload = WORKLOADS[name]
+    workload.setup(cli.resolve_netlist(workload.netlist).read_text(), workload.order, 1)
+    assert built == []
+
+
+def test_mc_run_builds_its_lockstep_plan_once(monkeypatch, tmp_path):
+    """The mc workload's 2000 samples solve in three lockstep batches over
+    a 9-level sweep with one peel plan, and Newton's path is pinned by the
+    manifest's counters, so a faster linear solve cannot gain its time by
+    changing the iterations."""
+    built = count_plans(monkeypatch, "_lockstep_steps")
+    workload = WORKLOADS["mc_dcsweep_cs_amp"]
+    assert cli.main(workload.argv(1) + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(built) == 1 and built[0][0].n == 6
+    assert len(solvers._lockstep_batches(manifest["node_count"], 6)) == 3
+    counters = ("newton_iterations", "linear_solves", "residual_evals")
+    assert [manifest[key] for key in counters] == [53, 53, 80]
+
+
+@pytest.mark.parametrize("blocks", [1, 15, 667])
+def test_block_max_is_the_row_reduction(blocks):
+    """Newton's per-block norms are the bits of the per-row reduction they
+    replace, zero-length blocks included."""
+    rng = np.random.default_rng(blocks)
+    for width in (0, 1, 6, 24):
+        a = rng.normal(size=blocks * width) * 10.0 ** rng.integers(-300, 300, blocks * width)
+        a[::5] = 0.0
+        a[::7] *= -0.0
+        want = np.abs(a).reshape(blocks, -1).max(axis=1, initial=0.0)
+        got = engine._block_max(a, blocks)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), width
+        xb = a.reshape(blocks, -1)
+        assert engine._block_max(xb, blocks).tobytes() == want.tobytes(), width
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -714,6 +714,115 @@ class TestSgPeel:
             lin.solve(np.ones(problem.size))
 
 
+def lockstep_jacobians(circuit, m, c, seed=5):
+    """(m, n, n) Jacobians c·dq + df of the circuit at m drawn germ points
+    and states near its nominal operating point, and (m, n) residuals."""
+    rng = np.random.default_rng(seed)
+    nominal = solvers._nominal_dc(circuit, None, circuit.b_matrix @ circuit.dc_source_vector())
+    points = np.column_stack([p.dist.sample(rng, m) for p in circuit.params])
+    states = nominal.x + 0.01 * rng.normal(size=(m, circuit.n))
+    ev = circuit.eval_qf(states, points)
+    return c * ev.dq + ev.df, rng.normal(size=(m, circuit.n))
+
+
+class TestLockstepPeel:
+    """The st/sc/mc peeled solve against one dense LAPACK solve per point."""
+
+    CIRCUITS = SHIPPED + ["chain", "ladder", "all core"]
+
+    @staticmethod
+    def circuit(name):
+        return load_circuit(inverter_chain(20)) if name == "chain" else named_circuit(name)
+
+    @pytest.mark.parametrize("m", [1, 15, 667])
+    @pytest.mark.parametrize("name", CIRCUITS)
+    def test_matches_the_dense_solve(self, name, m):
+        circuit = self.circuit(name)
+        plan = solvers._lockstep_steps(circuit.kernel)
+        for c in (0.0, 1e9):
+            jacs, resid = lockstep_jacobians(circuit, m, c)
+            got = st_decoupled_linear_step(plan.table(jacs), None, resid, plan).reshape(m, -1)
+            want = np.linalg.solve(jacs, -resid[..., None])[..., 0]
+            gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert gap.max() <= 1e-12, (c, gap.max())
+
+    def test_core_sizes(self):
+        """The core left after the peel: 2 of 6 states on cs_amp, 2 of 10 on
+        sram6t, 5 of 15 on db_mixer, 20 of 24 on the inverter chain and 16
+        of 18 on the ladder; a circuit with nothing to peel is one core."""
+        cores = {}
+        for name in ("cs_amp.cir", "sram6t.cir", "db_mixer.cir", "chain", "ladder", "all core"):
+            circuit = self.circuit(name)
+            steps = solvers._lockstep_steps(circuit.kernel).steps
+            core, = (len(step.core) for step in steps if step.pivot is None)
+            cores[name] = (math.isqrt(core), circuit.n)
+        assert cores == {"cs_amp.cir": (2, 6), "sram6t.cir": (2, 10), "db_mixer.cir": (5, 15),
+                         "chain": (20, 24), "ladder": (16, 18), "all core": (2, 2)}
+
+    def test_nothing_to_peel_is_the_dense_solve(self):
+        circuit = named_circuit("all core")
+        plan = solvers._lockstep_steps(circuit.kernel)
+        assert len(plan.steps) == 1
+        jacs, resid = lockstep_jacobians(circuit, 15, 1e9)
+        np.testing.assert_array_equal(
+            st_decoupled_linear_step(plan.table(jacs), None, resid, plan),
+            st_decoupled_linear_step(jacs, None, resid))
+
+    @pytest.mark.parametrize("bad", [0, 3, 14])
+    def test_singular_core_names_its_point(self, bad):
+        """A point whose core block is singular fails the solve, named; the
+        peeled rounds around it divide by constants and cannot fail."""
+        circuit = shipped_circuit("cs_amp.cir")
+        plan = solvers._lockstep_steps(circuit.kernel)
+        jacs, resid = lockstep_jacobians(circuit, 15, 0.0)
+        jacs[bad][np.ix_(*circuit.kernel.peel.core)] = 0.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"^singular jacobian block at testing node {bad}$"):
+            st_decoupled_linear_step(plan.table(jacs), None, resid, plan)
+
+    def test_points_do_not_depend_on_the_batch(self):
+        """A point's update is the same bits whether it is solved alone, in
+        a 7-point batch or with all 667."""
+        circuit = shipped_circuit("db_mixer.cir")
+        plan = solvers._lockstep_steps(circuit.kernel)
+        jacs, resid = lockstep_jacobians(circuit, 667, 1e9)
+
+        def solve(lo, hi):
+            return st_decoupled_linear_step(plan.table(jacs[lo:hi]), None, resid[lo:hi], plan)
+
+        whole = solve(0, 667)
+        for size in (1, 7):
+            parts = np.concatenate([solve(lo, lo + size) for lo in range(0, 667, size)])
+            assert parts.tobytes() == whole.tobytes(), size
+
+    @pytest.mark.parametrize("method, analysis", [
+        ("st", DcSweepAnalysis("vin", 0.6, 1.4, 0.2)),
+        ("st", AcAnalysis(1e3, 1e9, 2)),
+        ("sc", DcAnalysis()),
+    ])
+    def test_peeled_runs_match_the_dense_runs(self, monkeypatch, method, analysis):
+        """st (a DC sweep, and AC with complex c = jω) and sc agree with and
+        without the peel to rounding; no run of this size peels by default."""
+        text = (resources.files("gpcsim") / "netlists" / "cs_amp.cir").read_text()
+        circuit = load_circuit(text.replace("vin in 0 dc 0.9", "vin in 0 dc 0.9 ac 1"))
+        dense = run_analysis(circuit, method, 2, analysis)
+        assert np.abs(dense.coeffs).max() > 0.1
+        monkeypatch.setattr(solvers, "LOCKSTEP_PEEL_POINTS", 1)
+        peeled = run_analysis(circuit, method, 2, analysis)
+        assert dense.stats.newton_iterations == peeled.stats.newton_iterations
+        scale = np.abs(dense.coeffs).max()
+        assert np.abs(peeled.coeffs - dense.coeffs).max() <= 1e-12 * scale
+
+    def test_run_rule_counts_the_runs_points(self):
+        circuit = shipped_circuit("cs_amp.cir")
+        n_peel = solvers.LOCKSTEP_PEEL_POINTS
+        assert solvers._lockstep_plan(circuit, n_peel - 1) is None
+        assert solvers._lockstep_plan(circuit, n_peel) is not None
+        with pytest.warns(AssemblyWarning, match="loop"):
+            parallel = load_circuit(PARALLEL_SOURCES)
+        assert solvers._lockstep_plan(parallel, n_peel) is None   # no peel: dense
+
+
 # --------------------------------------------------------------------------
 # collocation (sampling) specifics
 # --------------------------------------------------------------------------
@@ -834,6 +943,26 @@ class TestLockstepBatches:
             for name in ("stats.csv", "coefficients.json"):
                 assert ((tmp_path / "planned" / name).read_bytes()
                         == (tmp_path / f"chunk{chunk}" / name).read_bytes()), (chunk, name)
+
+    def test_peeled_mc_artifacts_do_not_depend_on_the_batching(self, tmp_path, monkeypatch):
+        """At LOCKSTEP_PEEL_POINTS samples the run peels every solve, and it
+        writes the same bytes in one batch as in one-point, 7-point and
+        LOCKSTEP_CHUNK-point batches."""
+        built = []
+        steps = solvers._lockstep_steps
+        monkeypatch.setattr(solvers, "_lockstep_steps",
+                            lambda kernel: built.append(kernel) or steps(kernel))
+        argv = ["dcsweep", "cs_amp.cir", "--method", "mc", "--samples",
+                str(solvers.LOCKSTEP_PEEL_POINTS), "--seed", "5", "--out"]
+        assert cli.main(argv + [str(tmp_path / "planned")]) == 0
+        monkeypatch.setattr(solvers, "LOCKSTEP_ENTRIES", 0)
+        for chunk in (1, 7, solvers.LOCKSTEP_CHUNK):
+            monkeypatch.setattr(solvers, "LOCKSTEP_CHUNK", chunk)
+            assert cli.main(argv + [str(tmp_path / f"chunk{chunk}")]) == 0
+            for name in ("stats.csv", "coefficients.json"):
+                assert ((tmp_path / "planned" / name).read_bytes()
+                        == (tmp_path / f"chunk{chunk}" / name).read_bytes()), (chunk, name)
+        assert len(built) == 4
 
     @pytest.mark.parametrize("method", ["sc", "mc"])
     @pytest.mark.parametrize("analysis, fixed_h, rows", [
