@@ -52,14 +52,26 @@ class AssemblyWarning(UserWarning):
 class PointEval:
     """The DAE right-hand side pieces at (x, xi).
 
-    One point gives q, f of shape (n,) and dq, df of shape (n, n); a batch
-    of M points gives (M, n) and (M, n, n).
+    One point gives q, f of shape (n,) and a batch of M points (M, n).  The
+    Jacobians come as the kernel writes them, their `jacobian_pattern`
+    entries dq_entries and df_entries, (nnz,) or (M, nnz), which is what
+    the solvers read.  dq and df are the dense (n, n) or (M, n, n) blocks,
+    zero off the pattern, expanded from the entries on first read.
     """
 
     q: np.ndarray
     f: np.ndarray
-    dq: np.ndarray
-    df: np.ndarray
+    dq_entries: np.ndarray
+    df_entries: np.ndarray
+    kernel: DeviceKernel = field(repr=False)
+
+    @cached_property
+    def dq(self) -> np.ndarray:
+        return self.kernel.dense(self.dq_entries)
+
+    @cached_property
+    def df(self) -> np.ndarray:
+        return self.kernel.dense(self.df_entries)
 
 
 @dataclass
@@ -91,8 +103,10 @@ class StochasticCircuit:
         """Device evaluation at one point, or at M points in one pass.
 
         x is (n,) or (M, n) and xi is (l,) or (M, l); a 1-D argument is
-        shared by every point of a batch.  Any non-finite entry anywhere in
-        the batch raises EvalOverflowError.
+        shared by every point of a batch.  The Jacobians come back as their
+        pattern entries, and as dense blocks only when a caller reads them;
+        see PointEval.  Any non-finite entry anywhere in the batch raises
+        EvalOverflowError.
         """
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
@@ -107,11 +121,10 @@ class StochasticCircuit:
         if not np.isfinite(out).all():
             raise EvalOverflowError(
                 f"non-finite device evaluation in circuit {self.name!r}")
-        n = self.n
         q, f, dq, df = kernel.split(out)
         if single:
-            return PointEval(q[0], f[0], dq[0].reshape(n, n), df[0].reshape(n, n))
-        return PointEval(q, f, dq.reshape(m, n, n), df.reshape(m, n, n))
+            return PointEval(q[0], f[0], dq[0], df[0], kernel)
+        return PointEval(q, f, dq, df, kernel)
 
     def source_vector(self, t: float) -> np.ndarray:
         return np.array([dev.dc_value() if dev.waveform is None

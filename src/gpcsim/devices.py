@@ -13,13 +13,18 @@ parameters as affine functions base + scale * xi[germ] of the germ.
 `DeviceKernel` groups the specs by class into index arrays (terminals and
 germ columns, one row per device) and precomputes scatter matrices that
 carry every per-device value into its rows of f and q and its entries of
-df and dq.  One call evaluates M (state, germ) points in one numpy pass:
-the model equations run elementwise on (M, devices) arrays, the scatter is
-one matrix product per output, and ground (index -1) reads as a zero
-column and receives nothing.  Voltage-source and inductor incidences are
-constant and enter through one fixed matrix.  Each class's parameter
-stage depends on the germ points alone, so its arrays are kept from one
-call to the next while the points stay the same; see `DeviceKernel`.
+df and dq.  The Jacobians are written as their `jacobian_pattern` entries
+alone, nnz of the n² (13 of 36 on cs_amp), as SPICE loads only the
+nonzeros of its matrix: a solver reads the entries it needs by their
+place in the pattern, and `dense` scatters them into n x n blocks for a
+caller that wants whole matrices.  One call evaluates M (state, germ)
+points in one numpy pass: the model equations run elementwise on
+(M, devices) arrays, the scatter is one matrix product per output, and
+ground (index -1) reads as a zero column and receives nothing.
+Voltage-source and inductor incidences are constant and enter through one
+fixed matrix.  Each class's parameter stage depends on the germ points
+alone, so its arrays are kept from one call to the next while the points
+stay the same; see `DeviceKernel`.
 
 Many Jacobian entries carry the same stamp: a resistor puts +-g into four
 entries, and a MOSFET's source row is its drain row negated.
@@ -268,11 +273,14 @@ class StampGroups(NamedTuple):
 
     A member entry takes `sign` times the value of its group's lead entry
     at every point; `lead` lists one entry per group, in pattern order, and
-    `group` indexes it.  An incidence entry has no device stamp and holds
-    its constant `value` at every point.
+    `group` indexes it.  `lead_entry` holds each lead's place in the
+    pattern, which is its column of the kernel's dq and df entries.  An
+    incidence entry has no device stamp and holds its constant `value` at
+    every point.
     """
 
     lead: tuple               # (rows, cols), the first entry of each group
+    lead_entry: np.ndarray    # each lead's index into jacobian_pattern
     member: tuple             # (rows, cols), the entries with a device stamp
     group: np.ndarray         # each member's index into lead
     sign: np.ndarray          # each member's +-1.0
@@ -303,8 +311,11 @@ class DeviceKernel:
 
     Values are ordered group by group, value by value, device by device;
     the scatter matrix of each output has one row per value in that order
-    and one column per entry of the output (n for f/q, n*n for df/dq).
-    `stamp_groups` sorts the Jacobian pattern's entries by those columns.
+    and one column per entry of the output: n for f and q, and for df and
+    dq one per entry of `jacobian_pattern`, the (row, col) pairs some
+    device or incidence can make nonzero, in row-major order.  The
+    `linear` incidence constants are added to df's entries.
+    `stamp_groups` sorts the pattern's entries by those columns.
 
     A call keeps a one-entry memo: the shape and bytes of the germ points
     it was given, and each group's parameter-stage arrays at them.  The
@@ -348,17 +359,28 @@ class DeviceKernel:
                         value = width[out] + np.arange(count)
                         entries[out].append((value[ok], flat[ok], sign))
                     width[out] += count
+        # every flat n x n index a stamp or an incidence reaches, sorted and
+        # once each
+        reached = np.sort(np.concatenate(
+            [np.flatnonzero(self.linear)]
+            + [flat for out in ("dq", "df") for _, flat, _ in entries[out]]))
+        reached = reached[np.diff(reached, prepend=-1) != 0]
         self.scatter = {}
         for out in _OUTPUTS:
-            size = n if out in ("q", "f") else n * n
-            mat = np.zeros((width[out], size))
+            jac = out in ("dq", "df")
+            mat = np.zeros((width[out], len(reached) if jac else n))
             for value, flat, sign in entries[out]:
-                np.add.at(mat, (value, flat), sign)
+                np.add.at(mat, (value, np.searchsorted(reached, flat) if jac else flat), sign)
             self.scatter[out] = mat
-        # (row, col) of every df/dq entry some device can make nonzero
+        # the pattern: the (row, col) of every df/dq entry some device or
+        # incidence can make nonzero, which drops an entry whose stamps cancel
         touched = (self.scatter["df"].any(axis=0) | self.scatter["dq"].any(axis=0)
-                   | (self.linear != 0.0).ravel())
-        self.jacobian_pattern = np.divmod(np.flatnonzero(touched), n)
+                   | (self.linear.ravel()[reached] != 0.0))
+        for out in ("dq", "df"):
+            self.scatter[out] = self.scatter[out][:, touched]
+        self._flat = reached[touched]
+        self.jacobian_pattern = np.divmod(self._flat, n)
+        self._linear_entries = self.linear.ravel()[self._flat]
 
     @cached_property
     def stamp_groups(self) -> StampGroups:
@@ -374,19 +396,18 @@ class DeviceKernel:
         An entry with zero dq and df columns is an incidence entry.
         """
         rows, cols = self.jacobian_pattern
-        flat = rows * self.n + cols
-        device = np.vstack([self.scatter["dq"][:, flat], self.scatter["df"][:, flat]])
-        stamp = np.vstack([device, self.linear.ravel()[flat]])       # (values + 1, nnz)
+        device = np.vstack([self.scatter["dq"], self.scatter["df"]])
+        stamp = np.vstack([device, self._linear_entries])             # (values + 1, nnz)
         stamped = device.any(axis=0)
         first = np.argmax(stamp != 0.0, axis=0)
-        sign = np.sign(stamp[first, np.arange(len(flat))])
+        sign = np.sign(stamp[first, np.arange(len(rows))])
         keys = {}
         member = np.flatnonzero(stamped)
         group = np.array([keys.setdefault(tuple((stamp[:, e] * sign[e]).tolist()), len(keys))
                           for e in member], dtype=int)
         lead = member[np.unique(group, return_index=True)[1]]
         incidence = np.flatnonzero(~stamped)
-        return StampGroups((rows[lead], cols[lead]), (rows[member], cols[member]), group,
+        return StampGroups((rows[lead], cols[lead]), lead, (rows[member], cols[member]), group,
                            sign[member] * sign[lead[group]],
                            (rows[incidence], cols[incidence]), stamp[-1, incidence])
 
@@ -442,24 +463,30 @@ class DeviceKernel:
                     tuple(backward))
 
     def __call__(self, x, xi):
-        """One (M, 2n + 2n²) array holding q, f, dq and df at M points, in
-        that order; `split` cuts it into the four outputs."""
+        """One (M, 2n + 2·nnz) array holding q, f and the nnz pattern entries
+        of dq and df at M points, in that order; `split` cuts it into the
+        four outputs.  It is stored point-minor, each column contiguous over
+        the points: the lockstep entry table reads its Jacobian columns as
+        rows, and adding the constants runs down whole columns."""
         m, n = x.shape
+        nnz = len(self._flat)
         xe = np.concatenate([x, np.zeros((m, 1))], axis=1)
         vals = {out: [] for out in _OUTPUTS}
-        out = np.empty((m, 2 * n + 2 * n * n))
+        out = np.empty((2 * n + 2 * nnz, m)).T
         q, f, dq, df = self.split(out)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for group, d in zip(self.groups, self._params(xi)):
                 for name, arrays in group.values(xe, d).items():
                     vals[name].extend(arrays)
             for name, dest in zip(_OUTPUTS, (q, f, dq, df)):
-                if vals[name]:
-                    np.matmul(np.concatenate(vals[name], axis=1), self.scatter[name], out=dest)
-                else:
-                    dest[...] = 0.0
-            f += x @ self.linear.T
-            df += self.linear.ravel()
+                # a row-major product, copied in: BLAS rounds a product
+                # written point-minor differently
+                value = (np.concatenate(vals[name], axis=1) @ self.scatter[name]
+                         if vals[name] else np.zeros((m, dest.shape[1])))
+                if name == "f":   # added while both terms are row-major
+                    value += x @ self.linear.T
+                dest[...] = value
+            df += self._linear_entries
         return out
 
     def _params(self, xi):
@@ -472,6 +499,15 @@ class DeviceKernel:
         return self._memo[1]
 
     def split(self, out):
-        """Views q, f (M, n) and dq, df (M, n*n) of a kernel result."""
-        n = self.n
-        return out[:, :n], out[:, n:2 * n], out[:, 2 * n:2 * n + n * n], out[:, 2 * n + n * n:]
+        """Views q, f (M, n) and the pattern entries dq, df (M, nnz) of a
+        kernel result."""
+        n, nnz = self.n, len(self._flat)
+        return out[:, :n], out[:, n:2 * n], out[:, 2 * n:2 * n + nnz], out[:, 2 * n + nnz:]
+
+    def dense(self, entries):
+        """Pattern entries (..., nnz) scattered into zero (..., n, n) blocks
+        of their dtype."""
+        lead = entries.shape[:-1]
+        out = np.zeros(lead + (self.n * self.n,), dtype=entries.dtype)
+        out[..., self._flat] = entries
+        return out.reshape(lead + (self.n, self.n))

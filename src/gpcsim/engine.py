@@ -223,7 +223,10 @@ def newton_solve(problem, x0, c, history, source, config: NewtonConfig,
             return NewtonResult(x, False, it, failure=f"singular jacobian: {exc}")
         if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, failure="non-finite update")
-        np.add(xb, dx.reshape(blocks, -1), out=xb, where=~done[:, None])
+        passed = np.flatnonzero(done)     # these keep their bits, -0.0 included
+        kept = xb[passed]
+        xb += dx.reshape(blocks, -1)
+        xb[passed] = kept
         ev = lin = None   # this iterate's Jacobian must not live into the next
         stats.newton_iterations += 1
     return NewtonResult(x, False, NEWTON_MAX_ITER, failure="iteration limit reached")

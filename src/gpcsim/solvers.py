@@ -25,8 +25,8 @@ Every method makes one batched device evaluation per distinct Newton
 iterate, at its K nodes, Q quadrature points, or a batch of germ points: a
 solve seeded with an earlier solve's solution reuses that solve's
 evaluation (see `engine`), so a solve does not evaluate its seed again.
-sc and mc solve their points in lockstep: near-equal batches of about
-LOCKSTEP_ENTRIES Jacobian entries, and at least LOCKSTEP_CHUNK points, form
+sc and mc solve their points in lockstep: near-equal batches of at most
+about LOCKSTEP_ENTRIES // n² points, and at least LOCKSTEP_CHUNK, form
 one block-diagonal stacked problem, which is st with Φ = I and whose
 `blocks` are its points, so Newton stops each point on its own residual (a
 point that has stopped is still evaluated with the batch).  The n x n
@@ -37,8 +37,11 @@ to LAPACK.  Below that, where a dense LAPACK solve per point costs less
 than the peel's steps, each point is one dense solve.  The rule counts the
 run's points, not a batch's, and a point's peeled arithmetic does not
 depend on how many points share its batch, so the batching never changes
-a result.  All methods
-run DC, sweeps and transients through one function, `_run`, on a problem
+a result.  No solve expands the kernel's Jacobian pattern entries into
+dense dq and df: a peeled solve takes c·dq + df as an (nnz + 1, M) entry
+table, sg's projection reads each stamp group's lead entry, and a dense
+per-point solve scatters c·dq + df into one zero block.  All methods run
+DC, sweeps and transients through one function, `_run`, on a problem
 built once per run and never changed.  Every DC solve of a run takes the
 problem's `stack` of B u, with u the sources' DC values, a sweep level or a
 transient's t = 0 values; the nominal operating point that starts st and
@@ -64,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import GpcBasisSet, num_basis, orthonormal_values
-from .circuit import StochasticCircuit
+from .circuit import PointEval, StochasticCircuit
 from .collocation import TestingNodeSet, select_testing_nodes
 from .engine import (
     MAX_STEPS,
@@ -175,29 +178,54 @@ def _gauss_grid(circuit, order):
 
 @dataclass(slots=True, eq=False)
 class _StackedEvalST:
-    """Residual pieces at all testing nodes plus the decoupled linear hook:
-    linearize(c) forms the (K, n, n) Jacobians c·dq + df, or under the
-    problem's peel plan only their pattern entries, the plan's `table`, and
-    solve runs the two-stage update on them."""
+    """Residual pieces at all testing nodes plus the decoupled linear hook.
+
+    The Jacobians stay as the kernel's pattern entries in `point`.
+    linearize(c) turns them into c·dq + df: under the problem's peel plan
+    as the plan's (nnz + 1, K) entry table, `_lockstep_table`, else
+    scattered into the dense (K, n, n) blocks.  solve runs the two-stage
+    update on them.  dqs and dfs expand the dense dq and df blocks for a
+    caller that reads them."""
 
     q: np.ndarray
     f: np.ndarray
-    dqs: np.ndarray           # (K, n, n)
-    dfs: np.ndarray
+    point: PointEval          # the K nodes' evaluation
     problem: STProblem
     jacs: np.ndarray | None = None
 
+    @property
+    def dqs(self) -> np.ndarray:
+        return self.point.dq
+
+    @property
+    def dfs(self) -> np.ndarray:
+        return self.point.df
+
     def linearize(self, c):
-        plan = self.problem.plan
-        if plan is None:
-            self.jacs = c * self.dqs + self.dfs
+        point = self.point
+        if self.problem.plan is None:
+            self.jacs = point.kernel.dense(c * point.dq_entries + point.df_entries)
         else:
-            self.jacs = c * plan.table(self.dqs) + plan.table(self.dfs)
+            self.jacs = _lockstep_table(c, point.dq_entries, point.df_entries)
         return self
 
     def solve(self, rhs):
         return st_decoupled_linear_step(self.jacs, self.problem.nodes.phi_inv,
-                                        -rhs.reshape(len(self.dqs), -1), self.problem.plan)
+                                        -rhs.reshape(len(self.point.q), -1), self.problem.plan)
+
+
+def _lockstep_table(c, dq, df) -> np.ndarray:
+    """The lockstep solve's entry table of M points' c·dq + df, from their
+    (M, nnz) pattern entries: row e holds pattern entry e of every point,
+    and the last row, which short rows of the plan point to, is zero.  Its
+    dtype is result_type(c, entries), so an AC run's complex c = jω keeps
+    its imaginary part."""
+    m, nnz = dq.shape
+    table = np.empty((nnz + 1, m), dtype=np.result_type(c, dq))
+    np.multiply(c, dq.T, out=table[:-1])
+    table[:-1] += df.T
+    table[-1] = 0.0
+    return table
 
 
 def st_decoupled_linear_step(jac_blocks, phi_inv, residual, plan=None) -> np.ndarray:
@@ -210,9 +238,10 @@ def st_decoupled_linear_step(jac_blocks, phi_inv, residual, plan=None) -> np.nda
     lockstep germ points of sc and mc.  With `plan` None (the one-core
     plan) each block is one dense LAPACK solve.  A plan from
     `_lockstep_steps` peels the circuit's states off instead, and then the
-    blocks come as its entry table, `plan.table(blocks)`.  A singular
-    block, or a singular core under the peel, raises LinAlgError naming
-    its testing node.
+    blocks come as the (nnz + 1, K) table of their pattern entries,
+    `_lockstep_table`'s, and no dense block is formed.  A singular block,
+    or a singular core under the peel, raises LinAlgError naming its
+    testing node.
     """
     jacs = np.asarray(jac_blocks)
     rhs = -np.asarray(residual)
@@ -234,13 +263,14 @@ def _lockstep_solve(plan, jacs, rhs) -> np.ndarray:
     """Solve J[m] @ x[m] = rhs[m] for M blocks J and the (M, n) rows.
 
     With plan None, jacs holds the (M, n, n) blocks, each solved dense.
-    Otherwise it is their entry table, `plan.table`, and the plan's steps
-    run in its order with the points along the last axis.  A step's
-    right-hand side is its rows less their entries in the states solved
-    before, subtracted one degree slot at a time, so each point adds in
-    the same order whatever M is, and no matrix product is taken over the
-    batch.  A peeled round divides, and the core's (M, rows, cols) blocks
-    go to one batched solve.
+    Otherwise it is the (nnz + 1, M) table of their pattern entries,
+    `_lockstep_table`'s, and the plan's steps run in its order with the
+    points along the last axis; only the core's blocks are gathered from
+    it.  A step's right-hand side is its rows less their entries in the
+    states solved before, subtracted one degree slot at a time, so each
+    point adds in the same order whatever M is, and no matrix product is
+    taken over the batch.  A peeled round divides, and the core's
+    (M, rows, cols) blocks go to one batched solve.
     """
     if plan is None:
         return np.linalg.solve(jacs, rhs[..., None])[..., 0]
@@ -282,22 +312,13 @@ class _LockstepStep(NamedTuple):
 
 class _LockstepPlan(NamedTuple):
     """The lockstep peeled solve of one circuit, for any number of points.
-    `entries` lists the flat n x n indices of the Jacobian pattern, the
-    rows of the entry `table`.  The steps solve y = x[cols] from rhs[rows],
-    in that order, and x is y[order]."""
+    The steps read the entry table, `_lockstep_table`'s, whose rows follow
+    the Jacobian pattern, and solve y = x[cols] from rhs[rows], in that
+    order; x is y[order]."""
 
-    entries: np.ndarray
     rows: np.ndarray
     order: np.ndarray
     steps: tuple
-
-    def table(self, blocks) -> np.ndarray:
-        """The (entries + 1, M) table of M blocks (M, n, n): row e holds
-        entry entries[e] of every block, and the last row is zero."""
-        m = len(blocks)
-        out = np.zeros((len(self.entries) + 1, m), dtype=blocks.dtype)
-        out[:-1] = blocks.reshape(m, -1)[:, self.entries].T
-        return out
 
 
 def _lockstep_steps(kernel) -> _LockstepPlan:
@@ -327,8 +348,7 @@ def _lockstep_steps(kernel) -> _LockstepPlan:
         else:
             steps.append(_LockstepStep(span, entries, known, pivot[:, None], None))
         start = span.stop
-    return _LockstepPlan(pattern_rows * n + pattern_cols, rows, np.argsort(cols),
-                         tuple(steps))
+    return _LockstepPlan(rows, np.argsort(cols), tuple(steps))
 
 
 def _lockstep_plan(circuit, points):
@@ -384,7 +404,7 @@ class STProblem:
         if self.nodes.phi is not None:
             states = self.nodes.phi @ states
         ev = self.circuit.eval_qf(states, self.nodes.nodes)
-        return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev.dq, ev.df, self)
+        return _StackedEvalST(ev.q.ravel(), ev.f.ravel(), ev, self)
 
     def stack(self, s):
         """A deterministic (n,) right-hand side, the same at every node."""
@@ -396,19 +416,31 @@ class STProblem:
 
 @dataclass(slots=True, eq=False)
 class _StackedEvalSG:
+    """The projected q and f of one iterate and the quadrature points'
+    evaluation `point`, whose Jacobians stay pattern entries; point_dq and
+    point_df expand the dense (Q, n, n) blocks for a caller that reads
+    them."""
+
     q: np.ndarray
     f: np.ndarray
-    point_dq: np.ndarray      # (Q, n, n)
-    point_df: np.ndarray
+    point: PointEval
     problem: SGProblem
+
+    @property
+    def point_dq(self) -> np.ndarray:
+        return self.point.dq
+
+    @property
+    def point_df(self) -> np.ndarray:
+        return self.point.df
 
     def linearize(self, c):
         # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  The problem's
-        # `projection` contracts the lead entry of each stamp group one germ
-        # at a time (see _Projection); `_SgSolve` places it.
-        groups = self.problem.circuit.kernel.stamp_groups
-        lead = (slice(None), *groups.lead)
-        point_jac = c * self.point_dq[lead] + self.point_df[lead]
+        # `projection` contracts the lead entry of each stamp group, read
+        # by its place in the pattern, one germ at a time (see
+        # _Projection); `_SgSolve` places it.
+        lead = self.problem.circuit.kernel.stamp_groups.lead_entry
+        point_jac = c * self.point.dq_entries[:, lead] + self.point.df_entries[:, lead]
         return _SgSolve(self.problem.projection(point_jac), self.problem)
 
 
@@ -661,9 +693,11 @@ class SGProblem:
     def eval(self, X):
         states = self.hmat @ X.reshape(self.basis.size, -1)  # (Q, n)
         ev = self.circuit.eval_qf(states, self.points)
-        q_proj = self.wh.T @ ev.q                            # (K, n)
-        f_proj = self.wh.T @ ev.f
-        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), ev.dq, ev.df, self)
+        # row-major copies of the kernel's point-minor q and f, so BLAS
+        # takes the kernel, and the rounding, of a row-major product
+        q_proj = self.wh.T @ np.ascontiguousarray(ev.q)     # (K, n)
+        f_proj = self.wh.T @ np.ascontiguousarray(ev.f)
+        return _StackedEvalSG(q_proj.ravel(), f_proj.ravel(), ev, self)
 
     def stack(self, s):
         """Projection of a deterministic (n,) right-hand side: only the
@@ -853,8 +887,14 @@ def sg_solve(circuit, order, analysis, newton=None, control=None,
 def _lockstep_batches(count, n) -> list[np.ndarray]:
     """Index-ordered, near-equal batches of `count` germ points for an
     n-state circuit, as few as hold at most `size` points each: size =
-    LOCKSTEP_ENTRIES // n² keeps a batch's (size, n, n) Jacobian stack near
-    LOCKSTEP_ENTRIES entries, but is never under LOCKSTEP_CHUNK."""
+    LOCKSTEP_ENTRIES // n², but never under LOCKSTEP_CHUNK.
+
+    n² bounds a point's share of each of the batch's Jacobian arrays: the
+    kernel's nnz pattern entries of dq and of df, the c·dq + df entry
+    table, the peeled core's block, and on the dense path its n x n
+    block.  So each of them holds at most about LOCKSTEP_ENTRIES entries.
+    The rule counts n², not nnz, because the batches set which points
+    share a Newton solve, and so the run's counters."""
     size = max(LOCKSTEP_CHUNK, LOCKSTEP_ENTRIES // n**2)
     return np.array_split(np.arange(count), -(-count // size))
 
@@ -983,11 +1023,13 @@ def mc_solve(circuit, n_samples, seed, analysis, newton=None, scheme=None,
     except (DcConvergenceError, TransientError) as exc:
         raise MethodError(f"{tolerated + 1}/{n_samples} samples failed "
                           f"(> {MAX_FAILURE_FRACTION:.0%})") from exc
-    good = [s for s in range(n_samples) if s not in errors]
+    if errors:   # drop the failed samples; a run without any copies nothing
+        good = [s for s in range(n_samples) if s not in errors]
+        samples, sols = samples[good], sols[good]
     return SampleEnsemble(
-        samples=samples[good],
+        samples=samples,
         times=times,
-        solutions=sols[good],
+        solutions=sols,
         failures=len(errors),
         stats=stats,
         seed=None if n_samples == 1 else seed)

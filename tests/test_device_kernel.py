@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from helpers import inverter_chain
 from scalar_devices import scalar_eval
 
 from gpcsim.basis import num_basis
@@ -74,6 +75,26 @@ def test_batched_eval_matches_scalar_stamps(name):
         x = rng.uniform(-3.0, 3.0, size=(m, circuit.n))
         xi = germ_draws(circuit, rng, m)
         assert_matches_oracle(circuit, x, xi)
+
+
+def test_pattern_entries_at_scale():
+    """An 80-stage inverter chain, whose pattern holds 326 of 84² entries:
+    the kernel's entries match the scalar stamps, and the dense blocks
+    expanded from them are exactly zero off the pattern."""
+    circuit = load_circuit(inverter_chain(80))
+    rows, cols = circuit.kernel.jacobian_pattern
+    assert circuit.n == 84 and len(rows) < circuit.n ** 2 // 20
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-2.0, 2.0, size=(3, circuit.n))
+    xi = germ_draws(circuit, rng, 3)
+    assert_matches_oracle(circuit, x, xi)
+    ev = circuit.eval_qf(x, xi)
+    off = np.ones((circuit.n, circuit.n), dtype=bool)
+    off[rows, cols] = False
+    for dense, entries in ((ev.dq, ev.dq_entries), (ev.df, ev.df_entries)):
+        assert not dense[:, off].any()
+        np.testing.assert_array_equal(dense[:, rows, cols], entries)
+    assert ev.dq_entries.any() and ev.df_entries.any()
 
 
 @pytest.mark.parametrize("name", ["sram6t.cir", "edges"])
@@ -148,9 +169,12 @@ def test_memo_returns_what_a_fresh_kernel_does(name):
 
 
 def stamp_column(kernel, r, c):
-    """Entry (r, c)'s dq and df scatter columns with its linear value last."""
-    return np.concatenate([kernel.scatter["dq"][:, r * kernel.n + c],
-                           kernel.scatter["df"][:, r * kernel.n + c], [kernel.linear[r, c]]])
+    """Entry (r, c)'s dq and df scatter columns with its linear value last;
+    the scatter matrices have one column per pattern entry."""
+    rows, cols = kernel.jacobian_pattern
+    e, = np.flatnonzero((rows == r) & (cols == c))
+    return np.concatenate([kernel.scatter["dq"][:, e], kernel.scatter["df"][:, e],
+                           [kernel.linear[r, c]]])
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))

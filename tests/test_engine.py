@@ -131,6 +131,28 @@ def test_newton_stops_each_block_on_its_own_residual():
         assert alone.x[0] == res.x[b]
 
 
+class CubicBlocks:
+    """x_b^3 + x_b = s_b in each of `blocks` independent scalar blocks."""
+
+    def __init__(self, blocks):
+        self.size = self.blocks = blocks
+
+    def eval(self, x):
+        return DenseEval(np.zeros(self.size), x ** 3 + x, np.zeros((self.size,) * 2),
+                         np.diag(3 * x * x + 1))
+
+
+def test_a_passed_block_keeps_its_bits():
+    """Block 0 passes at -0.0 with a residual of -1e-13, so every later
+    update would move it by 1e-13; it keeps -0.0, sign bit and all, while
+    block 1 iterates."""
+    res = newton_solve(CubicBlocks(2), np.array([-0.0, 1.0]), 0.0, np.zeros(2),
+                       np.array([1e-13, 10.0]), NewtonConfig())
+    assert res.converged and res.iterations > 1
+    assert res.x[0] == 0.0 and np.signbit(res.x[0])
+    assert res.x[1] == pytest.approx(2.0)
+
+
 # --------------------------------------------------------------------------
 # DC operating point
 # --------------------------------------------------------------------------

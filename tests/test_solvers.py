@@ -21,6 +21,7 @@ from gpcsim import cli, engine, solvers
 from gpcsim.basis import GpcBasisSet, Uniform
 from gpcsim.circuit import AssemblyWarning, StochasticCircuit, load_circuit
 from gpcsim.collocation import select_testing_nodes
+from gpcsim.devices import DeviceKernel
 from gpcsim.engine import NewtonConfig, StepControl, dc_solve
 from gpcsim.netlist import AcAnalysis, DcAnalysis, DcSweepAnalysis, TranAnalysis
 from gpcsim.quadrature import GridBudgetError, gauss_rule, tensor_grid
@@ -715,14 +716,20 @@ class TestSgPeel:
 
 
 def lockstep_jacobians(circuit, m, c, seed=5):
-    """(m, n, n) Jacobians c·dq + df of the circuit at m drawn germ points
-    and states near its nominal operating point, and (m, n) residuals."""
+    """The circuit's evaluation at m drawn germ points and states near its
+    nominal operating point, its (m, n, n) Jacobians c·dq + df, and (m, n)
+    residuals."""
     rng = np.random.default_rng(seed)
     nominal = solvers._nominal_dc(circuit, None, circuit.b_matrix @ circuit.dc_source_vector())
     points = np.column_stack([p.dist.sample(rng, m) for p in circuit.params])
     states = nominal.x + 0.01 * rng.normal(size=(m, circuit.n))
     ev = circuit.eval_qf(states, points)
-    return c * ev.dq + ev.df, rng.normal(size=(m, circuit.n))
+    return ev, c * ev.dq + ev.df, rng.normal(size=(m, circuit.n))
+
+
+def entry_table(ev, c, points=slice(None)):
+    """The lockstep entry table c·dq + df of an evaluation's points."""
+    return solvers._lockstep_table(c, ev.dq_entries[points], ev.df_entries[points])
 
 
 class TestLockstepPeel:
@@ -740,8 +747,8 @@ class TestLockstepPeel:
         circuit = self.circuit(name)
         plan = solvers._lockstep_steps(circuit.kernel)
         for c in (0.0, 1e9):
-            jacs, resid = lockstep_jacobians(circuit, m, c)
-            got = st_decoupled_linear_step(plan.table(jacs), None, resid, plan).reshape(m, -1)
+            ev, jacs, resid = lockstep_jacobians(circuit, m, c)
+            got = st_decoupled_linear_step(entry_table(ev, c), None, resid, plan).reshape(m, -1)
             want = np.linalg.solve(jacs, -resid[..., None])[..., 0]
             gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
             assert gap.max() <= 1e-12, (c, gap.max())
@@ -763,9 +770,9 @@ class TestLockstepPeel:
         circuit = named_circuit("all core")
         plan = solvers._lockstep_steps(circuit.kernel)
         assert len(plan.steps) == 1
-        jacs, resid = lockstep_jacobians(circuit, 15, 1e9)
+        ev, jacs, resid = lockstep_jacobians(circuit, 15, 1e9)
         np.testing.assert_array_equal(
-            st_decoupled_linear_step(plan.table(jacs), None, resid, plan),
+            st_decoupled_linear_step(entry_table(ev, 1e9), None, resid, plan),
             st_decoupled_linear_step(jacs, None, resid))
 
     @pytest.mark.parametrize("bad", [0, 3, 14])
@@ -774,21 +781,24 @@ class TestLockstepPeel:
         peeled rounds around it divide by constants and cannot fail."""
         circuit = shipped_circuit("cs_amp.cir")
         plan = solvers._lockstep_steps(circuit.kernel)
-        jacs, resid = lockstep_jacobians(circuit, 15, 0.0)
-        jacs[bad][np.ix_(*circuit.kernel.peel.core)] = 0.0
+        ev, _, resid = lockstep_jacobians(circuit, 15, 0.0)
+        rows, cols = circuit.kernel.jacobian_pattern
+        core_rows, core_cols = circuit.kernel.peel.core
+        ev.df_entries[bad, np.isin(rows, core_rows) & np.isin(cols, core_cols)] = 0.0
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"^singular jacobian block at testing node {bad}$"):
-            st_decoupled_linear_step(plan.table(jacs), None, resid, plan)
+            st_decoupled_linear_step(entry_table(ev, 0.0), None, resid, plan)
 
     def test_points_do_not_depend_on_the_batch(self):
         """A point's update is the same bits whether it is solved alone, in
         a 7-point batch or with all 667."""
         circuit = shipped_circuit("db_mixer.cir")
         plan = solvers._lockstep_steps(circuit.kernel)
-        jacs, resid = lockstep_jacobians(circuit, 667, 1e9)
+        ev, _, resid = lockstep_jacobians(circuit, 667, 1e9)
 
         def solve(lo, hi):
-            return st_decoupled_linear_step(plan.table(jacs[lo:hi]), None, resid[lo:hi], plan)
+            return st_decoupled_linear_step(entry_table(ev, 1e9, slice(lo, hi)), None,
+                                            resid[lo:hi], plan)
 
         whole = solve(0, 667)
         for size in (1, 7):
@@ -800,11 +810,15 @@ class TestLockstepPeel:
         ("st", AcAnalysis(1e3, 1e9, 2)),
         ("sc", DcAnalysis()),
     ])
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
     def test_peeled_runs_match_the_dense_runs(self, monkeypatch, method, analysis):
         """st (a DC sweep, and AC with complex c = jω) and sc agree with and
-        without the peel to rounding; no run of this size peels by default."""
+        without the peel to rounding; no run of this size peels by default.
+        The drain's load capacitor gives c·dq entries, so an AC entry table
+        that dropped jω would differ, and one cast to float raises."""
         text = (resources.files("gpcsim") / "netlists" / "cs_amp.cir").read_text()
-        circuit = load_circuit(text.replace("vin in 0 dc 0.9", "vin in 0 dc 0.9 ac 1"))
+        circuit = load_circuit(text.replace("vin in 0 dc 0.9", "vin in 0 dc 0.9 ac 1\n"
+                                            "cl d 0 1p"))
         dense = run_analysis(circuit, method, 2, analysis)
         assert np.abs(dense.coeffs).max() > 0.1
         monkeypatch.setattr(solvers, "LOCKSTEP_PEEL_POINTS", 1)
@@ -812,6 +826,25 @@ class TestLockstepPeel:
         assert dense.stats.newton_iterations == peeled.stats.newton_iterations
         scale = np.abs(dense.coeffs).max()
         assert np.abs(peeled.coeffs - dense.coeffs).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("method, order", [("mc", None), ("sc", 3), ("sg", 2)])
+    def test_runs_expand_no_dense_jacobians(self, monkeypatch, method, order):
+        """An mc run of LOCKSTEP_PEEL_POINTS samples and an sc run of
+        4^4 = 256 grid points take their Jacobians as entry tables, and an
+        sg run projects stamp-group leads, so none of them expands a dense
+        block.  The one exception is the one-point n x n block of the
+        nominal operating point that starts sg."""
+        expanded = []
+        dense = DeviceKernel.dense
+        monkeypatch.setattr(DeviceKernel, "dense", lambda kernel, entries: (
+            expanded.append(entries.shape) or dense(kernel, entries)))
+        result = run_analysis(shipped_circuit("cs_amp.cir"), method, order, DcAnalysis(),
+                              n_samples=solvers.LOCKSTEP_PEEL_POINTS)
+        if method == "sg":
+            assert expanded and {shape[0] for shape in expanded} == {1}
+        else:
+            assert result.node_count >= solvers.LOCKSTEP_PEEL_POINTS
+            assert expanded == []
 
     def test_run_rule_counts_the_runs_points(self):
         circuit = shipped_circuit("cs_amp.cir")
