@@ -1,14 +1,14 @@
-"""Command-line front end: netlists in, CSV/JSON artifacts out.
+"""Command-line front end: netlists in, CSV/JSON/.npy artifacts out.
 
 One subcommand per analysis (dc, dcsweep, tran, ac) plus ``report``, which
 digests run manifests into a cost-comparison table.  This module only
 parses and checks flags, runs the analysis and calls the writers of
 `gpcsim.post`, which owns every artifact format.  Every run writes a
 manifest recording basis size, node count, wall time (the analysis
-alone), write time (stats.csv and coefficients.json), the time spent in
-device evaluation, in linear solves and, for st, in testing-node
-selection, and step/Newton totals, so speedup ratios can be recomputed
-from the manifests alone.
+alone), write time (stats.csv, coefficients.json and a gPC run's
+coefficients.npy), the time spent in device evaluation, in linear solves
+and, for st, in testing-node selection, and step/Newton totals, so
+speedup ratios can be recomputed from the manifests alone.
 
 Netlist arguments are tried as filesystem paths first and then against the
 netlists shipped with the package, so ``simulate dc cs_amp.cir`` works from
@@ -25,9 +25,10 @@ null for the analyses that take no time step.
 Exit codes: 0 success, 2 netlist or configuration problem, 3 operating
 point failure, 4 transient/analysis failure, 5 testing-node selection
 failure.  Any exception but the package's own and a ValueError is a bug
-and escapes with its traceback.  stats.csv and coefficients.json are
-byte-identical across runs with the same configuration and seed;
-manifest.json is not, because it records wall and write times.
+and escapes with its traceback.  stats.csv, coefficients.json and
+coefficients.npy are byte-identical across runs with the same
+configuration and seed; manifest.json is not, because it records wall and
+write times.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .netlist import (
     NetlistError,
     TranAnalysis,
 )
-from .post import coefficients_payload, stats_over_time, write_json, write_stats_csv
+from .post import stats_over_time, write_coefficients, write_json, write_stats_csv
 from .quadrature import GridBudgetError, QuadratureError
 from .solvers import DEFAULT_ORDER, MethodError, run_analysis
 
@@ -177,8 +178,7 @@ def write_artifacts(result, circuit, args, netlist_text: str, wall: float) -> li
         written.append(out / "stats.csv")
         write_stats_csv(written[-1], stats_over_time(result, names=names))
     if args.format in ("json", "both"):
-        written.append(out / "coefficients.json")
-        write_json(written[-1], coefficients_payload(result, names))
+        written += write_coefficients(out, result, names)
     write_time = time.perf_counter() - start
     written.append(out / "manifest.json")
     write_json(written[-1], build_manifest(result, circuit, args, netlist_text, wall,

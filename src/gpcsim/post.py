@@ -3,12 +3,17 @@
 Everything here consumes finished solver results, and this is the one
 module that knows how each result kind (GpcTrajectory, SampleEnsemble)
 becomes an artifact: `stats_over_time` and `coefficients_payload` take
-either, and `write_json` writes every JSON file.  Complex coefficients are
-an AC run's phasors, over frequencies rather than times.  Moments come straight from orthonormal coefficients (mean =
-constant term, variance = sum of the squared rest); PDFs are estimated by
-sampling the polynomial expansion, which costs polynomial evaluations
-only.  CSV output is a long-format `time,state,mean,std` table printed
-with 17 significant digits so a read-back reproduces the floats exactly.
+either, `write_coefficients` writes a result's coefficient files and
+`write_json` writes every JSON file.  Complex coefficients are an AC
+run's phasors, over frequencies rather than times.  Moments come straight
+from orthonormal coefficients (mean = constant term, variance = sum of the
+squared rest); PDFs are estimated by sampling the polynomial expansion,
+which costs polynomial evaluations only.  CSV output is a long-format
+`time,state,mean,std` table printed with 17 significant digits so a
+read-back reproduces the floats exactly.  A gPC run's (T, K, n)
+coefficient tensor goes to `coefficients.npy` in NumPy's own format, its
+float64 or complex128 bits as they are, and `coefficients.json` holds its
+provenance and names that file; `read_coefficients` reads the pair back.
 JSON output is byte for byte what json.dump(payload, indent=1,
 sort_keys=True) prints, plus a newline; `write_json` streams it and prints
 each list of plain numbers with one repr instead of one float at a time.
@@ -20,6 +25,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .basis import GpcBasisSet, moments_from_coeffs
 from .solvers import GpcTrajectory, SampleEnsemble
 
 MIN_PDF_SAMPLES = 1000
+COEFFICIENTS_NPY = "coefficients.npy"
 
 
 @dataclass
@@ -222,16 +229,10 @@ def read_stats_csv(path) -> StatSeries:
     return StatSeries(times=times, names=names, mean=mean, std=std)
 
 
-def _complex_safe(arr):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
-    return arr.tolist()
-
-
 def coefficients_payload(result, state_names=None) -> dict:
-    """JSON-ready dict of a result: the coefficient tensor with its basis
-    provenance, or an mc run's moments with its seed and failures."""
+    """JSON-ready dict of a result: the coefficient tensor's basis
+    provenance, naming the `COEFFICIENTS_NPY` file that holds the tensor,
+    or an mc run's moments with its seed and failures."""
     if isinstance(result, SampleEnsemble):
         return {
             "method": result.method,
@@ -249,7 +250,7 @@ def coefficients_payload(result, state_names=None) -> dict:
         "basis_size": basis.size,
         "germs": [type(d).__name__.lower() for d in basis.dists],
         "index_set": basis.indices.tolist(),
-        "coefficients": _complex_safe(result.coeffs),
+        "coefficients": COEFFICIENTS_NPY,
         "method": result.method,
     }
     axis = "frequencies" if np.iscomplexobj(result.coeffs) else "times"
@@ -260,6 +261,58 @@ def coefficients_payload(result, state_names=None) -> dict:
         payload["testing_nodes"] = result.nodes.nodes.tolist()
         payload["beta"] = result.nodes.beta_used
         payload["cond_phi"] = result.nodes.cond_estimate
+    return payload
+
+
+def write_coefficients(out_dir, result, state_names) -> list:
+    """Write `coefficients.json` into out_dir and, for a gPC result, its
+    (T, K, n) tensor as `COEFFICIENTS_NPY` beside it; returns the paths
+    written.  An mc ensemble has no tensor and writes the JSON alone."""
+    out_dir = Path(out_dir)
+    written = [out_dir / "coefficients.json"]
+    write_json(written[0], coefficients_payload(result, state_names))
+    if isinstance(result, GpcTrajectory):
+        written.append(out_dir / COEFFICIENTS_NPY)
+        np.save(written[1], result.coeffs, allow_pickle=False)
+    return written
+
+
+def read_coefficients(path) -> dict:
+    """The payload of a `coefficients.json`, with a gPC run's tensor read
+    from the file it names and put in place of that name as an ndarray.
+
+    The tensor must be float64 over "times", or complex128 over
+    "frequencies", of shape (len(times or frequencies), basis_size,
+    len(states)).  A missing, unreadable, truncated, mis-shaped or
+    wrongly typed file raises a ValueError that names it.  An mc payload,
+    which holds no tensor, comes back as it is.
+    """
+    path = Path(path)
+    payload = json.loads(path.read_text())
+    if "basis_size" not in payload:
+        return payload
+    name = payload.get("coefficients")
+    if not isinstance(name, str) or Path(name).name != name:
+        raise ValueError(f"{path}: 'coefficients' must name a file beside it, "
+                         f"not {name!r}")
+    npy = path.parent / name
+    try:
+        coeffs = np.load(npy, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"cannot read the coefficient tensor {npy}: {exc}") from exc
+    if not isinstance(coeffs, np.ndarray):
+        coeffs.close()
+        raise ValueError(f"coefficient tensor {npy} is an .npz archive, not one array")
+    axis = "frequencies" if "frequencies" in payload else "times"
+    dtype = np.complex128 if axis == "frequencies" else np.float64
+    try:
+        shape = (len(payload[axis]), payload["basis_size"], len(payload["states"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: no {exc} to check {npy}'s shape against") from exc
+    if coeffs.shape != shape or coeffs.dtype != dtype:
+        raise ValueError(f"coefficient tensor {npy} holds {coeffs.dtype} "
+                         f"{coeffs.shape}, not {np.dtype(dtype)} {shape}")
+    payload["coefficients"] = coeffs
     return payload
 
 
@@ -303,9 +356,9 @@ def write_json(path, payload):
     """Every JSON artifact's layout: the bytes of json.dump(payload, fh,
     indent=1, sort_keys=True) followed by a newline.
 
-    The text goes to the file in pieces as it is made, so a large
-    coefficient tensor is never held as one string, and its number lists
-    are printed at C speed rather than one float at a time.
+    The text goes to the file in pieces as it is made, so a long list,
+    such as an mc run's moments, is never held as one string, and number
+    lists are printed at C speed rather than one float at a time.
     """
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, ""))

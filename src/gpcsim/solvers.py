@@ -104,7 +104,7 @@ class MethodError(RuntimeError):
 
 # Every result exposes times, basis, nodes, stats, failures and node_count,
 # which the run manifest records; post turns each kind into its stats.csv
-# and coefficients.json.
+# and coefficients.json, and a GpcTrajectory's tensor into coefficients.npy.
 
 @dataclass
 class GpcTrajectory:

@@ -17,7 +17,7 @@ from gpcsim import cli, solvers
 from gpcsim.cli import main, report_costs, resolve_netlist
 from gpcsim.collocation import SelectionError
 from gpcsim.engine import SCHEMES, DcConvergenceError, NewtonConfig, TransientError
-from gpcsim.post import read_stats_csv
+from gpcsim.post import read_coefficients, read_stats_csv
 
 CONFLICT = """\
 * parallel sources disagree
@@ -312,8 +312,10 @@ class TestArtifacts:
         series = read_stats_csv(tmp_path / "stats.csv")
         assert np.all(np.diff(series.times) > 0)     # frequency axis
         assert np.all(np.isfinite(series.mean))
-        payload = json.loads((tmp_path / "coefficients.json").read_text())
-        assert "frequencies" in payload
+        payload = read_coefficients(tmp_path / "coefficients.json")
+        assert payload["frequencies"] == series.times.tolist()
+        assert payload["coefficients"].dtype == np.complex128
+        assert payload["coefficients"].shape == (len(series.times), 5, len(series.names))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["time_points"] == len(series.times)
 
@@ -322,22 +324,34 @@ class TestArtifacts:
         run_cli("dc", "cs_amp.cir", "--format", "csv", "--out", str(csv_dir))
         assert (csv_dir / "stats.csv").exists()
         assert not (csv_dir / "coefficients.json").exists()
+        assert not (csv_dir / "coefficients.npy").exists()
         assert (csv_dir / "manifest.json").exists()
         json_dir = tmp_path / "jsononly"
         run_cli("dc", "cs_amp.cir", "--format", "json", "--out", str(json_dir))
         assert not (json_dir / "stats.csv").exists()
         assert (json_dir / "coefficients.json").exists()
+        assert (json_dir / "coefficients.npy").exists()
 
     def test_byte_determinism(self, tmp_path):
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
-            assert run_cli("tran", "rc_uniform.cir", "--method", "mc",
-                           "--samples", "40", "--seed", "42",
-                           "--fixed-step", "4e-5", "--out", str(d)) == 0
-        a, b = dirs
-        assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
-        assert (a / "coefficients.json").read_bytes() == \
-            (b / "coefficients.json").read_bytes()
+        """A repeated run writes the same bytes into every artifact but the
+        manifest: mc's JSON moments, and st's coefficient tensor over times
+        and an AC run's complex one over frequencies."""
+        runs = {
+            "mc": ("tran", "rc_uniform.cir", "--method", "mc", "--samples", "40",
+                   "--seed", "42", "--fixed-step", "4e-5"),
+            "st": ("tran", "rc_uniform.cir", "--order", "3"),
+            "ac": ("ac", "rc_uniform.cir", "--order", "4"),
+        }
+        for name, argv in runs.items():
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            for d in (a, b):
+                assert run_cli(*argv, "--out", str(d)) == 0
+            artifacts = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+            tensor = [] if name == "mc" else ["coefficients.npy"]
+            assert artifacts == ["coefficients.json", *tensor, "stats.csv"], name
+            for artifact in artifacts:
+                assert (a / artifact).read_bytes() == (b / artifact).read_bytes(), \
+                    (name, artifact)
 
     def test_newton_config_only_from_given_tolerances(self, tmp_path, monkeypatch):
         seen = []
@@ -384,7 +398,7 @@ class TestArtifacts:
             assert run_cli(*argv, "--out", str(tmp_path / name)) == 0
             got[name] = json.loads((tmp_path / name / "manifest.json").read_text())["scheme"]
         assert got == {"tran": SCHEMES[0], "named": SCHEMES[0], "dcsweep": None, "ac": None}
-        for artifact in ("stats.csv", "coefficients.json"):
+        for artifact in ("stats.csv", "coefficients.json", "coefficients.npy"):
             assert (tmp_path / "tran" / artifact).read_bytes() == \
                 (tmp_path / "named" / artifact).read_bytes()
 

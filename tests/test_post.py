@@ -23,9 +23,11 @@ from gpcsim.post import (
     compare_methods,
     coefficients_payload,
     pdf_of_expansion,
+    read_coefficients,
     read_stats_csv,
     sample_expansion,
     stats_over_time,
+    write_coefficients,
     write_json,
     write_stats_csv,
 )
@@ -53,6 +55,13 @@ r1 1 2 dist=uniform(900,1100)
 c1 2 0 1u
 .ac 100 1k 2
 """
+
+
+def assert_same_bits(got, want):
+    """Equal arrays down to the bit, so that -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
 
 
 def ks_distance(a, b):
@@ -270,9 +279,9 @@ class TestExports:
     def test_json_payload_metadata(self, tmp_path):
         circuit = load_circuit(DIVIDER)
         traj = st_solve(circuit, 3, DcAnalysis())
-        path = tmp_path / "coeffs.json"
-        write_json(path, coefficients_payload(traj, circuit.state_names))
-        data = json.loads(path.read_text())
+        written = write_coefficients(tmp_path, traj, circuit.state_names)
+        assert [p.name for p in written] == ["coefficients.json", "coefficients.npy"]
+        data = read_coefficients(written[0])
         assert data["order"] == 3
         assert data["basis_size"] == 4
         assert data["germs"] == ["uniform"]
@@ -280,8 +289,8 @@ class TestExports:
         assert len(data["testing_nodes"]) == 4
         assert data["cond_phi"] > 1.0
         assert data["beta"] > 0.0
-        got = np.array(data["coefficients"])
-        np.testing.assert_array_equal(got, traj.coeffs)
+        assert json.loads(written[0].read_text())["coefficients"] == "coefficients.npy"
+        assert_same_bits(data["coefficients"], traj.coeffs)
 
     def test_json_payload_of_mc_ensemble(self, tmp_path):
         circuit = load_circuit(DIVIDER)
@@ -300,20 +309,61 @@ class TestExports:
         write_json(path, coefficients_payload(ens, circuit.state_names))
         assert json.loads(path.read_text()) == payload
 
-    def test_json_complex_coefficients(self):
-        circuit = load_circuit("""* rc lowpass
-v1 1 0 dc 0 ac 1
-r1 1 2 dist=uniform(900,1100)
-c1 2 0 1u
-.ac 100 1k 2
-""")
+    def test_json_complex_coefficients(self, tmp_path):
+        circuit = load_circuit(RC_LOWPASS_AC)
         res = st_solve(circuit, 2, AcAnalysis(100.0, 1000.0, 2))
-        payload = coefficients_payload(res)
-        assert "frequencies" in payload
-        real = np.array(payload["coefficients"]["real"])
-        imag = np.array(payload["coefficients"]["imag"])
-        np.testing.assert_array_equal(real + 1j * imag, res.coeffs)
+        payload = coefficients_payload(res, circuit.state_names)
+        assert "frequencies" in payload and "times" not in payload
         json.dumps(payload)  # fully serializable
+        write_coefficients(tmp_path, res, circuit.state_names)
+        data = read_coefficients(tmp_path / "coefficients.json")
+        assert data["coefficients"].dtype == np.complex128
+        assert_same_bits(data["coefficients"], res.coeffs)
+
+    def test_mc_ensemble_writes_no_tensor(self, tmp_path):
+        circuit = load_circuit(DIVIDER)
+        ens = mc_solve(circuit, 20, 3, DcAnalysis())
+        written = write_coefficients(tmp_path, ens, circuit.state_names)
+        assert written == [tmp_path / "coefficients.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coefficients.json"]
+        assert read_coefficients(written[0]) == \
+            coefficients_payload(ens, circuit.state_names)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "header only",
+                                        "mis-shaped", "wrong dtype", "object dtype",
+                                        "archive"])
+    def test_read_coefficients_refuses_a_broken_tensor(self, tmp_path, damage):
+        circuit = load_circuit(DIVIDER)
+        traj = st_solve(circuit, 2, DcAnalysis())
+        path, npy = write_coefficients(tmp_path, traj, circuit.state_names)
+        raw = npy.read_bytes()
+        if damage == "missing":
+            npy.unlink()
+        elif damage == "truncated":
+            npy.write_bytes(raw[:-8])
+        elif damage == "header only":
+            npy.write_bytes(raw[:40])
+        elif damage == "mis-shaped":
+            np.save(npy, traj.coeffs[:, :-1])
+        elif damage == "wrong dtype":
+            np.save(npy, traj.coeffs.astype(np.float32))
+        elif damage == "object dtype":
+            np.save(npy, traj.coeffs.astype(object), allow_pickle=True)
+        else:
+            with open(npy, "wb") as fh:
+                np.savez(fh, traj.coeffs)
+        with pytest.raises(ValueError, match=re.escape(str(npy))):
+            read_coefficients(path)
+
+    def test_read_coefficients_refuses_a_path_outside_its_directory(self, tmp_path):
+        circuit = load_circuit(DIVIDER)
+        traj = st_solve(circuit, 2, DcAnalysis())
+        path, _ = write_coefficients(tmp_path, traj, circuit.state_names)
+        payload = json.loads(path.read_text())
+        payload["coefficients"] = str(tmp_path / "coefficients.npy")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="must name a file beside it"):
+            read_coefficients(path)
 
 
 # json values with the corners of the number-list fast path: the floats
