@@ -30,10 +30,12 @@ Many Jacobian entries carry the same stamp: a resistor puts +-g into four
 entries, and a MOSFET's source row is its drain row negated.
 `DeviceKernel.stamp_groups`, built on first use, groups the entries whose
 stamp columns are equal up to sign and lists the pure incidence entries
-with their constants, so the Galerkin projection in `solvers` runs once
-per group.  `DeviceKernel.peel`, also built on first use, orders the
-states whose row or column holds one incidence entry, so the Galerkin
-solve takes them off by division and factors only the rest.
+with their constants, all by their place in the pattern, so the Galerkin
+projection in `solvers` runs once per group.  `DeviceKernel.peel`, also
+built on first use, orders the states whose row or column holds one
+incidence entry; `solvers` builds one plan from it that every peeled
+solve, lockstep or Galerkin, reads to take those states off by division
+and factor only the rest.
 
 Every nonlinear branch carries a GMIN shunt.  A square-law device in cutoff
 has identically zero current *and* conductance, so a node attached only to
@@ -268,29 +270,29 @@ class _Group:
 
 class StampGroups(NamedTuple):
     """The `jacobian_pattern` entries sorted by how a point Jacobian fills
-    them.  Each entry is listed once, as a (rows, cols) pair of index
-    arrays, either in `member` or in `incidence`.
+    them.  Each entry is listed once, by its place in the pattern (its
+    column of the kernel's dq and df entries), either in `member` or in
+    `incidence`.
 
     A member entry takes `sign` times the value of its group's lead entry
     at every point; `lead` lists one entry per group, in pattern order, and
-    `group` indexes it.  `lead_entry` holds each lead's place in the
-    pattern, which is its column of the kernel's dq and df entries.  An
-    incidence entry has no device stamp and holds its constant `value` at
-    every point.
+    `group` indexes it.  An incidence entry has no device stamp and holds
+    its constant `value` at every point.
     """
 
-    lead: tuple               # (rows, cols), the first entry of each group
-    lead_entry: np.ndarray    # each lead's index into jacobian_pattern
-    member: tuple             # (rows, cols), the entries with a device stamp
+    lead: np.ndarray          # the first entry of each group
+    member: np.ndarray        # the entries with a device stamp
     group: np.ndarray         # each member's index into lead
     sign: np.ndarray          # each member's +-1.0
-    incidence: tuple          # (rows, cols), the entries without one
+    incidence: np.ndarray     # the entries without one
     value: np.ndarray
 
 
 class Peel(NamedTuple):
-    """The states a Galerkin solve takes off its coupled system, in the
-    rounds that find them, and the core left, which it factors.
+    """The states a peeled solve takes off its system, in the rounds that
+    find them, and the core left, which it factors.  `solvers` turns it
+    into the one plan that the lockstep n x n solves and the Galerkin
+    (nK) x (nK) solve both read.
 
     Each round is a (rows, cols, value) triple of state index arrays: row
     rows[m] fixes state cols[m] through the incidence entry value[m].  A
@@ -395,21 +397,19 @@ class DeviceKernel:
         item, and the columns are compared as values, so -0.0 matches 0.0.
         An entry with zero dq and df columns is an incidence entry.
         """
-        rows, cols = self.jacobian_pattern
         device = np.vstack([self.scatter["dq"], self.scatter["df"]])
         stamp = np.vstack([device, self._linear_entries])             # (values + 1, nnz)
         stamped = device.any(axis=0)
         first = np.argmax(stamp != 0.0, axis=0)
-        sign = np.sign(stamp[first, np.arange(len(rows))])
+        sign = np.sign(stamp[first, np.arange(stamp.shape[1])])
         keys = {}
         member = np.flatnonzero(stamped)
         group = np.array([keys.setdefault(tuple((stamp[:, e] * sign[e]).tolist()), len(keys))
                           for e in member], dtype=int)
         lead = member[np.unique(group, return_index=True)[1]]
         incidence = np.flatnonzero(~stamped)
-        return StampGroups((rows[lead], cols[lead]), lead, (rows[member], cols[member]), group,
-                           sign[member] * sign[lead[group]],
-                           (rows[incidence], cols[incidence]), stamp[-1, incidence])
+        return StampGroups(lead, member, group, sign[member] * sign[lead[group]],
+                           incidence, stamp[-1, incidence])
 
     @cached_property
     def peel(self) -> Peel:
@@ -432,7 +432,7 @@ class DeviceKernel:
         pattern = np.zeros((n, n), dtype=bool)
         pattern[self.jacobian_pattern] = True
         constant = np.zeros((n, n))
-        constant[self.stamp_groups.incidence] = self.stamp_groups.value
+        constant.flat[self._flat[self.stamp_groups.incidence]] = self.stamp_groups.value
         live_rows, live_cols = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         forward, backward = [], []
         while True:

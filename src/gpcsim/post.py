@@ -216,12 +216,29 @@ def read_stats_csv(path) -> StatSeries:
         raise ValueError(f"unexpected CSV header {rows[0]!r} in {path}")
     if len(rows) == 1:
         raise ValueError(f"stats CSV {path} has a header and no rows")
+    body = rows[1:]
     names: list = []
-    for _, name, _, _ in rows[1:]:
-        if name in names:
+    for row in body:
+        if len(row) != 4 or row[1] in names:
             break
-        names.append(name)
-    data = np.array([[float(r[0]), float(r[2]), float(r[3])] for r in rows[1:]])
+        names.append(row[1])
+    # every row holds numbers, and every time lists the first time's states,
+    # in order, under one time
+    data = np.empty((len(body), 3))
+    for i, row in enumerate(body):
+        try:
+            data[i] = float(row[0]), float(row[2]), float(row[3])
+        except (IndexError, ValueError):
+            ok = False
+        else:
+            ok = (len(row) == 4 and row[1] == names[i % len(names)]
+                  and data[i, 0] == data[i - i % len(names), 0])
+        if not ok:
+            raise ValueError(f"stats CSV {path} row {i + 2} {row!r} is not the next "
+                             f"numeric row of the time blocks of states {names}")
+    if len(body) % len(names):
+        raise ValueError(f"stats CSV {path} ends inside a time block: row "
+                         f"{len(rows) + 1} should list {names[len(body) % len(names)]!r}")
     nt = len(data) // len(names)
     times = data[::len(names), 0]
     mean = data[:, 1].reshape(nt, len(names))

@@ -12,11 +12,11 @@ how coefficients are obtained:
   tensor grid: one germ is contracted at a time, and only the basis-index
   pairs that can still reach total degree ≤ p are kept, each unordered
   pair once.  A constant incidence entry projects to itself on every
-  diagonal block.  The solve peels the
-  states whose pivot is such an entry (voltage-source rows, branch-current
-  columns; the kernel's `peel`) off by division and factors the core left,
-  reading every block it needs straight from the projection.  A circuit
-  with nothing to peel is all core.
+  diagonal block.  The solve peels the states whose pivot is such an
+  entry (voltage-source rows, branch-current columns; the kernel's `peel`)
+  off by division and factors the core left, reading every block it needs
+  straight from the projection.  A circuit with nothing to peel is all
+  core.
 * collocation (sc): deterministic solutions at the full tensor grid, then
   coefficients by weighted summation.
 * monte carlo (mc): seeded sampling, one deterministic solution per sample.
@@ -37,10 +37,14 @@ to LAPACK.  Below that, where a dense LAPACK solve per point costs less
 than the peel's steps, each point is one dense solve.  The rule counts the
 run's points, not a batch's, and a point's peeled arithmetic does not
 depend on how many points share its batch, so the batching never changes
-a result.  No solve expands the kernel's Jacobian pattern entries into
-dense dq and df: a peeled solve takes c·dq + df as an (nnz + 1, M) entry
-table, sg's projection reads each stamp group's lead entry, and a dense
-per-point solve scatters c·dq + df into one zero block.  All methods run
+a result.  One plan, `_peel_plan`, serves every peeled solve, lockstep and
+sg: its steps list each row's entries and the core's block as places in
+the kernel's Jacobian pattern, with place nnz as the zero pad.  No solve
+expands the pattern entries into dense dq and df: a peeled lockstep solve
+takes c·dq + df as an (nnz + 1, M) entry table that those places index,
+sg's projection reads each stamp group's lead entry and its solve maps
+the places to K x K blocks of that projection, and a dense per-point
+solve scatters c·dq + df into one zero block.  All methods run
 DC, sweeps and transients through one function, `_run`, on a problem
 built once per run and never changed.  Every DC solve of a run takes the
 problem's `stack` of B u, with u the sources' DC values, a sweep level or a
@@ -237,7 +241,7 @@ def st_decoupled_linear_step(jac_blocks, phi_inv, residual, plan=None) -> np.nda
     blockdiag(J̃)·(Φ⊗I)·ΔX = −R.  phi_inv None stands for Φ = I, the
     lockstep germ points of sc and mc.  With `plan` None (the one-core
     plan) each block is one dense LAPACK solve.  A plan from
-    `_lockstep_steps` peels the circuit's states off instead, and then the
+    `_peel_plan` peels the circuit's states off instead, and then the
     blocks come as the (nnz + 1, K) table of their pattern entries,
     `_lockstep_table`'s, and no dense block is formed.  A singular block,
     or a singular core under the peel, raises LinAlgError naming its
@@ -284,7 +288,7 @@ def _lockstep_solve(plan, jacs, rhs) -> np.ndarray:
             for k in range(terms.shape[1]):
                 b = b - terms[:, k]
         if step.core is None:
-            np.divide(b, step.pivot, out=y[step.span])
+            np.divide(b, step.pivot[:, None], out=y[step.span])
         else:
             size = len(b)
             core = jacs.take(step.core, axis=0).reshape(size, size, m).transpose(2, 0, 1)
@@ -292,16 +296,16 @@ def _lockstep_solve(plan, jacs, rhs) -> np.ndarray:
     return y.take(plan.order, axis=0).T
 
 
-class _LockstepStep(NamedTuple):
-    """One step of the lockstep peeled solve: the states at `span` of the
-    plan's order, from the rows at `span`.  `entries` (rows, degree) holds
-    those rows' entries in the states solved before them, as rows of the
-    plan's entry table, and `known` those states' places in the solve
-    order.  A short row is padded with the table's zero row (and place 0),
+class _PeelStep(NamedTuple):
+    """One step of a peeled solve: the states at `span` of the plan's
+    order, from the rows at `span`.  `entries` (rows, degree) holds those
+    rows' entries in the states solved before them, as places in the
+    kernel's `jacobian_pattern`, and `known` those states' places in the
+    solve order.  A short row is padded with place nnz (and solve place 0),
     so that every row runs over the same degree slots.  A peeled round
-    divides by its incidence constants `pivot` (rows, 1).  The core (pivot
-    None) takes its (rows, cols) block, row-major, from the table rows
-    `core`, the zero row where the pattern has no entry, and solves it."""
+    divides by its incidence constants `pivot` (rows,).  The core (pivot
+    None) takes its (rows, cols) block, row-major, from the places `core`,
+    nnz where the pattern has no entry, and solves it."""
 
     span: slice
     entries: np.ndarray
@@ -310,45 +314,47 @@ class _LockstepStep(NamedTuple):
     core: np.ndarray | None
 
 
-class _LockstepPlan(NamedTuple):
-    """The lockstep peeled solve of one circuit, for any number of points.
-    The steps read the entry table, `_lockstep_table`'s, whose rows follow
-    the Jacobian pattern, and solve y = x[cols] from rhs[rows], in that
-    order; x is y[order]."""
+class _PeelPlan(NamedTuple):
+    """The peeled solve of one circuit, for any number of points or basis
+    blocks: the steps solve y = x[cols] from rhs[rows], in that order, and
+    x is y[order], `order` being the inverse permutation of cols."""
 
     rows: np.ndarray
     order: np.ndarray
     steps: tuple
 
 
-def _lockstep_steps(kernel) -> _LockstepPlan:
-    """The kernel's peel as the lockstep solve's plan: the rounds of
-    `_peel_rounds`, each with its rows' entries in the states solved
-    before it, read off the Jacobian pattern.  A kernel with nothing to
-    peel is one core step over every state, the dense solve."""
-    n = kernel.n
-    rounds, rows, cols = _peel_rounds(kernel)
+def _peel_plan(kernel) -> _PeelPlan:
+    """The kernel's `peel` as the one plan of every peeled solve: its
+    forward rounds, its core, then its backward rounds from the last to the
+    first, with the empty ones dropped.  A step's rows have entries only in
+    its own states and in those solved before it, so each step reads its
+    entries off the Jacobian pattern with rows and columns in that order.
+    A kernel with nothing to peel is one core step over every state."""
+    n, peel = kernel.n, kernel.peel
+    rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
+    rounds = [rnd for rnd in rounds if len(rnd[0])]
+    rows = np.concatenate([rnd[0] for rnd in rounds])
+    cols = np.concatenate([rnd[1] for rnd in rounds])
     pattern_rows, pattern_cols = kernel.jacobian_pattern
-    zero = len(pattern_rows)                      # the entry table's zero row
-    place = np.full((n, n), zero)                 # each entry's row of the table
-    place[pattern_rows, pattern_cols] = np.arange(zero)
+    nnz = len(pattern_rows)                       # the zero pad's place
+    place = np.full((n, n), nnz)
+    place[pattern_rows, pattern_cols] = np.arange(nnz)
     place = place[np.ix_(rows, cols)]             # rows and columns in solve order
     steps, start = [], 0
     for step_rows, _, pivot in rounds:
         span = slice(start, start + len(step_rows))
         solved = place[span, :start]
-        r, u = np.nonzero(solved < zero)          # row by row, in solve order
+        r, u = np.nonzero(solved < nnz)           # row by row, in solve order
         slot = np.arange(len(r)) - np.searchsorted(r, r)
         shape = (len(step_rows), slot.max(initial=-1) + 1)
-        known, entries = np.zeros(shape, dtype=np.intp), np.full(shape, zero)
+        known, entries = np.zeros(shape, dtype=np.intp), np.full(shape, nnz)
         known[r, slot] = u
         entries[r, slot] = solved[r, u]
-        if pivot is None:
-            steps.append(_LockstepStep(span, entries, known, None, place[span, span].ravel()))
-        else:
-            steps.append(_LockstepStep(span, entries, known, pivot[:, None], None))
+        core = place[span, span].ravel() if pivot is None else None
+        steps.append(_PeelStep(span, entries, known, pivot, core))
         start = span.stop
-    return _LockstepPlan(rows, np.argsort(cols), tuple(steps))
+    return _PeelPlan(rows, np.argsort(cols), tuple(steps))
 
 
 def _lockstep_plan(circuit, points):
@@ -362,7 +368,7 @@ def _lockstep_plan(circuit, points):
     if points < LOCKSTEP_PEEL_POINTS:
         return None
     try:
-        return _lockstep_steps(circuit.kernel)
+        return _peel_plan(circuit.kernel)
     except np.linalg.LinAlgError:
         return None
 
@@ -387,7 +393,7 @@ class STProblem:
     circuit: StochasticCircuit
     basis: GpcBasisSet | None
     nodes: TestingNodeSet | GermPoints
-    plan: _LockstepPlan | None = None    # the linear plan, `_lockstep_plan`'s
+    plan: _PeelPlan | None = None        # the linear plan, `_lockstep_plan`'s
 
     @property
     def size(self) -> int:
@@ -417,29 +423,19 @@ class STProblem:
 @dataclass(slots=True, eq=False)
 class _StackedEvalSG:
     """The projected q and f of one iterate and the quadrature points'
-    evaluation `point`, whose Jacobians stay pattern entries; point_dq and
-    point_df expand the dense (Q, n, n) blocks for a caller that reads
-    them."""
+    evaluation `point`, whose Jacobians stay pattern entries."""
 
     q: np.ndarray
     f: np.ndarray
     point: PointEval
     problem: SGProblem
 
-    @property
-    def point_dq(self) -> np.ndarray:
-        return self.point.dq
-
-    @property
-    def point_df(self) -> np.ndarray:
-        return self.point.df
-
     def linearize(self, c):
         # block (i, j) = sum_q wh[q, i] hmat[q, j] J_q.  The problem's
         # `projection` contracts the lead entry of each stamp group, read
         # by its place in the pattern, one germ at a time (see
         # _Projection); `_SgSolve` places it.
-        lead = self.problem.circuit.kernel.stamp_groups.lead_entry
+        lead = self.problem.circuit.kernel.stamp_groups.lead
         point_jac = c * self.point.dq_entries[:, lead] + self.point.df_entries[:, lead]
         return _SgSolve(self.problem.projection(point_jac), self.problem)
 
@@ -451,13 +447,13 @@ class _SgSolve:
     A member entry of group g holds its sign times coupled[i·K + j, g] in
     block (i, j); an incidence entry is the same constant at every
     quadrature point, so it projects to that constant times wh.T @ hmat = I,
-    on the diagonal blocks alone.  The solve runs the problem's peel plan:
-    each step applies the K x K blocks of its rows' entries in the states
-    solved before it, a peeled round then divides, and only the core's
-    (K·rows, K·cols) matrix is built and factored.  The plan comes with the
-    first solve, and so does the LinAlgError of a structurally singular
-    circuit; the core is therefore built in `solve`, and `linearize` only
-    projects."""
+    on the diagonal blocks alone.  The solve runs the problem's peel plan,
+    `peel_steps`, every basis block at once: each step subtracts its rows'
+    entries in the states solved before it (y[:, :span.start]), a peeled
+    round then divides, and only the core's (K·rows, K·cols) matrix is
+    built and factored.  The plan comes with the first solve, and so does
+    the LinAlgError of a structurally singular circuit; the core is
+    therefore built in `solve`, and `linearize` only projects."""
 
     __slots__ = ("coupled", "problem")
 
@@ -466,115 +462,28 @@ class _SgSolve:
         self.problem = problem
 
     def solve(self, rhs):
-        plan = self.problem.peel_steps
+        plan, blocked = self.problem.peel_steps
         k = self.problem.basis.size
         blocks = self.coupled.reshape(k, -1)          # row i, columns j·G + g
         rhs = rhs.reshape(k, -1).take(plan.rows, axis=1)
         y = np.empty_like(rhs)                        # the states in solve order
-        for step in plan.steps:
+        for step, (signs, incidence, core, core_sign, core_constant) in zip(plan.steps, blocked):
             b, solved = rhs[:, step.span], y[:, :step.span.start]
-            if step.signs is not None:
-                b = b - blocks @ (solved @ step.signs).reshape(-1, b.shape[1])
-            if step.incidence is not None:
-                b = b - solved @ step.incidence
-            if step.core is None:
+            if signs is not None:
+                b = b - blocks @ (solved @ signs).reshape(-1, b.shape[1])
+            if incidence is not None:
+                b = b - solved @ incidence
+            if core is None:
                 np.divide(b, step.pivot, out=y[:, step.span])
             else:
-                core = self.coupled.ravel().take(step.core)
-                core *= step.core_sign
-                if step.core_constant is not None:
+                matrix = self.coupled.ravel().take(core)
+                matrix *= core_sign
+                if core_constant is not None:
                     diag = np.arange(k)
-                    core[diag, :, diag, :] += step.core_constant
-                y[:, step.span] = np.linalg.solve(core.reshape(b.size, b.size),
+                    matrix[diag, :, diag, :] += core_constant
+                y[:, step.span] = np.linalg.solve(matrix.reshape(b.size, b.size),
                                                   b.ravel()).reshape(k, -1)
         return y.take(plan.order, axis=1).ravel()
-
-
-class _PeelStep(NamedTuple):
-    """One step of the peeled solve, every basis block at once: the states
-    at `span` of the plan's order, from the rows at `span`, less those
-    rows' entries in the states solved before them (y[:, :span.start]).
-    Those entries never form a matrix: `signs` (span.start, G·rows) carries
-    the solved states to the (j, g) columns of the (K, K·G) projection, each
-    member entry with its sign, and `incidence` (span.start, rows) applies
-    the incidence constants block by block; either is None when the rows
-    have no such entry.  A peeled round divides by its rows' incidence
-    constants `pivot`.  The core takes its (K, rows, K, cols) matrix,
-    basis-major, from the raveled projection at the indices `core`, scales
-    it by `core_sign` (zero off the member entries), adds its incidence
-    entries `core_constant` (rows, cols; None if it has none) to each
-    diagonal block, and factors it."""
-
-    span: slice
-    signs: np.ndarray | None
-    incidence: np.ndarray | None
-    pivot: np.ndarray | None
-    core: np.ndarray | None
-    core_sign: np.ndarray | None
-    core_constant: np.ndarray | None
-
-
-class _PeelPlan(NamedTuple):
-    """The peeled solve for K basis blocks: with rhs and x as (K, n), the
-    steps solve y = x[:, cols] from rhs[:, rows], in that order, and x is
-    y[:, order], `order` being the inverse permutation of cols."""
-
-    rows: np.ndarray
-    order: np.ndarray
-    steps: tuple
-
-
-def _peel_rounds(kernel):
-    """The kernel's `peel` in solve order: its forward rounds, its core
-    (pivot None), then its backward rounds from the last to the first, as
-    (rows, cols, pivot) with the empty ones dropped, and all their rows and
-    all their columns in that order."""
-    peel = kernel.peel
-    rounds = [*peel.forward, (*peel.core, None), *reversed(peel.backward)]
-    rounds = [rnd for rnd in rounds if len(rnd[0])]
-    return (rounds, np.concatenate([rnd[0] for rnd in rounds]),
-            np.concatenate([rnd[1] for rnd in rounds]))
-
-
-def _peel_steps(kernel, k) -> _PeelPlan:
-    """The kernel's `peel` spelled out for K basis blocks: its forward
-    rounds, its core, then its backward rounds from the last to the first.
-    A step's rows have entries only in its own states and in those solved
-    before it, so each step reads its entries off the Jacobian pattern with
-    rows and columns in that order.  A kernel with nothing to peel is one
-    core step over every state."""
-    n, groups = kernel.n, kernel.stamp_groups
-    width = len(groups.lead[0])
-    rounds, rows, cols = _peel_rounds(kernel)
-    group, sign, constant = np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), np.zeros((n, n))
-    group[groups.member] = groups.group
-    sign[groups.member] = groups.sign
-    constant[groups.incidence] = groups.value
-    placed = np.ix_(rows, cols)
-    group, sign, constant = group[placed], sign[placed], constant[placed]
-    blocks = np.arange(k)
-    pairs = (blocks[:, None] * k + blocks) * width   # block (i, j)'s first raveled index
-
-    def entries(a):
-        return a if a is not None and a.any() else None
-
-    steps, start = [], 0
-    for step_rows, _, pivot in rounds:
-        m = len(step_rows)
-        span = slice(start, start + m)
-        r, u = np.nonzero(sign[span, :start])
-        signs = np.zeros((start, width * m))
-        signs[u, group[span, :start][r, u] * m + r] = sign[span, :start][r, u]
-        incidence = constant[span, :start].T
-        core = core_sign = core_constant = None
-        if pivot is None:
-            core = pairs[:, None, :, None] + group[span, span][:, None, :]
-            core_sign = np.broadcast_to(sign[span, span][:, None, :], core.shape).copy()
-            core_constant = constant[span, span]
-        steps.append(_PeelStep(span, entries(signs), entries(incidence), pivot,
-                               core, core_sign, entries(core_constant)))
-        start = span.stop
-    return _PeelPlan(rows, np.argsort(cols), tuple(steps))
 
 
 class _Projection(NamedTuple):
@@ -679,10 +588,50 @@ class SGProblem:
         return self.circuit.n * self.basis.size
 
     @cached_property
-    def peel_steps(self) -> _PeelPlan:
+    def peel_steps(self) -> tuple:
         """The Galerkin solve's plan, built on the first solve, so building
-        a problem does not pay for it."""
-        return _peel_steps(self.circuit.kernel, self.basis.size)
+        a problem does not pay for it: `_peel_plan`'s steps, each with its
+        arrays for K basis blocks, read off its places through each place's
+        stamp group, sign and incidence constant (zero for the pad, nnz).
+        `signs` (span.start, G·rows) carries the solved states to the (j, g)
+        columns of the (K, K·G) projection, each member entry with its sign,
+        and `incidence` (span.start, rows) applies the incidence constants
+        block by block; either is None when the rows have no such entry.
+        The core takes its (K, rows, K, cols) matrix, basis-major, from the
+        raveled projection at the indices `core`, scales it by `core_sign`
+        (zero off the member entries), and adds its incidence entries
+        `core_constant` (rows, cols; None if it has none) to each diagonal
+        block."""
+        kernel, k = self.circuit.kernel, self.basis.size
+        plan, groups = _peel_plan(kernel), kernel.stamp_groups
+        nnz, width = len(kernel.jacobian_pattern[0]), len(groups.lead)
+        group = np.zeros(nnz + 1, dtype=np.intp)
+        sign, constant = np.zeros(nnz + 1), np.zeros(nnz + 1)
+        group[groups.member] = groups.group
+        sign[groups.member] = groups.sign
+        constant[groups.incidence] = groups.value
+        blocks = np.arange(k)
+        pairs = (blocks[:, None] * k + blocks) * width   # block (i, j)'s first raveled index
+
+        def used(a):
+            return a if a.any() else None
+
+        blocked = []
+        for step in plan.steps:
+            m, start = len(step.entries), step.span.start
+            r, slot = np.nonzero(step.entries < nnz)      # the pad writes nothing
+            u, e = step.known[r, slot], step.entries[r, slot]
+            signs, incidence = np.zeros((start, width * m)), np.zeros((m, start))
+            signs[u, group[e] * m + r] = sign[e]
+            incidence[r, u] = constant[e]
+            core = core_sign = core_constant = None
+            if step.pivot is None:
+                place = step.core.reshape(m, m)
+                core = pairs[:, None, :, None] + group[place][:, None, :]
+                core_sign = np.broadcast_to(sign[place][:, None, :], core.shape).copy()
+                core_constant = used(constant[place])
+            blocked.append((used(signs), used(incidence.T), core, core_sign, core_constant))
+        return plan, tuple(blocked)
 
     @cached_property
     def projection(self) -> _Projection:

@@ -160,7 +160,7 @@ def sg_jacobian_reference(ev, c) -> np.ndarray:
     problem = ev.problem
     n, k = problem.circuit.n, problem.basis.size
     rows, cols = problem.circuit.kernel.jacobian_pattern
-    point_jac = c * ev.point_dq[:, rows, cols] + ev.point_df[:, rows, cols]
+    point_jac = c * ev.point.dq[:, rows, cols] + ev.point.df[:, rows, cols]
     weighted = problem.hmat[:, :, None] * point_jac[:, None, :]     # (Q, K, nnz)
     coupled = (problem.wh.T @ weighted.reshape(len(problem.hmat), -1)).reshape(k, k, -1)
     full = np.zeros((k, n, k, n))

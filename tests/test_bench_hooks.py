@@ -55,7 +55,7 @@ def test_sg_setup_builds_no_projection_plan(monkeypatch):
     """The sg workloads' `setup_s` times building an SGProblem; the
     projection plan is built on the first linearization and the peel plan
     on the first solve, both outside it."""
-    built = [count_plans(monkeypatch, name) for name in ("_projection_plan", "_peel_steps")]
+    built = [count_plans(monkeypatch, name) for name in ("_projection_plan", "_peel_plan")]
     workload = WORKLOADS["sg_dcsweep_cs_amp"]
     workload.setup(cli.resolve_netlist(workload.netlist).read_text(), workload.order, 1)
     circuit = load_circuit(cli.resolve_netlist("cs_amp.cir").read_text())
@@ -70,13 +70,13 @@ def test_sg_sweep_builds_its_projection_plan_once(monkeypatch, tmp_path):
     path is pinned by the manifest's counters, so a faster linear solve
     cannot gain its time by changing the iterations."""
     projections = count_plans(monkeypatch, "_projection_plan")
-    peels = count_plans(monkeypatch, "_peel_steps")
+    peels = count_plans(monkeypatch, "_peel_plan")
     assert cli.main(["dcsweep", "cs_amp.cir", "--method", "sg", "--order", "5",
                      "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["time_points"] == 9
     assert [basis.size for basis, _ in projections] == [126]
-    assert [k for _, k in peels] == [126]
+    assert [kernel.n for kernel, in peels] == [6]
     counters = ("newton_iterations", "linear_solves", "residual_evals", "device_evals")
     assert [manifest[key] for key in counters] == [20, 20, 30, 29]
 
@@ -85,7 +85,7 @@ def test_sg_sweep_builds_its_projection_plan_once(monkeypatch, tmp_path):
 def test_lockstep_setup_builds_no_peel_plan(monkeypatch, name):
     """The st and mc workloads' `setup_s` times their set-up calls; the
     lockstep peel plan is built when a run starts solving, outside it."""
-    built = count_plans(monkeypatch, "_lockstep_steps")
+    built = count_plans(monkeypatch, "_peel_plan")
     workload = WORKLOADS[name]
     workload.setup(cli.resolve_netlist(workload.netlist).read_text(), workload.order, 1)
     assert built == []
@@ -96,7 +96,7 @@ def test_mc_run_builds_its_lockstep_plan_once(monkeypatch, tmp_path):
     a 9-level sweep with one peel plan, and Newton's path is pinned by the
     manifest's counters, so a faster linear solve cannot gain its time by
     changing the iterations."""
-    built = count_plans(monkeypatch, "_lockstep_steps")
+    built = count_plans(monkeypatch, "_peel_plan")
     workload = WORKLOADS["mc_dcsweep_cs_amp"]
     assert cli.main(workload.argv(1) + ["--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -200,24 +200,29 @@ def test_stamp_groups_partition_the_pattern(name):
     circuit = CIRCUITS[name]
     kernel = circuit.kernel
     groups = kernel.stamp_groups
-    listed = [*zip(*groups.member), *zip(*groups.incidence)]
-    assert sorted(listed) == sorted(zip(*kernel.jacobian_pattern))   # each entry once
-    leads = list(zip(*groups.lead))
-    for entry, group, sign in zip(zip(*groups.member), groups.group, groups.sign):
+    rows, cols = kernel.jacobian_pattern
+
+    def entry(places):   # the (row, col) of pattern places
+        return rows[places], cols[places]
+
+    listed = [*groups.member, *groups.incidence]
+    assert sorted(listed) == list(range(len(rows)))                # each entry once
+    for place, group, sign in zip(groups.member, groups.group, groups.sign):
         assert sign in (1.0, -1.0)
-        column = stamp_column(kernel, *entry)
+        column = stamp_column(kernel, *entry(place))
         assert column[:-1].any()                                  # a device stamps it
-        np.testing.assert_array_equal(column, sign * stamp_column(kernel, *leads[group]))
-        if entry == leads[group]:
+        lead = groups.lead[group]
+        np.testing.assert_array_equal(column, sign * stamp_column(kernel, *entry(lead)))
+        if place == lead:
             assert sign == 1.0
-    assert {leads[g] for g in groups.group} == set(leads)   # each lead heads its group
-    columns = [stamp_column(kernel, *lead) for lead in leads]
+    assert set(groups.lead[groups.group]) == set(groups.lead)   # each lead heads its group
+    columns = [stamp_column(kernel, *entry(lead)) for lead in groups.lead]
     for a in range(len(columns)):
         for b in range(a):
             assert not np.array_equal(columns[a], columns[b])
             assert not np.array_equal(columns[a], -columns[b])
-    for entry, value in zip(zip(*groups.incidence), groups.value):
-        column = stamp_column(kernel, *entry)
+    for place, value in zip(groups.incidence, groups.value):
+        column = stamp_column(kernel, *entry(place))
         assert not column[:-1].any()
         assert column[-1] == value != 0.0
     # at evaluated points each member reads its lead's value times its sign,
@@ -226,11 +231,11 @@ def test_stamp_groups_partition_the_pattern(name):
     x = rng.uniform(-2.0, 2.0, size=(5, circuit.n))
     ev = circuit.eval_qf(x, germ_draws(circuit, rng, 5))
     for jac in (ev.dq, ev.df):
-        np.testing.assert_array_equal(jac[(slice(None), *groups.member)],
-                                      groups.sign * jac[(slice(None), *groups.lead)][:, groups.group])
-    np.testing.assert_array_equal(ev.df[(slice(None), *groups.incidence)],
+        np.testing.assert_array_equal(jac[(slice(None), *entry(groups.member))],
+                                      groups.sign * jac[(slice(None), *entry(groups.lead))][:, groups.group])
+    np.testing.assert_array_equal(ev.df[(slice(None), *entry(groups.incidence))],
                                   np.broadcast_to(groups.value, (5, len(groups.value))))
-    assert not ev.dq[(slice(None), *groups.incidence)].any()
+    assert not ev.dq[(slice(None), *entry(groups.incidence))].any()
 
 
 @pytest.mark.parametrize("name,groups,incidence", [("cs_amp.cir", 6, 4), ("sram6t.cir", 15, 8)])
@@ -239,4 +244,4 @@ def test_stamp_group_counts(name, groups, incidence):
     # node form one group, m1's two gate-column entries another, and the
     # other four stand alone; its two grounded sources stamp four incidences
     found = CIRCUITS[name].kernel.stamp_groups
-    assert (len(found.lead[0]), len(found.value)) == (groups, incidence)
+    assert (len(found.lead), len(found.value)) == (groups, incidence)

@@ -260,11 +260,18 @@ class TestExports:
         np.testing.assert_array_equal(back.std, series.std)
         assert back.names == series.names
 
-    def test_csv_without_rows_names_its_path(self, tmp_path):
-        empty, header = tmp_path / "empty.csv", tmp_path / "header.csv"
-        empty.write_text("")
-        header.write_text("time,state,mean,std\n")
-        for path in (empty, header):
+    def test_malformed_csv_names_its_path(self, tmp_path):
+        """An empty file, a header alone, a time that lists its states out
+        of order, a file cut inside a time and a field that is not a number
+        are refused by name."""
+        head = "time,state,mean,std\n"
+        texts = {"empty": "", "header": head,
+                 "swapped": head + "0,v(a),1,0\n0,v(b),2,0\n1,v(b),3,0\n1,v(a),4,0\n",
+                 "truncated": head + "0,v(a),1,0\n0,v(b),2,0\n1,v(a),3,0\n",
+                 "not a number": head + "0,v(a),1,0\n0,v(b),abc,0\n"}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 read_stats_csv(path)
 

@@ -591,7 +591,7 @@ class TestSgLinearize:
 
     def test_stamp_edges_exercise_every_kind_of_entry(self):
         groups = load_circuit(STAMP_EDGES).kernel.stamp_groups
-        assert len(groups.lead[0]) == 3
+        assert len(groups.lead) == 3
         assert len(groups.value) == 10
         assert set(groups.sign) == {-1.0, 1.0}
 
@@ -624,7 +624,7 @@ class TestSgPeel:
                                             ("stamp edges", 3), ("db_mixer.cir", 1),
                                             ("lna.cir", 2), ("two rounds", 3),
                                             ("cs_amp.cir", 5), ("ladder", 1), ("ladder", 3),
-                                            ("all core", 2)])
+                                            ("all core", 2), ("db_mixer.cir", 2)])
     def test_matches_the_dense_solve(self, name, order):
         problem, X = sg_near_operating_point(name, order)
         rhs = np.random.default_rng(7).normal(size=problem.size)
@@ -662,7 +662,8 @@ class TestSgPeel:
         assert sorted(rows) == list(range(kernel.n))
         assert sorted(cols) == list(range(kernel.n))
         groups = kernel.stamp_groups
-        incidence = dict(zip(zip(*(a.tolist() for a in groups.incidence)), groups.value))
+        entries = (a[groups.incidence].tolist() for a in kernel.jacobian_pattern)
+        incidence = dict(zip(zip(*entries), groups.value))
         for r, c, value in rounds:
             for entry, v in zip(zip(r.tolist(), c.tolist()), value):
                 assert incidence[entry] == v, entry
@@ -678,13 +679,23 @@ class TestSgPeel:
         in the circuit's own order, that reads the whole matrix."""
         circuit = named_circuit("all core")
         problem = SGProblem(circuit, GpcBasisSet([p.dist for p in circuit.params], 2))
-        plan = problem.peel_steps
-        (step,) = plan.steps
+        plan, blocked = problem.peel_steps
+        (step,), ((signs, incidence, core, _, _),) = plan.steps, blocked
         assert step.span == slice(0, circuit.n)
-        assert step.pivot is None and step.signs is None and step.incidence is None
-        assert step.core.shape == (problem.basis.size, circuit.n) * 2
+        assert step.pivot is None and signs is None and incidence is None
+        assert core.shape == (problem.basis.size, circuit.n) * 2
         np.testing.assert_array_equal(plan.rows, np.arange(circuit.n))
         np.testing.assert_array_equal(plan.order, np.arange(circuit.n))
+
+    def test_db_mixer_pads_a_row_beside_an_entry_at_solve_place_0(self):
+        """db_mixer's plan pads a row (place nnz, solve place 0) that also
+        has a real entry in the state solved first, so its dense-solve match
+        fails if the pad writes into sg's signs or incidence constants."""
+        kernel = named_circuit("db_mixer.cir").kernel
+        nnz = len(kernel.jacobian_pattern[0])
+        assert any((entries == nnz).any() and ((entries < nnz) & (known == 0)).any()
+                   for step in solvers._peel_plan(kernel).steps
+                   for entries, known in zip(step.entries, step.known))
 
     def test_a_floating_source_takes_two_rounds(self):
         circuit = load_circuit(TWO_ROUNDS)
@@ -745,7 +756,7 @@ class TestLockstepPeel:
     @pytest.mark.parametrize("name", CIRCUITS)
     def test_matches_the_dense_solve(self, name, m):
         circuit = self.circuit(name)
-        plan = solvers._lockstep_steps(circuit.kernel)
+        plan = solvers._peel_plan(circuit.kernel)
         for c in (0.0, 1e9):
             ev, jacs, resid = lockstep_jacobians(circuit, m, c)
             got = st_decoupled_linear_step(entry_table(ev, c), None, resid, plan).reshape(m, -1)
@@ -760,7 +771,7 @@ class TestLockstepPeel:
         cores = {}
         for name in ("cs_amp.cir", "sram6t.cir", "db_mixer.cir", "chain", "ladder", "all core"):
             circuit = self.circuit(name)
-            steps = solvers._lockstep_steps(circuit.kernel).steps
+            steps = solvers._peel_plan(circuit.kernel).steps
             core, = (len(step.core) for step in steps if step.pivot is None)
             cores[name] = (math.isqrt(core), circuit.n)
         assert cores == {"cs_amp.cir": (2, 6), "sram6t.cir": (2, 10), "db_mixer.cir": (5, 15),
@@ -768,7 +779,7 @@ class TestLockstepPeel:
 
     def test_nothing_to_peel_is_the_dense_solve(self):
         circuit = named_circuit("all core")
-        plan = solvers._lockstep_steps(circuit.kernel)
+        plan = solvers._peel_plan(circuit.kernel)
         assert len(plan.steps) == 1
         ev, jacs, resid = lockstep_jacobians(circuit, 15, 1e9)
         np.testing.assert_array_equal(
@@ -780,7 +791,7 @@ class TestLockstepPeel:
         """A point whose core block is singular fails the solve, named; the
         peeled rounds around it divide by constants and cannot fail."""
         circuit = shipped_circuit("cs_amp.cir")
-        plan = solvers._lockstep_steps(circuit.kernel)
+        plan = solvers._peel_plan(circuit.kernel)
         ev, _, resid = lockstep_jacobians(circuit, 15, 0.0)
         rows, cols = circuit.kernel.jacobian_pattern
         core_rows, core_cols = circuit.kernel.peel.core
@@ -793,7 +804,7 @@ class TestLockstepPeel:
         """A point's update is the same bits whether it is solved alone, in
         a 7-point batch or with all 667."""
         circuit = shipped_circuit("db_mixer.cir")
-        plan = solvers._lockstep_steps(circuit.kernel)
+        plan = solvers._peel_plan(circuit.kernel)
         ev, _, resid = lockstep_jacobians(circuit, 667, 1e9)
 
         def solve(lo, hi):
@@ -982,8 +993,8 @@ class TestLockstepBatches:
         writes the same bytes in one batch as in one-point, 7-point and
         LOCKSTEP_CHUNK-point batches."""
         built = []
-        steps = solvers._lockstep_steps
-        monkeypatch.setattr(solvers, "_lockstep_steps",
+        steps = solvers._peel_plan
+        monkeypatch.setattr(solvers, "_peel_plan",
                             lambda kernel: built.append(kernel) or steps(kernel))
         argv = ["dcsweep", "cs_amp.cir", "--method", "mc", "--samples",
                 str(solvers.LOCKSTEP_PEEL_POINTS), "--seed", "5", "--out"]
