@@ -48,13 +48,7 @@ import numpy as np
 from .circuit import AssemblyWarning, CircuitError, EvalOverflowError, load_circuit
 from .collocation import PhiSingularError, SelectionError
 from .engine import SCHEMES, DcConvergenceError, EngineError, NewtonConfig, StepControl
-from .netlist import (
-    AcAnalysis,
-    DcAnalysis,
-    DcSweepAnalysis,
-    NetlistError,
-    TranAnalysis,
-)
+from .netlist import ANALYSES, DcAnalysis, NetlistError
 from .post import stats_over_time, write_coefficients, write_json, write_stats_csv
 from .quadrature import GridBudgetError, QuadratureError
 from .solvers import DEFAULT_ORDER, MethodError, run_analysis
@@ -64,12 +58,7 @@ EXIT_DC = 3
 EXIT_ANALYSIS = 4
 EXIT_SELECTION = 5
 
-_ANALYSIS_KINDS = {
-    "dc": DcAnalysis,
-    "dcsweep": DcSweepAnalysis,
-    "tran": TranAnalysis,
-    "ac": AcAnalysis,
-}
+_ANALYSIS_KINDS = {word[1:]: card for word, (card, *_) in ANALYSES.items()}
 METHODS = ("st", "sg", "sc", "mc")
 
 

@@ -4,8 +4,10 @@ Element cards are `<name> <node...> <value|key=value...>`, keywords are case
 insensitive and `*` starts a comment.  Values are plain numbers with the
 usual suffixes (f, p, n, u, m, k, meg, g, t) or stochastic bindings written
 `dist=<kind>(<args>)` for an inline germ or `dist=<name>` to reference a
-`.param` declaration.  ANALYSES and WAVEFORMS list the analysis cards and
-source waveforms with their usage; each card type checks its own values.
+`.param` declaration.  Each card family is one table: ELEMENTS maps a card
+letter to its device kind, node count and field reader, and ANALYSES,
+WAVEFORMS and DISTRIBUTIONS list the analysis cards, source waveforms and
+`dist=` families with their usage; each maker checks its own values.
 
 The cards up to `.end` are read `.param` lines first, so a `dist=<name>`
 reference resolves where its card is read, also to a `.param` further
@@ -32,7 +34,6 @@ _SUFFIX = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12,
            "f": 1e-15, "meg": 1e6, "g": 1e9, "t": 1e12}
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_.]*$")
 
-DEVICE_LETTERS = {"r", "c", "l", "v", "i", "d", "m", "q"}
 MAX_POINTS = 10**6   # most sweep levels or frequencies a card may ask for
 
 
@@ -188,7 +189,7 @@ class PwlWave:
 
 @dataclass
 class DeviceCard:
-    kind: str                # one of R C L V I D M Q
+    kind: str                # an ELEMENTS kind: R C L V I D M Q
     name: str
     nodes: tuple
     value: object = None     # float or RandomParameter (R/C/L principal value)
@@ -262,8 +263,38 @@ class AcAnalysis:
         return freqs[freqs <= self.fstop * (1 + 1e-12)]
 
 
-# the analysis cards and waveforms the parser reads, each with its usage and
-# fewest and most arguments; the card checks the values
+def _pwl(*flat):
+    """A PwlWave from the card's flat (t1, v1, t2, v2, ...) list."""
+    return PwlWave(flat[0::2], flat[1::2])
+
+
+# a dist= germ's family: its numbers -> (germ, shift, scale) once its rules hold
+def _gauss(mu, sigma):
+    _require(sigma > 0, 1, "sigma must be positive")
+    return Gaussian(), mu, sigma
+
+
+def _gamma(shape, shift, scale):
+    _require(shape > 0, 0, "shape must be positive")
+    _require(scale != 0, 2, "scale must be nonzero")
+    return Gamma(shape), shift, scale
+
+
+def _beta(alpha, beta, shift, scale):
+    _require(alpha > 0, 0, "alpha must be positive")
+    _require(beta > 0, 1, "beta must be positive")
+    _require(scale != 0, 3, "scale must be nonzero")
+    return Beta(alpha, beta), shift, scale
+
+
+def _uniform(lo, hi):
+    half = (hi - lo) / 2
+    _require(half > 0, 1, "hi must be above lo")   # also a gap too narrow to halve
+    return Uniform(), (lo + hi) / 2, half
+
+
+# the analysis cards, waveforms and dist= families the parser reads, each with
+# its maker, usage and fewest and most arguments; the maker checks the values
 ANALYSES = {
     ".dc": (DcAnalysis, "no arguments", 0, 0),
     ".dcsweep": (DcSweepAnalysis, "<source> <start> <stop> <step>", 4, 4),
@@ -273,7 +304,13 @@ ANALYSES = {
 WAVEFORMS = {
     "sin": (SinWave, "(offset, ampl, freq[, delay[, damping]])", 3, 5),
     "pulse": (PulseWave, "(v1, v2, td, tr, tf, pw, per)", 7, 7),
-    "pwl": (PwlWave, "(t1, v1, t2, v2, ...)", 4, math.inf),
+    "pwl": (_pwl, "(t1, v1, t2, v2, ...)", 4, math.inf),
+}
+DISTRIBUTIONS = {
+    "gauss": (_gauss, "(mu, sigma)", 2, 2),
+    "gamma": (_gamma, "(shape, shift, scale)", 3, 3),
+    "beta": (_beta, "(alpha, beta, shift, scale)", 4, 4),
+    "uniform": (_uniform, "(lo, hi)", 2, 2),
 }
 
 
@@ -319,7 +356,8 @@ def _split_outside_parens(line: str):
     return toks
 
 
-_DIST_CALL_RE = re.compile(r"^([a-z]+)\((.*)\)$")
+_CALL_RE = re.compile(r"^([a-z]+)\((.*)\)$")   # kind(args), a waveform or dist= germ
+_SOURCE_KEYWORDS = {"dc": ("dc", "dc level"), "ac": ("ac_mag", "ac magnitude")}
 
 
 class _Parser:
@@ -327,188 +365,122 @@ class _Parser:
         self.text = text
         self.diags: list[Diagnostic] = []
         self.devices: list[DeviceCard] = []
-        self.params: dict[str, RandomParameter] = {}
+        self.params: dict[str, RandomParameter | None] = {}   # None: refused
         self.analyses = []
         self.title = ""
         self._sweep_sources = []  # (line, col, name) of each .dcsweep source
 
-    def error(self, line, col, msg):
+    def error(self, line, col, msg) -> None:
+        """Record a diagnostic; `return self.error(...)` refuses what is being read."""
         self.diags.append(Diagnostic(line, col, msg))
+
+    def first(self, seen, what, line, col, owner) -> bool:
+        """Whether a card gives `what` here for the first time; a repeat is refused."""
+        if what in seen:
+            self.error(line, col, f"{owner}: {what} given twice")
+            return False
+        seen.add(what)
+        return True
 
     # -- value expressions --------------------------------------------------
 
-    def make_distribution(self, kind, args, line, col, name):
+    def read_call(self, table, noun, call, line, col, owner):
+        """The `kind(args)` token matched as `call`, made by its `table` entry:
+        its numbers, kind, count and then the maker's own rules are checked in
+        that order, each refused at the token."""
+        kind, argstr = call.groups()
         try:
-            vals = [parse_number(a) for a in args]
+            vals = [parse_number(a) for a in re.split(r"[,\s]+", argstr.strip()) if a]
         except ValueError as exc:
-            self.error(line, col, f"malformed distribution argument: {exc}")
-            return None
+            return self.error(line, col, f"{owner}: bad {noun} argument: {exc}")
+        if kind not in table:
+            return self.error(line, col, f"{owner}: unknown {noun} {kind!r}")
+        make, usage, fewest, most = table[kind]
+        if not fewest <= len(vals) <= most:
+            return self.error(line, col, f"{owner}: {kind} takes {usage}")
         try:
-            if kind == "gauss":
-                if len(vals) != 2:
-                    raise ValueError("gauss takes (mu, sigma)")
-                if vals[1] <= 0:
-                    raise ValueError("gauss sigma must be positive")
-                return RandomParameter(name, Gaussian(), shift=vals[0], scale=vals[1])
-            if kind == "gamma":
-                if len(vals) != 3:
-                    raise ValueError("gamma takes (gamma, shift, scale)")
-                return RandomParameter(name, Gamma(vals[0]), shift=vals[1], scale=vals[2])
-            if kind == "beta":
-                if len(vals) != 4:
-                    raise ValueError("beta takes (alpha, beta, shift, scale)")
-                return RandomParameter(name, Beta(vals[0], vals[1]), shift=vals[2], scale=vals[3])
-            if kind == "uniform":
-                if len(vals) != 2:
-                    raise ValueError("uniform takes (lo, hi)")
-                lo, hi = vals
-                if not hi > lo:
-                    raise ValueError("uniform needs hi > lo")
-                return RandomParameter(name, Uniform(), shift=(lo + hi) / 2, scale=(hi - lo) / 2)
-            raise ValueError(f"unknown distribution kind {kind!r}")
-        except ValueError as exc:
-            self.error(line, col, f"malformed distribution: {exc}")
-            return None
+            return make(*vals)
+        except CardValueError as exc:
+            return self.error(line, col, f"{owner}: {kind} {exc}")
 
     def parse_binding(self, tok, line, col, owner):
         """A number, an inline dist=kind(...), or a dist=<param> reference,
         which resolves at once: every .param line is read before any other."""
-        if tok.startswith("dist="):
-            spec = tok[5:]
-            m = _DIST_CALL_RE.match(spec)
-            if m:
-                kind, argstr = m.group(1), m.group(2)
-                args = [a for a in re.split(r"[,\s]+", argstr.strip()) if a]
-                return self.make_distribution(kind, args, line, col, owner)
-            if _IDENT_RE.match(spec):
-                if spec not in self.params:
-                    self.error(line, col, f"dist= references undeclared parameter {spec!r}")
-                return self.params.get(spec)
-            self.error(line, col, f"malformed dist= expression {tok!r}")
-            return None
-        try:
-            return parse_number(tok)
-        except ValueError:
-            self.error(line, col, f"expected a value or dist= binding, got {tok!r}")
-            return None
-
-    # -- cards ---------------------------------------------------------------
-
-    def parse_two_terminal(self, kind, name, toks, line):
-        if len(toks) != 3:
-            self.error(line, toks[0][1] if toks else 1,
-                       f"{name}: expected <n+> <n-> <value>, got {len(toks)} fields")
-            return
-        binding = self.parse_binding(toks[2][0], line, toks[2][1], name)
-        self.devices.append(
-            DeviceCard(kind=kind, name=name, nodes=(toks[0][0], toks[1][0]),
-                       value=binding, line=line)
-        )
-
-    def parse_source(self, kind, name, toks, line):
-        if len(toks) < 2:
-            self.error(line, 1, f"{name}: source needs two nodes")
-            return
-        nodes = (toks[0][0], toks[1][0])
-        waveform = None
-        dc = None
-        ac = 0.0
-        seen = set()
-
-        def first(field, col) -> bool:
-            """Whether the card gives `field` here for the first time."""
-            if field in seen:
-                self.error(line, col, f"{name}: {field} given twice")
-                return False
-            seen.add(field)
-            return True
-
-        rest = toks[2:]
-        i = 0
-        while i < len(rest):
-            tok, col = rest[i]
-            m = _DIST_CALL_RE.match(tok)
-            if tok == "dc" or tok == "ac":
-                if i + 1 >= len(rest):
-                    self.error(line, col, f"{tok} needs a value")
-                    break
-                if first("dc level" if tok == "dc" else "ac magnitude", col):
-                    try:
-                        val = parse_number(rest[i + 1][0])
-                        if tok == "dc":
-                            dc = val
-                        else:
-                            ac = val
-                    except ValueError as exc:
-                        self.error(line, rest[i + 1][1], str(exc))
-                i += 2
-                continue
-            if m:
-                if first("waveform", col):
-                    wave_kind, argstr = m.group(1), m.group(2)
-                    args = [a for a in re.split(r"[,\s]+", argstr.strip()) if a]
-                    waveform = self.parse_waveform(wave_kind, args, line, col, name)
-                i += 1
-                continue
+        if not tok.startswith("dist="):
             try:
-                val = parse_number(tok)  # bare number means a DC level
+                return parse_number(tok)
             except ValueError:
-                self.error(line, col, f"{name}: unrecognized source field {tok!r}")
+                return self.error(line, col, f"expected a value or dist= binding, got {tok!r}")
+        spec = tok[5:]
+        if call := _CALL_RE.match(spec):
+            germ = self.read_call(DISTRIBUTIONS, "distribution", call, line, col, owner)
+            return None if germ is None else RandomParameter(owner, *germ)
+        if not _IDENT_RE.match(spec):
+            return self.error(line, col, f"malformed dist= expression {tok!r}")
+        if spec not in self.params:
+            self.error(line, col, f"dist= references undeclared parameter {spec!r}")
+        return self.params.get(spec)
+
+    # -- element cards: each reader takes the fields after the card's name and
+    # returns the DeviceCard fields past its nodes, or None to refuse the card
+
+    def value_field(self, name, toks, nodes, line):
+        if len(toks) != nodes + 1:
+            return self.error(line, toks[0][1] if toks else 1,
+                              f"{name}: expected <n+> <n-> <value>, got {len(toks)} fields")
+        tok, col = toks[nodes]
+        return {"value": self.parse_binding(tok, line, col, name)}
+
+    def source_fields(self, name, toks, nodes, line):
+        if len(toks) < nodes:
+            return self.error(line, 1, f"{name}: source needs two nodes")
+        fields = {"dc": None, "ac_mag": 0.0, "waveform": None}
+        seen = set()
+        rest = iter(toks[nodes:])
+        for tok, col in rest:
+            if tok in _SOURCE_KEYWORDS:
+                field, what = _SOURCE_KEYWORDS[tok]
+                value = next(rest, None)
+                if value is None:
+                    self.error(line, col, f"{name}: {tok} needs a value")
+                elif self.first(seen, what, line, col, name):
+                    try:
+                        fields[field] = parse_number(value[0])
+                    except ValueError as exc:
+                        self.error(line, value[1], str(exc))
+            elif call := _CALL_RE.match(tok):
+                if self.first(seen, "waveform", line, col, name):
+                    fields["waveform"] = self.read_call(WAVEFORMS, "waveform", call,
+                                                        line, col, name)
             else:
-                if first("dc level", col):
-                    dc = val
-            i += 1
-        self.devices.append(
-            DeviceCard(kind=kind, name=name, nodes=nodes, waveform=waveform,
-                       dc=dc, ac_mag=ac, line=line)
-        )
+                try:
+                    value = parse_number(tok)   # a bare number is a DC level
+                except ValueError:
+                    self.error(line, col, f"{name}: unrecognized source field {tok!r}")
+                else:
+                    if self.first(seen, "dc level", line, col, name):
+                        fields["dc"] = value
+        return fields
 
-    def parse_waveform(self, kind, args, line, col, owner):
-        try:
-            vals = [parse_number(a) for a in args]
-        except ValueError as exc:
-            self.error(line, col, f"{owner}: bad waveform argument: {exc}")
-            return None
-        if kind not in WAVEFORMS:
-            self.error(line, col, f"{owner}: unknown waveform {kind!r}")
-            return None
-        wave, usage, fewest, most = WAVEFORMS[kind]
-        if not fewest <= len(vals) <= most:
-            self.error(line, col, f"{owner}: {kind} takes {usage}")
-            return None
-        try:
-            if wave is PwlWave:   # pair the flat (t1, v1, t2, v2, ...) list
-                return PwlWave(tuple(vals[0::2]), tuple(vals[1::2]))
-            return wave(*vals)
-        except CardValueError as exc:
-            self.error(line, col, f"{owner}: {kind} {exc}")
-            return None
-
-    def parse_three_terminal(self, kind, name, toks, line, n_nodes):
-        if len(toks) < n_nodes:
-            self.error(line, 1, f"{name}: expected {n_nodes} nodes")
-            return
-        nodes = tuple(t[0] for t in toks[:n_nodes])
+    def key_fields(self, name, toks, nodes, line):
+        if len(toks) < nodes:
+            return self.error(line, 1, f"{name}: expected {nodes} nodes")
         params = {}
         seen = set()
-        for tok, col in toks[n_nodes:]:
+        for tok, col in toks[nodes:]:
             if "=" not in tok:
                 self.error(line, col, f"{name}: expected key=value, got {tok!r}")
                 continue
             key, _, valstr = tok.partition("=")
-            if key in seen:
-                self.error(line, col, f"{name}: key {key!r} given twice")
+            if not self.first(seen, f"key {key!r}", line, col, name):
                 continue
-            seen.add(key)
             if key == "type":
                 params[key] = valstr  # the model's flavor, checked at assembly
                 continue
             binding = self.parse_binding(valstr, line, col, f"{name}.{key}")
             if binding is not None:
                 params[key] = binding
-        self.devices.append(
-            DeviceCard(kind=kind, name=name, nodes=nodes, params=params, line=line)
-        )
+        return {"params": params}
 
     # -- directives ------------------------------------------------------
 
@@ -516,40 +488,34 @@ class _Parser:
         word = toks[0][0]
         args = toks[1:]
         if word == ".param":
+            # a reference to a refused declaration adds nothing: its name holds None
             if len(args) != 2:
-                self.error(line, toks[0][1], ".param takes <name> dist=<spec>")
-                return None
-            pname = args[0][0]
+                if args:
+                    self.params.setdefault(args[0][0], None)
+                return self.error(line, toks[0][1], ".param takes <name> dist=<spec>")
+            (pname, pcol), (spec, col) = args
             if pname in self.params:
-                self.error(line, args[0][1], f"duplicate parameter {pname!r}")
-                return None
-            spec, col = args[1]
-            if not (spec.startswith("dist=") and _DIST_CALL_RE.match(spec[5:])):
-                self.error(line, col, ".param requires a dist=<kind>(...) spec")
-                return None
-            binding = self.parse_binding(spec, line, col, pname)
-            if binding is not None:
-                self.params[pname] = binding
+                return self.error(line, pcol, f"duplicate parameter {pname!r}")
+            self.params[pname] = None
+            if not (spec.startswith("dist=") and _CALL_RE.match(spec[5:])):
+                return self.error(line, col, ".param requires a dist=<kind>(...) spec")
+            self.params[pname] = self.parse_binding(spec, line, col, pname)
             return None
         if word not in ANALYSES:
-            self.error(line, toks[0][1], f"unknown directive {word!r}")
-            return None
+            return self.error(line, toks[0][1], f"unknown directive {word!r}")
         card, usage, fewest, most = ANALYSES[word]
         if not fewest <= len(args) <= most:
-            self.error(line, toks[0][1], f"{word} takes {usage}")
-            return None
+            return self.error(line, toks[0][1], f"{word} takes {usage}")
         vals = []
         for ftype, (tok, col) in zip(card.__annotations__.values(), args):   # field types
             try:
                 vals.append(tok if ftype == "str" else parse_number(tok))
             except ValueError as exc:
-                self.error(line, col, str(exc))
-                return None
+                return self.error(line, col, str(exc))
         try:
             self.analyses.append(card(*vals))
         except CardValueError as exc:
-            self.error(line, args[exc.arg][1], f"{word} {exc}")
-            return None
+            return self.error(line, args[exc.arg][1], f"{word} {exc}")
         if card is DcSweepAnalysis:
             self._sweep_sources.append((line, args[0][1], args[0][0]))
 
@@ -567,30 +533,25 @@ class _Parser:
             if toks[0][0] == ".end":
                 break
             cards.append((lineno, toks))
+        names = set()
         # .param lines first (a stable sort), so every reference resolves when read
         for lineno, toks in sorted(cards, key=lambda card: card[1][0][0] != ".param"):
             head, col = toks[0]
             if head.startswith("."):
                 self.parse_directive(toks, lineno)
                 continue
-            letter = head[0]
-            if letter not in DEVICE_LETTERS:
+            if head[0] not in ELEMENTS:
                 self.error(lineno, col, f"unknown device kind {head!r}")
                 continue
-            if any(d.name == head for d in self.devices):
+            if head in names:
                 self.error(lineno, col, f"duplicate device name {head!r}")
                 continue
-            body = toks[1:]
-            if letter in ("r", "c", "l"):
-                self.parse_two_terminal(letter.upper(), head, body, lineno)
-            elif letter in ("v", "i"):
-                self.parse_source(letter.upper(), head, body, lineno)
-            elif letter == "d":
-                self.parse_three_terminal("D", head, body, lineno, 2)
-            elif letter == "m":
-                self.parse_three_terminal("M", head, body, lineno, 3)
-            elif letter == "q":
-                self.parse_three_terminal("Q", head, body, lineno, 3)
+            names.add(head)
+            kind, nodes, read = ELEMENTS[head[0]]
+            fields = read(self, head, toks[1:], nodes, lineno)
+            if fields is not None:
+                node_names = tuple(tok for tok, _ in toks[1:nodes + 1])
+                self.devices.append(DeviceCard(kind, head, node_names, line=lineno, **fields))
         self.validate()
         if self.diags:
             raise NetlistError(self.diags)
@@ -614,6 +575,19 @@ class _Parser:
             src = next((d for d in self.devices if d.name == name), None)
             if src is None or src.kind not in ("V", "I"):
                 self.error(line, col, f".dcsweep source {name!r} is not a V/I source")
+
+
+# card letter -> (device kind, node count, reader of the fields after the name)
+ELEMENTS = {
+    "r": ("R", 2, _Parser.value_field),
+    "c": ("C", 2, _Parser.value_field),
+    "l": ("L", 2, _Parser.value_field),
+    "v": ("V", 2, _Parser.source_fields),
+    "i": ("I", 2, _Parser.source_fields),
+    "d": ("D", 2, _Parser.key_fields),
+    "m": ("M", 3, _Parser.key_fields),
+    "q": ("Q", 3, _Parser.key_fields),
+}
 
 
 def parse_netlist(text: str) -> Netlist:

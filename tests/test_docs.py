@@ -2,7 +2,7 @@
 
 A key added to a device class, a changed default or a new `type=` name
 fails here until the README's "Netlist format" table says the same, a
-new analysis card, waveform or usage until its card table does, a
+new analysis card, waveform, dist= family or usage until its card table does, a
 new run flag or a changed reader until its run-flag table does, a
 new default transient scheme until the README names it, a module or
 top-level directory added or deleted until the README's layout says so,
@@ -18,7 +18,7 @@ import pytest
 from gpcsim.cli import _FLAG_READERS, _print_report
 from gpcsim.devices import MODEL_KEYS
 from gpcsim.engine import SCHEMES
-from gpcsim.netlist import ANALYSES, WAVEFORMS, parse_number
+from gpcsim.netlist import ANALYSES, DISTRIBUTIONS, WAVEFORMS, parse_number
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -74,7 +74,7 @@ def test_readme_flag_table_matches_the_flag_readers():
 
 
 def readme_card_table():
-    """{card or waveform: usage} from the README."""
+    """{card, waveform or dist= family: usage} from the README."""
     lines = README.read_text().splitlines()
     start = lines.index("| Card | Arguments | Rules |")
     table = {}
@@ -87,7 +87,8 @@ def readme_card_table():
 
 
 def test_readme_card_table_matches_the_parser_tables():
-    parsed = {name: usage for name, (_, usage, *_) in {**ANALYSES, **WAVEFORMS}.items()}
+    tables = {**ANALYSES, **WAVEFORMS, **DISTRIBUTIONS}
+    parsed = {name: usage for name, (_, usage, *_) in tables.items()}
     assert readme_card_table() == parsed
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from gpcsim import netlist
 from gpcsim.basis import Beta, Gamma, Gaussian, Uniform
+from gpcsim.devices import MODEL_KEYS
 from gpcsim.netlist import (
+    ELEMENTS,
     MAX_POINTS,
     AcAnalysis,
     CardValueError,
@@ -292,17 +294,74 @@ def test_source_field_given_twice_flagged():
 
 
 def test_bad_distributions_flagged():
-    for spec in ["dist=gauss(1)", "dist=gauss(1,0)", "dist=uniform(2,1)",
-                 "dist=beta(0,1,0,1)", "dist=gamma(-1,0,1)", "dist=heavy(1,2)"]:
-        with pytest.raises(NetlistError):
-            parse_netlist(f"v1 a 0 1\nr1 a 0 {spec}\n")
+    """A dist= germ is checked as a waveform is: its numbers, its family, its
+    count and then the family's rules, each refused at the token."""
+    specs = ["dist=gauss(1)", "dist=gauss(1,0)", "dist=uniform(2,1)",
+             "dist=uniform(0,4.9e-324)", "dist=beta(0,1,0,1)", "dist=beta(1,0,0,1)",
+             "dist=beta(2,2,1,0)", "dist=gamma(-1,0,1)", "dist=gamma(2,0,0)",
+             "dist=gauss(1,x)", "dist=heavy(1,2)", "dist=heavy(x)"]
+    cards = [f"r{k} a 0 {spec}" for k, spec in enumerate(specs)]
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("v1 a 0 1\n" + "\n".join(cards) + "\nd1 a 0 is=dist=gauss(1)\n")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (2, 8, "r0: gauss takes (mu, sigma)"),
+        (3, 8, "r1: gauss sigma must be positive"),
+        (4, 8, "r2: uniform hi must be above lo"),
+        (5, 8, "r3: uniform hi must be above lo"),   # too narrow to halve
+        (6, 8, "r4: beta alpha must be positive"),
+        (7, 8, "r5: beta beta must be positive"),
+        (8, 8, "r6: beta scale must be nonzero"),
+        (9, 8, "r7: gamma shape must be positive"),
+        (10, 8, "r8: gamma scale must be nonzero"),
+        (11, 8, "r9: bad distribution argument: not a number: 'x'"),
+        (12, 9, "r10: unknown distribution 'heavy'"),
+        (13, 9, "r11: bad distribution argument: not a number: 'x'"),
+        (14, 8, "d1.is: gauss takes (mu, sigma)"),
+    ]
 
 
 def test_bad_waveforms_flagged():
-    for wave in ["pulse(0 1 0 1u)", "pwl(0 0 0 1)", "sin()", "tri(0 1 2)",
-                 "pulse(0 1 0 1n 1n -5n 10n)"]:
-        with pytest.raises(NetlistError):
-            parse_netlist(f"v1 a 0 {wave}\nr1 a 0 1\n")
+    waves = ["pulse(0 1 0 1u)", "pwl(0 0 0 1)", "pwl(0 0 1n)", "sin()", "tri(0 1 2)",
+             "sin(0 x 1k)", "pulse(0 1 0 1n 1n -5n 10n)", "dc", "1 ac"]
+    cards = [f"v{k} a 0 {wave}" for k, wave in enumerate(waves)]
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("\n".join(cards) + "\nr1 a 0 1\n")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (1, 8, "v0: pulse takes (v1, v2, td, tr, tf, pw, per)"),
+        (2, 8, "v1: pwl times must increase"),
+        (3, 8, "v2: pwl takes (t1, v1, t2, v2, ...)"),
+        (4, 8, "v3: sin takes (offset, ampl, freq[, delay[, damping]])"),
+        (5, 8, "v4: unknown waveform 'tri'"),
+        (6, 8, "v5: bad waveform argument: not a number: 'x'"),
+        (7, 8, "v6: pulse width must not be negative"),
+        (8, 8, "v7: dc needs a value"),
+        (9, 10, "v8: ac needs a value"),
+    ]
+
+
+def test_refused_param_is_reported_once():
+    """A reference to a declared but refused .param adds no diagnostic."""
+    refs = "v1 a 0 1\nr1 a b dist=p\nr2 b 0 dist=p\n"
+    for decl, diag in [(".param p dist=gauss(1,0)", (1, 10, "p: gauss sigma must be positive")),
+                       (".param p dist=p", (1, 10, ".param requires a dist=<kind>(...) spec")),
+                       (".param p", (1, 1, ".param takes <name> dist=<spec>"))]:
+        with pytest.raises(NetlistError) as err:
+            parse_netlist(f"{decl}\n{refs}")
+        assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [diag]
+
+
+def test_name_of_a_refused_card_is_not_reused():
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("r1 a 0\nr1 a 0 1k\nr2 a 0 1k\nr3 a 0 1k\n")
+    assert [(d.line, d.col, d.message) for d in err.value.diagnostics] == [
+        (1, 4, "r1: expected <n+> <n-> <value>, got 2 fields"),
+        (2, 1, "duplicate device name 'r1'"),
+    ]
+
+
+def test_element_kinds_are_the_device_classes():
+    """A device class added to ELEMENTS or devices.MODEL_KEYS alone fails here."""
+    assert {kind for kind, _, _ in ELEMENTS.values()} == set(MODEL_KEYS)
 
 
 def test_empty_netlist_flagged():
